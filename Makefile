@@ -5,7 +5,7 @@ PY ?= python
 .PHONY: install test test-slow lint typecheck sanitize-smoke \
 	modelcheck-smoke modelcheck-sweep costcheck-smoke numcheck-smoke \
 	bench bench-smoke \
-	bench-incremental-smoke bench-compiled-smoke distsat-smoke \
+	bench-incremental-smoke distsat-smoke \
 	distsat-gigapixel tables report fuzz examples all
 
 install:
@@ -17,7 +17,6 @@ test:
 	$(PY) -m pytest tests/
 	$(MAKE) bench-smoke
 	$(MAKE) bench-incremental-smoke
-	$(MAKE) bench-compiled-smoke
 	$(MAKE) distsat-smoke
 	$(MAKE) sanitize-smoke
 	$(MAKE) modelcheck-smoke
@@ -83,11 +82,6 @@ bench-smoke:
 
 bench-incremental-smoke:
 	PYTHONPATH=src $(PY) benchmarks/bench_incremental.py --smoke
-
-# Compiled-engine gate: fallback + pure-Python bit-identity everywhere;
-# the jitted perf check only runs where numba is installed.
-bench-compiled-smoke:
-	PYTHONPATH=src $(PY) benchmarks/bench_compiled.py --smoke
 
 # Distributed-executor gate: sharded runs bit-identical to the reference,
 # an injected kill + a corrupted payload recovered with an exact attempt

@@ -4,8 +4,8 @@
 Prints a measured mini-Table I — kernel launches, peak threads, global
 reads/writes per element, spins, fences — plus the emergent simulator cycles,
 for a 256x256 matrix at W=32.  A second table times the host execution
-engines (serial tile loop, multi-core wavefront, fork/join 2R2W) on a larger
-matrix.
+engines (serial tile loop, multi-core wavefront, fork/join 2R2W, sharded
+bands) on a larger matrix.
 """
 
 import time
@@ -13,9 +13,10 @@ import time
 import numpy as np
 
 from repro import ALGORITHMS, get_algorithm, sat_reference
+from repro.backend.registry import engine_backends
 from repro.gpusim import GPU
 from repro.perfmodel.table import TABLE3_ORDER
-from repro.sat.registry import HOST_ENGINES, host_sat
+from repro.sat.registry import host_sat
 
 
 def main() -> None:
@@ -49,10 +50,10 @@ def main() -> None:
     print(" * only the SKSS variants spin (single-kernel soft sync); only")
     print("   1R1W-SKSS-LB combines that with full n²/m parallelism.")
 
-    compare_host_engines()
+    compare_engines()
 
 
-def compare_host_engines(n: int = 1024) -> None:
+def compare_engines(n: int = 1024) -> None:
     """Time the host execution engines on the same 1R1W-SKSS-LB dataflow."""
     rng = np.random.default_rng(1)
     a = rng.integers(0, 100, size=(n, n)).astype(np.float64)
@@ -61,7 +62,7 @@ def compare_host_engines(n: int = 1024) -> None:
     print(f"\nHost execution engines (n = {n}, W = 32, 1R1W-SKSS-LB):\n")
     print(f"{'engine':<12} {'ok':<3} {'seconds':>8}")
     print("-" * 25)
-    for engine in HOST_ENGINES:
+    for engine in engine_backends():
         t0 = time.perf_counter()
         sat = host_sat(a, algorithm="1R1W-SKSS-LB", engine=engine)
         dt = time.perf_counter() - t0
@@ -70,7 +71,8 @@ def compare_host_engines(n: int = 1024) -> None:
     print("\n * serial runs the algorithm's own tile loop;")
     print(" * wavefront dispatches anti-diagonal tile chunks to a pool")
     print("   (bit-identical to serial);")
-    print(" * parallel is the banded fork/join 2R2W scan (plain cumsums).")
+    print(" * parallel is the banded fork/join 2R2W scan (plain cumsums);")
+    print(" * distributed runs band shards with persisted column carries.")
 
 
 if __name__ == "__main__":

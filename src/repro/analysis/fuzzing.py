@@ -30,9 +30,9 @@ Two modes share the harness (``repro fuzz --mode``):
     Backend differential fuzzing: a random (algorithm, dtype, ragged
     shape, workers) configuration runs through a randomly chosen non-serial
     backend from the unified registry (:mod:`repro.backend.registry` —
-    wavefront / parallel / compiled, plus the gpusim simulator at small
-    warp-aligned shapes and the banded outofcore streamer) and is compared
-    against the serial oracle.  Backends whose spec declares
+    wavefront / parallel, plus the gpusim simulator at small warp-aligned
+    shapes and the banded outofcore and distributed streamers) and is
+    compared against the serial oracle.  Backends whose spec declares
     ``bit_identical=True`` are held to ``np.array_equal``; every backend is
     held to exact equality on integer accumulators; the rest (banded
     reductions, simulator-side float64 accumulation) are held to the proven
@@ -303,8 +303,8 @@ def sample_engine_config(rng: np.random.Generator) -> FuzzConfig:
     Ragged rectangular shapes, all four differential dtypes, 1 or 4 workers,
     and a backend drawn from the unified registry (everything but the serial
     oracle).  Each backend's algorithm pool comes from its spec — wavefront
-    only executes the five tile algorithms; parallel, compiled, gpusim and
-    outofcore cover all seven.  The gpusim backend gets small warp-aligned
+    only executes the five tile algorithms; parallel, gpusim, outofcore and
+    distributed cover all seven.  The gpusim backend gets small warp-aligned
     shapes (its collectives need ``tile_width`` to be a whole number of
     32-lane warps, and the simulator pays per instruction); the outofcore
     backend gets a random band height.
@@ -446,12 +446,12 @@ def sample_numeric_config(rng: np.random.Generator) -> FuzzConfig:
 def _run_engine(config: FuzzConfig) -> str | None:
     """Difference one registered backend against the serial oracle.
 
-    Bit-identical backends (``bit_identical=True`` in the registry —
-    wavefront and compiled, including compiled's no-Numba fallback) must
-    satisfy ``np.array_equal``, as must every backend on integer
-    accumulators.  Float results from the rest (parallel's banding, gpusim's
-    simulator-side float64 accumulation, outofcore's band stitching) reorder
-    reductions, so they are held to the proven mass-relative budget of
+    Bit-identical backends (``bit_identical=True`` in the registry — the
+    wavefront engine) must satisfy ``np.array_equal``, as must every backend
+    on integer accumulators.  Float results from the rest (parallel's
+    banding, gpusim's simulator-side float64 accumulation, outofcore's band
+    stitching) reorder reductions, so they are held to the proven
+    mass-relative budget of
     :func:`repro.analysis.tolerances.derived_tolerance` (oracle ``"host"``:
     both legs round).
     """

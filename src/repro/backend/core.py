@@ -18,18 +18,15 @@ satisfies:
 
 :class:`BackendSpec` is the capability declaration each backend registers:
 which algorithms and dtypes it supports, whether results are bit-identical
-to the serial oracle, which optional dependency it needs and what it
-degrades to without it.  It absorbs and replaces the ad-hoc
-``hostexec.registry.EngineSpec`` (which is now an alias of this class).
+to the serial oracle, and how it is routed.
 
 This module imports nothing from :mod:`repro.sat` or :mod:`repro.hostexec`
 at module level — executor modules are reached lazily, so the registry stays
-cheap to import (argparse construction must not pay for Numba probing).
+cheap to import.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
@@ -42,13 +39,14 @@ from repro.errors import ConfigurationError
 from repro.primitives.tile import TileGrid
 
 
-def _module_available(name: str) -> bool:
-    """Whether optional dependency ``name`` is importable (without importing
-    it — ``find_spec`` is enough and keeps registry queries cheap)."""
-    try:
-        return importlib.util.find_spec(name) is not None
-    except (ImportError, ValueError):
-        return False
+def positive_int(value, name: str) -> int:
+    """``value`` as an ``int`` if it is a positive integer (``bool`` is not);
+    otherwise a :class:`~repro.errors.ConfigurationError` naming ``name``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) \
+            or value <= 0:
+        raise ConfigurationError(
+            f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -57,10 +55,7 @@ class BackendSpec:
 
     ``algorithms`` is ``None`` when the backend runs every registered
     algorithm, else the tuple of canonical names it supports.  ``dtypes`` is
-    ``None`` when any accumulator dtype works.  ``requires`` names the
-    optional import the backend needs; ``fallback`` names the backend it
-    degrades to (with a warning) when that import is missing — ``None``
-    means the backend is always available.
+    ``None`` when any accumulator dtype works.
 
     ``engine`` marks the backends selectable through the classic
     ``engine=`` / ``--engine`` routing (the host executors); the others
@@ -83,11 +78,6 @@ class BackendSpec:
     #: (Every registered backend is exact on integer accumulators; this flag
     #: additionally promises exactness for floats.)
     bit_identical: bool
-    #: Optional dependency (import name) the backend needs, if any.
-    requires: str | None = None
-    #: Backend to degrade to when ``requires`` is missing (tile-based
-    #: algorithms; non-tile algorithms always degrade to ``serial``).
-    fallback: str | None = None
     #: Execution substrate: ``host``, ``device`` (simulator) or ``streaming``.
     kind: str = "host"
     #: Selectable via the classic ``engine=`` / ``--engine`` routing.
@@ -99,10 +89,6 @@ class BackendSpec:
     #: Canonical algorithm substituted when the caller passes ``None``
     #: (``None`` here means: run the plain reference double scan).
     default_algorithm: str | None = None
-
-    def available(self) -> bool:
-        """Whether the backend can run natively (its dependency importable)."""
-        return self.requires is None or _module_available(self.requires)
 
     def supports_algorithm(self, name: str) -> bool:
         return self.algorithms is None or name in self.algorithms
@@ -120,9 +106,6 @@ class BackendSpec:
             if self.algorithms is not None else None,
             "dtypes": list(self.dtypes) if self.dtypes is not None else None,
             "bit_identical": self.bit_identical,
-            "requires": self.requires,
-            "fallback": self.fallback,
-            "available": self.available(),
             "engine": self.engine,
             "retains_state": self.retains_state,
             "algorithm_agnostic": self.algorithm_agnostic,
@@ -164,21 +147,10 @@ class Backend(ABC):
         before any input data is touched (SWAMP-style fail-fast).
         """
         spec = self.spec
-        if not spec.available() and spec.fallback is None:
-            raise ConfigurationError(
-                f"backend '{spec.name}' requires {spec.requires}, which is "
-                "not installed")
         rows, cols = self._check_shape(shape)
-        if not isinstance(tile_width, (int, np.integer)) \
-                or isinstance(tile_width, bool) or tile_width <= 0:
-            raise ConfigurationError(
-                f"tile_width must be a positive integer, got {tile_width!r}")
-        tile_width = int(tile_width)
+        tile_width = positive_int(tile_width, "tile_width")
         if workers is not None:
-            if not isinstance(workers, (int, np.integer)) \
-                    or isinstance(workers, bool) or workers <= 0:
-                raise ConfigurationError("workers must be positive")
-            workers = int(workers)
+            workers = positive_int(workers, "workers")
         band_rows = self._check_band_rows(band_rows, rows, tile_width)
         shards = self._check_shards(shards, rows)
         try:
@@ -231,7 +203,7 @@ class Backend(ABC):
 
     def _check_band_rows(self, band_rows: int | None, rows: int,
                          tile_width: int) -> int | None:
-        """Hook: only the streaming backend accepts/derives ``band_rows``."""
+        """Hook: only the streaming backends accept/derive ``band_rows``."""
         if band_rows is not None:
             raise ConfigurationError(
                 f"band_rows is not meaningful for the {self.spec.name} "

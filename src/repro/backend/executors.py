@@ -2,10 +2,10 @@
 
 Each class here is a thin adapter from the :class:`~repro.backend.Backend`
 plan/execute/carry contract onto an existing executor — the algorithms' own
-serial host loops, the wavefront engine, the Numba-compiled flat kernels,
-the fork/join banded scan, the out-of-core band streamer and the functional
-GPU simulator.  The adapters contain *no* tile-layout or dtype glue of their
-own: all of that lives in the shared plan layer
+serial host loops, the wavefront engine, the fork/join banded scan, the
+functional GPU simulator, the out-of-core band streamer and the sharded
+distributed executor.  The adapters contain *no* tile-layout or dtype glue
+of their own: all of that lives in the shared plan layer
 (:mod:`repro.backend.plan`) and in the engines themselves.
 
 This module is imported lazily by the registry (``get_backend``), so the
@@ -18,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend.carries import BandCarrySet, CarrySet, TileCarrySet
-from repro.backend.core import Backend
+from repro.backend.core import Backend, positive_int
 from repro.backend.plan import ExecutionPlan
+from repro.errors import ConfigurationError
 
 
 class SerialBackend(Backend):
@@ -46,6 +47,16 @@ class WavefrontBackend(Backend):
         from repro.backend.registry import get_spec
         self.spec = get_spec("wavefront")
         self._engine = engine
+
+    def _validate_plan(self, plan: ExecutionPlan) -> None:
+        # A caller-managed engine owns its pool; a different worker count
+        # would be silently ignored.
+        eng = self._engine
+        if eng is not None and plan.workers is not None \
+                and plan.workers != eng.workers:
+            raise ConfigurationError(
+                f"workers={plan.workers} conflicts with the caller's "
+                f"engine, which runs {eng.workers} workers")
 
     def _engine_compute(self, eng, plan: ExecutionPlan, a: np.ndarray,
                         out: np.ndarray | None) -> np.ndarray:
@@ -100,48 +111,6 @@ class ParallelBackend(Backend):
                             dtype_policy=plan.acc_dtype)
 
 
-class CompiledBackend(Backend):
-    """Numba-jitted flat tile kernels; degrades to wavefront/serial (with a
-    single warning) when Numba is missing."""
-
-    def __init__(self, engine=None) -> None:
-        from repro.backend.registry import get_spec
-        self.spec = get_spec("compiled")
-        self._engine = engine
-
-    def _execute(self, plan: ExecutionPlan, a: np.ndarray,
-                 out: np.ndarray | None) -> np.ndarray:
-        from repro.hostexec.compiled import (CompiledEngine, _warn_fallback,
-                                             numba_available,
-                                             shared_compiled_engine)
-        if self._engine is not None:
-            return self._engine.compute(a, algorithm=plan.algorithm,
-                                        tile_width=plan.tile_width,
-                                        dtype_policy=plan.acc_dtype, out=out)
-        if numba_available():
-            if plan.workers is not None and plan.workers > 1:
-                with CompiledEngine(workers=plan.workers) as eng:
-                    return eng.compute(a, algorithm=plan.algorithm,
-                                       tile_width=plan.tile_width,
-                                       dtype_policy=plan.acc_dtype, out=out)
-            return shared_compiled_engine().compute(
-                a, algorithm=plan.algorithm, tile_width=plan.tile_width,
-                dtype_policy=plan.acc_dtype, out=out)
-        _warn_fallback()
-        if plan.algorithm is None:
-            return a.astype(plan.acc_dtype, copy=False) \
-                .cumsum(axis=0).cumsum(axis=1)
-        if plan.grid is not None:   # tile dataflow: degrade to wavefront
-            from repro.hostexec.engine import shared_engine
-            return shared_engine().compute(a, algorithm=plan.algorithm,
-                                           tile_width=plan.tile_width,
-                                           dtype_policy=plan.acc_dtype,
-                                           out=out)
-        from repro.sat.registry import get_algorithm
-        alg = get_algorithm(plan.algorithm, tile_width=plan.tile_width)
-        return alg.run_host(a, dtype_policy=plan.acc_dtype)
-
-
 class GpusimBackend(Backend):
     """The functional GPU simulator: device kernels behind the same seams.
 
@@ -158,7 +127,6 @@ class GpusimBackend(Backend):
         # The simulator's warp collectives reduce over W lanes, so tile-based
         # dataflows need whole 32-lane warps per tile row (the default
         # DeviceSpec's warp size).
-        from repro.errors import ConfigurationError
         from repro.gpusim.device import WARP_SIZE
         if plan.tile_based and plan.tile_width % WARP_SIZE:
             raise ConfigurationError(
@@ -173,7 +141,18 @@ class GpusimBackend(Backend):
         return alg.run(a, GPU(), dtype_policy=plan.acc_dtype).sat
 
 
-class OutOfCoreBackend(Backend):
+class _BandBackend(Backend):
+    """A streaming backend: rows are processed in bands of ``band_rows``
+    (default: one tile height, capped at the matrix height)."""
+
+    def _check_band_rows(self, band_rows: int | None, rows: int,
+                         tile_width: int) -> int | None:
+        if band_rows is None:
+            return min(rows, tile_width)
+        return positive_int(band_rows, "band_rows")
+
+
+class OutOfCoreBackend(_BandBackend):
     """Banded streaming SAT: the tile carry algebra one level up.
 
     Each band's SAT is stitched to the global one through a vector of
@@ -184,16 +163,6 @@ class OutOfCoreBackend(Backend):
     def __init__(self) -> None:
         from repro.backend.registry import get_spec
         self.spec = get_spec("outofcore")
-
-    def _check_band_rows(self, band_rows: int | None, rows: int,
-                         tile_width: int) -> int | None:
-        if band_rows is None:
-            return min(rows, tile_width)
-        if not isinstance(band_rows, (int, np.integer)) \
-                or isinstance(band_rows, bool) or band_rows <= 0:
-            from repro.errors import ConfigurationError
-            raise ConfigurationError("band_rows must be positive")
-        return int(band_rows)
 
     def _execute(self, plan: ExecutionPlan, a: np.ndarray,
                  out: np.ndarray | None) -> np.ndarray:
@@ -218,7 +187,7 @@ class OutOfCoreBackend(Backend):
         return sat, BandCarrySet(column_sums=carry_cols)
 
 
-class DistributedBackend(Backend):
+class DistributedBackend(_BandBackend):
     """Sharded band workers behind the work-queue protocol.
 
     The image is split into ``shards`` contiguous band shards, fanned out
@@ -233,25 +202,10 @@ class DistributedBackend(Backend):
         from repro.backend.registry import get_spec
         self.spec = get_spec("distributed")
 
-    def _check_band_rows(self, band_rows: int | None, rows: int,
-                         tile_width: int) -> int | None:
-        if band_rows is None:
-            return min(rows, tile_width)
-        if not isinstance(band_rows, (int, np.integer)) \
-                or isinstance(band_rows, bool) or band_rows <= 0:
-            from repro.errors import ConfigurationError
-            raise ConfigurationError("band_rows must be positive")
-        return int(band_rows)
-
     def _check_shards(self, shards: int | None, rows: int) -> int | None:
         if shards is None:
             return min(rows, 2)
-        if not isinstance(shards, (int, np.integer)) \
-                or isinstance(shards, bool) or shards <= 0:
-            from repro.errors import ConfigurationError
-            raise ConfigurationError(
-                f"shards must be a positive integer, got {shards!r}")
-        return int(shards)
+        return positive_int(shards, "shards")
 
     def _run(self, plan: ExecutionPlan, a: np.ndarray):
         from repro.distsat import distributed_sat
@@ -279,7 +233,6 @@ BACKEND_CLASSES: dict[str, type[Backend]] = {
     "serial": SerialBackend,
     "wavefront": WavefrontBackend,
     "parallel": ParallelBackend,
-    "compiled": CompiledBackend,
     "gpusim": GpusimBackend,
     "outofcore": OutOfCoreBackend,
     "distributed": DistributedBackend,
@@ -289,15 +242,11 @@ BACKEND_CLASSES: dict[str, type[Backend]] = {
 def backend_for_instance(engine) -> Backend:
     """Wrap a caller-managed engine instance in its backend adapter.
 
-    The classic ``engine=`` routing accepts :class:`WavefrontEngine` /
-    :class:`CompiledEngine` instances; anything else raises the canonical
-    unknown-engine error.
+    The classic ``engine=`` routing accepts :class:`WavefrontEngine`
+    instances; anything else raises the canonical unknown-engine error.
     """
     from repro.backend.registry import unknown_engine_error
-    from repro.hostexec.compiled import CompiledEngine
     from repro.hostexec.engine import WavefrontEngine
     if isinstance(engine, WavefrontEngine):
         return WavefrontBackend(engine=engine)
-    if isinstance(engine, CompiledEngine):
-        return CompiledBackend(engine=engine)
     raise unknown_engine_error(engine)

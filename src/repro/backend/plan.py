@@ -4,9 +4,8 @@ Every executor in this repo ultimately does the same three things before any
 arithmetic happens: resolve the accumulator dtype, lay the matrix out on a
 ``W x W`` tile grid (zero-padding ragged edges), and check/fulfil an optional
 ``out=`` buffer.  Before this module those steps were re-implemented — with
-slight drift — in ``sat/base.py``, ``hostexec/engine.py`` and
-``hostexec/compiled.py``.  They now live here once, as plain functions over
-an :class:`ExecutionPlan`.
+slight drift — in ``sat/base.py`` and ``hostexec/engine.py``.  They now
+live here once, as plain functions over an :class:`ExecutionPlan`.
 
 An :class:`ExecutionPlan` is a frozen value object produced by
 :meth:`repro.backend.Backend.plan` *before* the input data is ever touched:

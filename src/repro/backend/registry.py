@@ -1,17 +1,18 @@
 """The unified backend registry: one table every consumer derives from.
 
 Every executor in the repo registers exactly one :class:`BackendSpec` here —
-the host engines (serial / wavefront / parallel / compiled), the functional
-GPU simulator and the out-of-core band streamer.  The CLI ``--engine``
-choices, ``repro list`` (text and ``--json``), the fuzzer's engine pool, the
-routing layers (:func:`repro.sat.registry.host_sat` / ``compute_sat``) and
-every "unknown engine" error message all read from this one table, so none
-of them can drift from the registered set (the conformance suite pins this).
+the host engines (serial / wavefront / parallel), the functional GPU
+simulator, the out-of-core band streamer and the sharded distributed
+executor.  The CLI ``--engine`` choices, ``repro list`` (text and
+``--json``), the fuzzer's engine pool, the routing layers
+(:func:`repro.sat.registry.host_sat` / ``compute_sat``) and every "unknown
+engine" error message all read from this one table, so none of them can
+drift from the registered set (the conformance suite pins this).
 
 Specs are built lazily on first access and backend *instances* lazier still
 (:func:`get_backend` imports the executor modules on demand), keeping the
-registry import-light: building ``--engine`` choices never touches Numba or
-the simulator.
+registry import-light: building ``--engine`` choices never instantiates a
+backend.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ def _make_specs() -> dict[str, BackendSpec]:
             summary="fork/join banded 2R2W scan (plain cumsums)",
             algorithms=None, dtypes=None, bit_identical=False,
             kind="host", engine=True, algorithm_agnostic=True),
-        "compiled": BackendSpec(
-            name="compiled",
-            summary="Numba-jitted flat tile kernels (whole diagonals per "
-                    "compiled pass)",
-            algorithms=None, dtypes=None, bit_identical=True,
-            requires="numba", fallback="wavefront",
-            kind="host", engine=True),
         "gpusim": BackendSpec(
             name="gpusim",
             summary="functional GPU simulator (device kernels, measured "
@@ -142,8 +136,7 @@ def unknown_engine_error(engine) -> ConfigurationError:
     routing surface, listing every backend reachable through it."""
     return ConfigurationError(
         f"unknown host engine {engine!r}; known engines: "
-        f"{', '.join(engine_backends())} (or a WavefrontEngine/CompiledEngine "
-        "instance)")
+        f"{', '.join(engine_backends())} (or a WavefrontEngine instance)")
 
 
 def resolve_backend(engine=None) -> Backend:
@@ -151,9 +144,9 @@ def resolve_backend(engine=None) -> Backend:
 
     ``None`` means the serial oracle; a string selects an engine-routable
     backend by name (``spec.engine``; the gpusim/outofcore backends are
-    reached via :func:`get_backend` instead); a :class:`WavefrontEngine` /
-    :class:`CompiledEngine` instance is wrapped in its adapter (preserving
-    caller-managed pools and caches).
+    reached via :func:`get_backend` instead); a :class:`WavefrontEngine`
+    instance is wrapped in its adapter (preserving caller-managed pools and
+    caches).
     """
     if engine is None:
         return get_backend("serial")

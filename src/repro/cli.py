@@ -34,14 +34,8 @@ import numpy as np
 from repro._version import __version__
 
 
-def _host_engines() -> list[str]:
-    """CLI ``--engine`` choices, straight from the host-engine registry so
-    they can never drift from what the routing actually accepts."""
-    from repro.hostexec.registry import known_engines
-    return list(known_engines())
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.backend.registry import engine_backends
     p = argparse.ArgumentParser(
         prog="repro",
         description="Summed-area-table reproduction (Emoto et al., 2018)")
@@ -65,19 +59,17 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--host", action="store_true",
                      help="use the pure-NumPy host path (no simulation)")
     run.add_argument("--engine", default="serial",
-                     choices=_host_engines(),
+                     choices=engine_backends(),
                      help="host execution engine (implies --host when not "
                           "'serial'): serial tile loop, multi-core wavefront "
-                          "tile engine, fork/join banded 2R2W scan, "
-                          "Numba-compiled flat tile kernels (falls back to "
-                          "wavefront when numba is not installed), or the "
+                          "tile engine, fork/join banded 2R2W scan, or the "
                           "sharded distributed executor (band shards on a "
                           "worker pool with persisted carries)")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker threads for the wavefront/parallel/"
-                          "compiled engines (default: REPRO_WORKERS or all "
-                          "cores; 1 for compiled); for the distributed "
-                          "engine, >1 uses real worker processes")
+                     help="worker threads for the wavefront/parallel "
+                          "engines (default: REPRO_WORKERS or all cores); "
+                          "for the distributed engine, >1 uses real worker "
+                          "processes")
     run.add_argument("--shards", type=int, default=None,
                      help="band-shard count for --engine distributed "
                           "(default 2; rejected by other engines)")
@@ -139,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "sanitize: sampled configs re-run under the "
                          "concurrency sanitizer (also the harness that "
                          "replays modelcheck counterexamples); engine: "
-                         "host engines (wavefront/parallel/compiled) vs the "
+                         "every registered backend vs the "
                          "serial oracle over random algorithm/dtype/shape/"
                          "worker configurations; cost: replay the planted "
                          "traffic regressions through the static cost "
@@ -702,11 +694,6 @@ def _cmd_list(args) -> int:
             notes.append("carries")
         if spec.algorithms is not None:
             notes.append(f"{len(spec.algorithms)} tile algorithms")
-        if spec.requires:
-            notes.append(
-                f"requires {spec.requires} "
-                f"({'installed' if spec.available() else 'missing'}; "
-                f"falls back to {spec.fallback})")
         print(f"  {name:<10} {spec.summary} [{'; '.join(notes)}]")
     if args.json is not None:
         _write_json(_listing(), args.json)

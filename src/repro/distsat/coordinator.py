@@ -153,7 +153,7 @@ def distributed_sat(a, *, shards: int = 2, algorithm: str | None = None,
     if inner_engine == "distributed":
         raise ConfigurationError(
             "the distributed executor cannot use itself as the per-band "
-            "engine; pick a host engine (serial/wavefront/compiled/parallel)")
+            "engine; pick a host engine (serial/wavefront/parallel)")
     from repro.backend.registry import resolve_backend
     inner = resolve_backend(inner_engine)  # validates the engine name
     canonical = None

@@ -17,40 +17,24 @@ algebra.
 True
 """
 
-from repro.hostexec.compiled import (FLAT_KERNELS, CompiledEngine,
-                                     FlatKernel, compiled_sat,
-                                     flat_kernel_for, host_compiled_sat,
-                                     is_compiled_engine, numba_available,
-                                     shared_compiled_engine)
 from repro.hostexec.engine import (RetainedState, WavefrontEngine,
-                                   default_workers, resolve_engine,
-                                   shared_engine, wavefront_sat)
+                                   default_workers, shared_engine,
+                                   wavefront_sat)
 from repro.hostexec.incremental import (STRATEGIES, IncrementalSAT,
                                         RepairStats, repair_benchmark,
                                         sanitize_incremental, verify_state)
-from repro.hostexec.kernels import (KERNELS, CarrySet, KernelSpec,
-                                    gather_left_up, gather_left_up_corner,
-                                    kernel_for)
+from repro.hostexec.kernels import KERNELS, CarryPlanes, KernelSpec, kernel_for
 from repro.hostexec.plan import (DEPS_LEFT_UP, DEPS_LEFT_UP_CORNER,
                                  TILE_DONE, TILE_PENDING, TILE_READY,
                                  Chunk, WavefrontPlan, build_plan,
                                  split_diagonal)
-from repro.hostexec.registry import (ENGINES, EngineSpec,
-                                     engines_for_algorithm, get_engine_spec,
-                                     known_engines, unknown_engine_error)
 
 __all__ = [
-    "WavefrontEngine", "wavefront_sat", "shared_engine", "resolve_engine",
+    "WavefrontEngine", "wavefront_sat", "shared_engine",
     "default_workers", "RetainedState",
-    "CompiledEngine", "compiled_sat", "shared_compiled_engine",
-    "host_compiled_sat", "is_compiled_engine", "numba_available",
-    "FlatKernel", "FLAT_KERNELS", "flat_kernel_for",
-    "EngineSpec", "ENGINES", "known_engines", "get_engine_spec",
-    "engines_for_algorithm", "unknown_engine_error",
     "IncrementalSAT", "RepairStats", "STRATEGIES", "verify_state",
     "sanitize_incremental", "repair_benchmark",
-    "KERNELS", "KernelSpec", "CarrySet", "kernel_for",
-    "gather_left_up", "gather_left_up_corner",
+    "KERNELS", "KernelSpec", "CarryPlanes", "kernel_for",
     "WavefrontPlan", "Chunk", "build_plan", "split_diagonal",
     "DEPS_LEFT_UP", "DEPS_LEFT_UP_CORNER",
     "TILE_PENDING", "TILE_READY", "TILE_DONE",

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.backend.plan import check_out, finalize_output, prepare_input
 from repro.errors import ConfigurationError
-from repro.hostexec.kernels import CarrySet, KernelSpec, kernel_for
+from repro.hostexec.kernels import CarryPlanes, KernelSpec, kernel_for
 from repro.hostexec.plan import (DEPS_LEFT_UP, TILE_DONE, TILE_READY,
                                  WavefrontPlan, build_plan)
 from repro.primitives.tile import TileGrid
@@ -69,7 +69,7 @@ class RetainedState:
     #: Padded committed SAT of :attr:`work`.
     out: np.ndarray
     #: Private inter-tile carry planes (GRS/GCS/GS family or GRS/GCP).
-    carry: CarrySet
+    carry: CarryPlanes
 
     @property
     def a4(self) -> np.ndarray:
@@ -131,7 +131,7 @@ class WavefrontEngine:
         self.workers = workers or default_workers()
         self._pool: ThreadPoolExecutor | None = None
         self._plans: dict[tuple, WavefrontPlan] = {}
-        self._carries: dict[tuple, CarrySet] = {}
+        self._carries: dict[tuple, CarryPlanes] = {}
         self._lock = threading.Lock()   # one compute at a time per engine
         self._closed = False
         self._retained: RetainedState | None = None
@@ -156,11 +156,11 @@ class WavefrontEngine:
             plan = self._plans[key] = build_plan(grid, deps, self.workers)
         return plan
 
-    def _carry(self, grid: TileGrid, dtype: np.dtype) -> CarrySet:
+    def _carry(self, grid: TileGrid, dtype: np.dtype) -> CarryPlanes:
         key = (grid.tile_rows, grid.tile_cols, grid.W, dtype)
         carry = self._carries.get(key)
         if carry is None:
-            carry = self._carries[key] = CarrySet(
+            carry = self._carries[key] = CarryPlanes(
                 tr=grid.tile_rows, tc=grid.tile_cols, W=grid.W, dtype=dtype)
         return carry
 
@@ -227,7 +227,7 @@ class WavefrontEngine:
             else np.empty_like(work)
         with self._lock:
             plan = self.plan(grid, spec.deps)
-            carry = CarrySet(tr=tr, tc=tc, W=W, dtype=work.dtype) \
+            carry = CarryPlanes(tr=tr, tc=tc, W=W, dtype=work.dtype) \
                 if retain_state else self._carry(grid, work.dtype)
             a4 = work.reshape(tr, W, tc, W)
             out4 = res.reshape(tr, W, tc, W)
@@ -253,7 +253,7 @@ class WavefrontEngine:
         return self._retained
 
     def _run_parallel(self, plan: WavefrontPlan, spec: KernelSpec,
-                      a4: np.ndarray, out4: np.ndarray, carry: CarrySet,
+                      a4: np.ndarray, out4: np.ndarray, carry: CarryPlanes,
                       W: int) -> None:
         """Dependency-driven dispatch over the persistent pool."""
         pool = self._ensure_pool()
@@ -356,20 +356,6 @@ def shared_engine() -> WavefrontEngine:
         if _shared is None or _shared._closed:
             _shared = WavefrontEngine()
         return _shared
-
-
-def resolve_engine(engine) -> WavefrontEngine:
-    """Map an ``engine=`` argument to a usable :class:`WavefrontEngine`.
-
-    Accepts a :class:`WavefrontEngine` instance or the string ``"wavefront"``
-    (the shared default engine).
-    """
-    if isinstance(engine, WavefrontEngine):
-        return engine
-    if engine == "wavefront":
-        return shared_engine()
-    from repro.hostexec.registry import unknown_engine_error
-    raise unknown_engine_error(engine)
 
 
 def wavefront_sat(a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",

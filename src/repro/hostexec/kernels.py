@@ -36,7 +36,7 @@ from repro.primitives.tile import TileGrid
 
 
 @dataclass
-class CarrySet:
+class CarryPlanes:
     """Preallocated inter-tile carry planes, reused across repeated calls.
 
     ``vec_row``/``vec_col`` hold the GRS / GCS planes (``vec_col`` doubles as
@@ -87,28 +87,6 @@ def _gather_scal(plane: np.ndarray, Is: np.ndarray,
     return out
 
 
-def gather_left_up_corner(carry: CarrySet, Is: np.ndarray, Js: np.ndarray,
-                          W: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked carry inputs of the GRS/GCS/GS dataflow family for one chunk:
-    ``(grs_left, gcs_above, gs_corner)``, zeros synthesised at the borders.
-
-    Shared by the batched NumPy chunk kernels below and the compiled flat
-    kernels (:mod:`repro.hostexec.compiled`) — the gather stage is identical
-    for both executors; only the tile algebra differs in form.
-    """
-    return (_gather_vec(carry.vec_row, Is, Js - 1, W),
-            _gather_vec(carry.vec_col, Is - 1, Js, W),
-            _gather_scal(carry.scal, Is - 1, Js - 1))
-
-
-def gather_left_up(carry: CarrySet, Is: np.ndarray, Js: np.ndarray,
-                   W: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked carry inputs of the 1R1W-SKSS (GRS + GCP) dataflow for one
-    chunk: ``(grs_left, gcp_above)``, zeros synthesised at the borders."""
-    return (_gather_vec(carry.vec_row, Is, Js - 1, W),
-            _gather_vec(carry.vec_col, Is - 1, Js, W))
-
-
 def _assemble_stack(stack: np.ndarray, grs_left: np.ndarray,
                     gcs_above: np.ndarray, gs_corner: np.ndarray) -> None:
     """In-place stacked :func:`~repro.primitives.tile.assemble_gsat_tile`."""
@@ -119,7 +97,7 @@ def _assemble_stack(stack: np.ndarray, grs_left: np.ndarray,
     np.cumsum(stack, axis=1, out=stack)
 
 
-def chunk_skss_lb(a4: np.ndarray, out4: np.ndarray, carry: CarrySet,
+def chunk_skss_lb(a4: np.ndarray, out4: np.ndarray, carry: CarryPlanes,
                   chunk: Chunk, W: int) -> None:
     """1R1W-SKSS-LB dataflow: GS built from the corner plus the gnomon GLS."""
     Is, Js = chunk.Is, chunk.Js
@@ -138,8 +116,8 @@ def chunk_skss_lb(a4: np.ndarray, out4: np.ndarray, carry: CarrySet,
     out4[Is, :, Js, :] = stack
 
 
-def chunk_wavefront_corner(a4: np.ndarray, out4: np.ndarray, carry: CarrySet,
-                           chunk: Chunk, W: int) -> None:
+def chunk_wavefront_corner(a4: np.ndarray, out4: np.ndarray,
+                           carry: CarryPlanes, chunk: Chunk, W: int) -> None:
     """1R1W / (1+r)R1W dataflow: GS read off the assembled GSAT corner."""
     Is, Js = chunk.Is, chunk.Js
     grs, gcs, gs = carry.vec_row, carry.vec_col, carry.scal
@@ -156,7 +134,7 @@ def chunk_wavefront_corner(a4: np.ndarray, out4: np.ndarray, carry: CarrySet,
     out4[Is, :, Js, :] = stack
 
 
-def chunk_skss(a4: np.ndarray, out4: np.ndarray, carry: CarrySet,
+def chunk_skss(a4: np.ndarray, out4: np.ndarray, carry: CarryPlanes,
                chunk: Chunk, W: int) -> None:
     """1R1W-SKSS dataflow: GRS hand-off left, GCP (GSAT bottom row) down."""
     Is, Js = chunk.Is, chunk.Js
@@ -174,7 +152,7 @@ def chunk_skss(a4: np.ndarray, out4: np.ndarray, carry: CarrySet,
     out4[Is, :, Js, :] = stack
 
 
-def chunk_nehab(a4: np.ndarray, out4: np.ndarray, carry: CarrySet,
+def chunk_nehab(a4: np.ndarray, out4: np.ndarray, carry: CarryPlanes,
                 chunk: Chunk, W: int) -> None:
     """2R1W dataflow, cumsum-faithful: the serial path builds GRS/GCS/GS with
     whole-array ``cumsum`` calls whose *first* element is a copy (no ``0 + x``
@@ -212,7 +190,7 @@ class KernelSpec:
     """A chunk kernel plus the dependency offsets its gathers rely on."""
 
     name: str
-    run: Callable[[np.ndarray, np.ndarray, CarrySet, Chunk, int], None]
+    run: Callable[[np.ndarray, np.ndarray, CarryPlanes, Chunk, int], None]
     deps: tuple[tuple[int, int], ...]
 
 

@@ -208,11 +208,8 @@ class SATAlgorithm(ABC):
         backend registry (:mod:`repro.backend.registry`) — ``"wavefront"``
         or a :class:`~repro.hostexec.WavefrontEngine` instance routes the
         same dataflow through the multi-core wavefront engine (tile-based
-        algorithms only); ``"compiled"`` or a
-        :class:`~repro.hostexec.CompiledEngine` instance through the
-        Numba-jitted flat kernels (any algorithm; degrades to wavefront /
-        serial with a warning when Numba is missing).  Both engines are
-        bit-identical to the serial path for every shape and dtype.
+        algorithms only), bit-identical to the serial path for every shape
+        and dtype.
         """
         if engine is None or engine == "serial":
             prep = self._validate(a, dtype_policy)

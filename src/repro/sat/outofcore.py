@@ -51,10 +51,7 @@ def out_of_core_sat(a: np.ndarray, *, band_rows: int,
 
     ``engine`` selects the *host* executor for the per-band computation
     (``"serial"``, ``"wavefront"``/a
-    :class:`~repro.hostexec.WavefrontEngine`, ``"parallel"``, or
-    ``"compiled"``/a :class:`~repro.hostexec.CompiledEngine` — with
-    ``algorithm=None`` the compiled engine runs each band as its fused flat
-    double scan, bit-identical to the NumPy reference); it is
+    :class:`~repro.hostexec.WavefrontEngine` or ``"parallel"``); it is
     mutually exclusive with ``gpu_factory``.  ``dtype_policy`` resolves the
     accumulator dtype (:mod:`repro.sat.dtypes`; exact by default) — the carry
     vectors accumulate in that dtype too, so integer inputs stitch exactly.

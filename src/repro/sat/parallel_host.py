@@ -23,13 +23,13 @@ The worker count defaults to the ``REPRO_WORKERS`` environment variable,
 falling back to the full ``os.cpu_count()`` (shared with the wavefront
 engine's :func:`repro.hostexec.default_workers`).
 
-This engine is registered as ``"parallel"`` in the host-engine registry
-(:mod:`repro.hostexec.registry`) with ``bit_identical=False``: banding the
+This engine is registered as ``"parallel"`` in the backend registry
+(:mod:`repro.backend.registry`) with ``bit_identical=False``: banding the
 column scan changes the float reduction order, so float results match the
 serial reference only to within rounding (integer inputs are exact).  The
 differential layer compares it against the proven rounding budget of
-:mod:`repro.analysis.tolerances` accordingly, where the serial/wavefront/
-compiled engines are held to exact equality.
+:mod:`repro.analysis.tolerances` accordingly, where the serial and
+wavefront engines are held to exact equality.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gpusim.kernel import GPU
-from repro.hostexec.registry import known_engines as _known_engines
 from repro.sat.base import SATAlgorithm, SATResult
 from repro.sat.hybrid_1r1w import Hybrid1R1W
 from repro.sat.kasagi_1r1w import Kasagi1R1W
@@ -69,32 +68,18 @@ def get_algorithm(name: str, **params: Any) -> SATAlgorithm:
     return ALGORITHMS[canonical](**params)
 
 
-#: Host execution engines accepted by :func:`compute_sat` / the CLI.
-#: ``serial`` runs each algorithm's own tile loop, ``wavefront`` the
-#: dependency-driven multi-core engine (:mod:`repro.hostexec`; tile-based
-#: algorithms only, bit-identical results), ``parallel`` the fork/join banded
-#: 2R2W scan (:func:`repro.sat.parallel_host.parallel_sat`; any algorithm —
-#: it computes the same SAT by plain double prefix sums), ``compiled`` the
-#: Numba-jitted flat tile kernels (:mod:`repro.hostexec.compiled`; any
-#: algorithm, bit-identical, degrades to wavefront/serial without Numba).
-#: Derived from the unified backend registry (:mod:`repro.backend.registry`
-#: via :mod:`repro.hostexec.registry`) so the CLI choices and error messages
-#: can never drift from the registered set.
-HOST_ENGINES = _known_engines()
-
-
 def host_sat(a: np.ndarray, *, algorithm: str | None = None,
              tile_width: int = 32, engine=None,
              workers: int | None = None, dtype_policy=None) -> np.ndarray:
     """Route a host-path SAT computation through the chosen engine.
 
     The single entry point the applications layer uses: ``engine`` is
-    ``None``/``"serial"`` (the algorithm's serial host loop, or the NumPy
-    reference when ``algorithm`` is ``None``), ``"wavefront"`` (or a
-    :class:`~repro.hostexec.WavefrontEngine` instance), ``"parallel"``, or
-    ``"compiled"`` (or a :class:`~repro.hostexec.CompiledEngine` instance —
-    Numba-jitted flat kernels, bit-identical, wavefront/serial fallback
-    without Numba).  ``a`` may be any 2-D rectangle; ``dtype_policy``
+    ``None`` or any name in
+    :func:`~repro.backend.registry.engine_backends` — ``"serial"`` (the
+    algorithm's serial host loop, or the NumPy reference when ``algorithm``
+    is ``None``), ``"wavefront"`` (or a
+    :class:`~repro.hostexec.WavefrontEngine` instance), ``"parallel"`` or
+    ``"distributed"``.  ``a`` may be any 2-D rectangle; ``dtype_policy``
     resolves the accumulator dtype (:mod:`repro.sat.dtypes`; exact by
     default).
     """
@@ -151,13 +136,14 @@ def compute_sat(a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
         simulator (no traffic report; much faster for large matrices).
     engine:
         Host executor for the non-simulated path (implies ``simulate=False``):
-        one of :data:`HOST_ENGINES` or a
-        :class:`~repro.hostexec.WavefrontEngine` /
-        :class:`~repro.hostexec.CompiledEngine` instance.
+        one of :func:`~repro.backend.registry.engine_backends` or a
+        :class:`~repro.hostexec.WavefrontEngine` instance.
     workers:
-        Worker count for the ``wavefront``/``parallel``/``compiled``/
-        ``distributed`` engines (for ``distributed``, ``workers > 1``
-        switches from the in-process transport to real worker processes).
+        Worker count for the ``wavefront``/``parallel``/``distributed``
+        engines (for ``distributed``, ``workers > 1`` switches from the
+        in-process transport to real worker processes).  With a
+        :class:`~repro.hostexec.WavefrontEngine` instance it must be
+        ``None`` or that engine's own worker count.
     shards:
         Band-shard count for the ``distributed`` engine; rejected by every
         other engine.

@@ -286,22 +286,15 @@ class TestEngineMode:
         assert {"gpusim", "outofcore"} <= seen
 
     def test_short_session_clean(self):
-        import warnings
-        with warnings.catch_warnings():
-            # compiled degrades to wavefront without numba — still must pass
-            warnings.simplefilter("ignore", RuntimeWarning)
-            report = fuzz(15, seed=6, mode="engine")
+        report = fuzz(15, seed=6, mode="engine")
         assert report.ok, report.failures
         assert report.runs == 15
 
     def test_replay_round_trip(self):
-        import warnings
         cfg = sample_engine_config(np.random.default_rng(8))
         again = FuzzConfig.from_json(cfg.to_json())
         assert again == cfg
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert run_one(again) is None
+        assert run_one(again) is None
 
     def test_legacy_json_defaults_to_wavefront(self):
         loaded = FuzzConfig.from_json(json.dumps(
@@ -312,8 +305,6 @@ class TestEngineMode:
 
     def test_detects_a_planted_engine_bug(self, monkeypatch):
         """If a backend returned a wrong table, the differencer must fire."""
-        import warnings
-
         from repro.backend.core import Backend
 
         real = Backend.execute
@@ -327,17 +318,12 @@ class TestEngineMode:
         # backend-side result is corrupted.
         monkeypatch.setattr(Backend, "execute", broken)
         rng = np.random.default_rng(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            errors = [run_one(sample_engine_config(rng)) for _ in range(5)]
+        errors = [run_one(sample_engine_config(rng)) for _ in range(5)]
         assert any(e is not None and "diverged" in e for e in errors)
 
     @pytest.mark.slow
     def test_long_session_clean(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            report = fuzz(100, seed=2018, mode="engine")
+        report = fuzz(100, seed=2018, mode="engine")
         assert report.ok, report.failures
 
 

@@ -19,9 +19,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sat.registry import get_algorithm
 
-# compiled degrades to wavefront without Numba, with a one-time warning.
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 ALGORITHMS = ("2R2W", "2R2W-optimal", "2R1W", "1R1W", "(1+r)R1W",
               "1R1W-SKSS", "1R1W-SKSS-LB")
 DTYPES = ("int32", "float64")

@@ -14,8 +14,6 @@ from repro.backend.core import Backend, BackendSpec
 from repro.backend.registry import get_backend
 from repro.errors import ConfigurationError
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 
 class TestPlanValidation:
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "16", None])
@@ -77,6 +75,29 @@ def test_gpusim_requires_warp_aligned_tiles():
     # non-tile dataflows don't care about the warp width
     plan = backend.plan((16, 16), "float64", algorithm="2R2W", tile_width=16)
     assert plan.grid is None
+
+
+def test_shards_only_as_a_positive_integer():
+    backend = get_backend("distributed")
+    assert backend.plan((40, 24), "int32", shards=np.int64(3)).shards == 3
+    for bad in (0, -1, True, 2.5, "2"):
+        with pytest.raises(ConfigurationError, match="shards"):
+            backend.plan((40, 24), "int32", shards=bad)
+
+
+def test_workers_must_match_a_caller_managed_engine():
+    """A wrapped engine keeps its own pool, so a different ``workers=``
+    would be silently ignored: planning rejects it instead."""
+    from repro.hostexec import WavefrontEngine
+    from repro.sat.registry import compute_sat
+    a = np.arange(64, dtype=np.int32).reshape(8, 8)
+    want = a.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+    with WavefrontEngine(workers=1) as eng:
+        with pytest.raises(ConfigurationError, match="workers"):
+            compute_sat(a, engine=eng, workers=4)
+        for workers in (None, 1):
+            result = compute_sat(a, engine=eng, workers=workers)
+            np.testing.assert_array_equal(result.sat, want)
 
 
 def test_unsupported_dtype_rejected_by_the_protocol():

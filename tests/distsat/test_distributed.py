@@ -139,8 +139,7 @@ class TestValidation:
 
 
 class TestInnerEngines:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("engine", ["serial", "wavefront", "compiled"])
+    @pytest.mark.parametrize("engine", ["serial", "wavefront"])
     def test_any_host_engine_per_band(self, engine):
         a = matrix((40, 22), seed=19)
         result = distributed_sat(a, shards=3, algorithm="1R1W-SKSS",

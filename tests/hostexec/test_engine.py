@@ -15,9 +15,10 @@ The central claims under test (see ``docs/ARCHITECTURE.md``):
 import numpy as np
 import pytest
 
+from repro.backend.registry import get_backend, resolve_backend
 from repro.errors import ConfigurationError
-from repro.hostexec import (WavefrontEngine, default_workers, resolve_engine,
-                            shared_engine, wavefront_sat)
+from repro.hostexec import (WavefrontEngine, default_workers, shared_engine,
+                            wavefront_sat)
 from repro.sat.reference import sat_reference
 from repro.sat.registry import get_algorithm
 
@@ -230,13 +231,37 @@ class TestWorkers:
         assert WavefrontEngine().workers == 2
 
 
-class TestResolution:
-    def test_resolve_instance_passthrough(self):
-        with WavefrontEngine(workers=1) as eng:
-            assert resolve_engine(eng) is eng
+def _count_computes(monkeypatch, eng) -> list:
+    """Record every ``compute`` call made on ``eng``."""
+    calls = []
+    real = eng.compute
 
-    def test_resolve_wavefront_returns_shared(self):
-        assert resolve_engine("wavefront") is shared_engine()
+    def counted(*args, **kwargs):
+        calls.append(eng)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(eng, "compute", counted)
+    return calls
+
+
+class TestResolution:
+    def test_resolve_instance_passthrough(self, monkeypatch):
+        with WavefrontEngine(workers=1) as eng:
+            calls = _count_computes(monkeypatch, eng)
+            backend = resolve_backend(eng)
+            assert backend.spec.name == "wavefront"
+            a = matrix(40)
+            assert np.array_equal(backend.compute(a, algorithm="1R1W"),
+                                  sat_reference(a))
+            assert calls == [eng]
+
+    def test_resolve_wavefront_returns_shared(self, monkeypatch):
+        backend = resolve_backend("wavefront")
+        assert backend is get_backend("wavefront")
+        calls = _count_computes(monkeypatch, shared_engine())
+        a = matrix(40)
+        assert np.array_equal(backend.compute(a, algorithm="1R1W"),
+                              sat_reference(a))
+        assert calls == [shared_engine()]
 
     def test_shared_engine_recreated_after_close(self):
         first = shared_engine()
@@ -247,7 +272,7 @@ class TestResolution:
 
     def test_resolve_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_engine("gpu")
+            resolve_backend("gpu")
 
 
 def test_wavefront_sat_one_shot():

@@ -7,12 +7,13 @@ import pytest
 from repro.apps.box_filter import box_filter
 from repro.apps.template_match import ncc_match, window_stats
 from repro.apps.variance_filter import local_moments
+from repro.backend.registry import engine_backends
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 from repro.hostexec import WavefrontEngine
 from repro.sat.outofcore import out_of_core_sat
 from repro.sat.reference import sat_reference
-from repro.sat.registry import HOST_ENGINES, compute_sat, host_sat
+from repro.sat.registry import compute_sat, host_sat
 
 
 def matrix(n, seed=3):
@@ -89,7 +90,7 @@ class TestCLI:
         code = cli_main(list(argv))
         return code, capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", HOST_ENGINES)
+    @pytest.mark.parametrize("engine", engine_backends())
     def test_run_engine_flag(self, capsys, engine):
         code, out = self.run_cli(capsys, "run", "-n", "64",
                                  "--engine", engine)
