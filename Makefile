@@ -5,7 +5,7 @@ PY ?= python
 .PHONY: install test test-slow lint typecheck sanitize-smoke \
 	modelcheck-smoke modelcheck-sweep costcheck-smoke numcheck-smoke \
 	bench bench-smoke \
-	bench-incremental-smoke distsat-smoke \
+	bench-incremental-smoke distsat-smoke satbench-smoke \
 	distsat-gigapixel tables report fuzz examples all
 
 install:
@@ -18,6 +18,7 @@ test:
 	$(MAKE) bench-smoke
 	$(MAKE) bench-incremental-smoke
 	$(MAKE) distsat-smoke
+	$(MAKE) satbench-smoke
 	$(MAKE) sanitize-smoke
 	$(MAKE) modelcheck-smoke
 	$(MAKE) costcheck-smoke
@@ -88,6 +89,20 @@ bench-incremental-smoke:
 # ledger (also a CI job; distsat_smoke.json is the artifact).
 distsat-smoke:
 	PYTHONPATH=src $(PY) benchmarks/bench_distsat.py --smoke
+
+# Layered-benchmark gate: one-second traced runs of two satbench workloads
+# (every layer probe installed) must end on a result line that is correct
+# and has no failed operation.
+satbench-smoke:
+	@for w in small video; do \
+		echo "satbench $$w"; \
+		$(PY) satbench/run.py --workload $$w --seed 1 --seconds 1 \
+			--trace 1 | tail -n 1 | $(PY) -c 'import json, sys; \
+			r = json.loads(sys.stdin.read()); \
+			print("correct:", r["correct"], "failed:", r["failed"]); \
+			sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
+			|| exit 1; \
+	done
 
 # The 4-gigapixel demo (65536^2 uint8 on a memory-capped worker): slow tier.
 distsat-gigapixel:

@@ -69,8 +69,8 @@ def compare_engines(n: int = 1024) -> None:
         ok = "yes" if np.allclose(sat, ref) else "NO"
         print(f"{engine:<12} {ok:<3} {dt:>8.3f}")
     print("\n * serial runs the algorithm's own tile loop;")
-    print(" * wavefront dispatches anti-diagonal tile chunks to a pool")
-    print("   (bit-identical to serial);")
+    print(" * wavefront dispatches tile-row runs to a pool, each row's")
+    print("   look-back a prefix scan (bit-identical to serial);")
     print(" * parallel is the banded fork/join 2R2W scan (plain cumsums);")
     print(" * distributed runs band shards with persisted column carries.")
 

@@ -4,10 +4,11 @@ paper's look-back dataflow).
 The tile-based SAT algorithms' host paths were serial Python loops over all
 ``(n/W)²`` tiles.  This package executes the same dataflow — identical
 published quantities, bit-identical float64 results — as a dependency-driven
-wavefront over a persistent thread pool, with each anti-diagonal's tiles
-processed in batched NumPy chunks.  See :mod:`repro.hostexec.engine` for the
-execution model and :mod:`repro.hostexec.kernels` for the per-algorithm tile
-algebra.
+wavefront over a persistent thread pool, with each tile row processed as a
+few runs of consecutive tiles, in place, with its in-row look-back resolved
+as a prefix scan.  See :mod:`repro.hostexec.engine` for the execution model,
+:mod:`repro.hostexec.plan` for the row-run schedule and
+:mod:`repro.hostexec.kernels` for the per-algorithm tile algebra.
 
 >>> import numpy as np
 >>> from repro.hostexec import wavefront_sat
@@ -26,8 +27,7 @@ from repro.hostexec.incremental import (STRATEGIES, IncrementalSAT,
 from repro.hostexec.kernels import KERNELS, CarryPlanes, KernelSpec, kernel_for
 from repro.hostexec.plan import (DEPS_LEFT_UP, DEPS_LEFT_UP_CORNER,
                                  TILE_DONE, TILE_PENDING, TILE_READY,
-                                 Chunk, WavefrontPlan, build_plan,
-                                 split_diagonal)
+                                 Chunk, WavefrontPlan, build_plan, split_row)
 
 __all__ = [
     "WavefrontEngine", "wavefront_sat", "shared_engine",
@@ -35,7 +35,7 @@ __all__ = [
     "IncrementalSAT", "RepairStats", "STRATEGIES", "verify_state",
     "sanitize_incremental", "repair_benchmark",
     "KERNELS", "KernelSpec", "CarryPlanes", "kernel_for",
-    "WavefrontPlan", "Chunk", "build_plan", "split_diagonal",
+    "WavefrontPlan", "Chunk", "build_plan", "split_row",
     "DEPS_LEFT_UP", "DEPS_LEFT_UP_CORNER",
     "TILE_PENDING", "TILE_READY", "TILE_DONE",
 ]

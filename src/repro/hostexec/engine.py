@@ -1,35 +1,40 @@
 """The wavefront host engine: dependency-driven tiled SAT execution on a
 persistent thread pool.
 
-This is the CPU realization of the paper's look-back structure.  Where the
-GPU algorithm lets CUDA blocks acquire tiles in diagonal-major serial order
-and spin on per-tile status bytes, the host engine dispatches *chunks* of an
-anti-diagonal to pool workers the moment their left/up/up-left producer tiles
-retire — per-tile status words and dependency counters replace the full
-diagonal barrier of the 1R1W algorithm, so a fast chunk of diagonal ``K+1``
-overlaps the still-running remainder of diagonal ``K``.  NumPy releases the
-GIL inside the batched tile kernels, so chunks genuinely overlap on
-multi-core hosts; on any host the batching itself (one NumPy call sequence
-per chunk instead of per tile) is a large constant-factor win over the serial
-``_run_host`` loops.
+This is the CPU realization of the paper's look-back structure.  The GPU
+algorithm lets CUDA blocks acquire tiles in diagonal-major serial order and
+spin on per-tile status bytes; that order exists so that blocks never wait
+on a tile no resident block will produce.  A CPU has no residency limit to
+respect, and along a tile row the look-back is just a prefix scan, so the
+host engine dispatches *row runs* (consecutive tiles of one tile row, see
+:mod:`repro.hostexec.plan`) to pool workers the moment the runs holding
+their left/up/up-left producer tiles retire.  Per-run dependency counters
+replace a full row barrier, so once rows are split, run ``(I+1, p)``
+overlaps the still-running remainder of row ``I``.  NumPy releases the GIL
+inside the row-run kernels, so runs can overlap on multi-core hosts; on any
+host the batching itself (one NumPy call sequence per run instead of per
+tile) is a large constant-factor win over the serial ``_run_host`` loops.
 
 Two usage shapes:
 
 * :func:`wavefront_sat` — one-shot convenience;
-* :class:`WavefrontEngine` — persistent: pool, tile-slice plans and carry
+* :class:`WavefrontEngine` — persistent: pool, row-run plans and carry
   planes are built once and reused, which is what makes the batched API
   (:meth:`~WavefrontEngine.compute_many`, :meth:`~WavefrontEngine.stream`)
   cheap for video-style repeated same-shape SATs.
 
 Results are bit-identical to each algorithm's serial host path (in the same
 accumulator dtype) and independent of the worker count and of scheduling
-order: chunk kernels only gather values from tiles whose status word is DONE,
-and each tile's algebra is a pure function of those values.
+order: row-run kernels only read carries of tiles whose status word is DONE
+or that precede them in their own run, and each tile's algebra is a pure
+function of those values.
 
 Rectangular inputs follow the virtual zero-padding convention of
 :mod:`repro.sat.base`: the matrix is padded to tile multiples with zeros
 (which leave every valid-region SAT value unchanged) and the result is
-cropped back on output.
+cropped back on output.  An aligned C-contiguous input is read in place:
+each kernel casts its run to the accumulator dtype as it copies the run
+into the result.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.backend.core import positive_int
 from repro.backend.plan import check_out, finalize_output, prepare_input
 from repro.errors import ConfigurationError
 from repro.hostexec.kernels import CarryPlanes, KernelSpec, kernel_for
@@ -121,14 +127,13 @@ class WavefrontEngine:
     ----------
     workers:
         Pool size (defaults to :func:`default_workers`).  ``workers=1``
-        degenerates to a batched serial diagonal sweep with no pool overhead
-        — still much faster than the per-tile serial loops.
+        degenerates to a serial sweep of whole tile rows with no pool
+        overhead — still much faster than the per-tile serial loops.
     """
 
     def __init__(self, *, workers: int | None = None) -> None:
-        if workers is not None and workers <= 0:
-            raise ConfigurationError("workers must be positive")
-        self.workers = workers or default_workers()
+        self.workers = default_workers() if workers is None \
+            else positive_int(workers, "workers")
         self._pool: ThreadPoolExecutor | None = None
         self._plans: dict[tuple, WavefrontPlan] = {}
         self._carries: dict[tuple, CarryPlanes] = {}
@@ -149,7 +154,7 @@ class WavefrontEngine:
 
     def plan(self, grid: TileGrid,
              deps: tuple[tuple[int, int], ...]) -> WavefrontPlan:
-        """The cached chunked-wavefront plan for one grid geometry."""
+        """The cached row-run wavefront plan for one grid geometry."""
         key = (grid.tile_rows, grid.tile_cols, grid.W, deps, self.workers)
         plan = self._plans.get(key)
         if plan is None:
@@ -216,23 +221,27 @@ class WavefrontEngine:
         acc = resolve_policy(dtype_policy).accumulator(a.dtype)
         grid = TileGrid(rows=rows, cols=cols, W=tile_width)
         tr, tc, W = grid.tile_rows, grid.tile_cols, grid.W
-        # The retained state owns (and later edits) the working matrix, so
-        # the no-copy aliasing fast path must not be taken for it.
-        work, _ = prepare_input(a, acc_dtype=acc, grid=grid,
-                                force_copy=retain_state)
+        if grid.aligned and a.flags.c_contiguous and not retain_state:
+            # The kernels cast each run as they copy it into the result.
+            work = a
+        else:
+            # Padding needs a zero-filled buffer; the retained state owns
+            # (and later edits) a private working matrix.
+            work, _ = prepare_input(a, acc_dtype=acc, grid=grid,
+                                    force_copy=retain_state)
         check_out(out, rows, cols, acc)
         # The kernels run over the padded geometry; reuse ``out`` directly
         # when no padding is involved, otherwise crop afterwards.
         res = out if (out is not None and grid.aligned) \
-            else np.empty_like(work)
+            else np.empty(work.shape, dtype=acc)
         with self._lock:
             plan = self.plan(grid, spec.deps)
-            carry = CarryPlanes(tr=tr, tc=tc, W=W, dtype=work.dtype) \
-                if retain_state else self._carry(grid, work.dtype)
+            carry = CarryPlanes(tr=tr, tc=tc, W=W, dtype=acc) \
+                if retain_state else self._carry(grid, acc)
             a4 = work.reshape(tr, W, tc, W)
             out4 = res.reshape(tr, W, tc, W)
             if self.workers == 1 or plan.num_chunks == 1:
-                for chunk in plan.chunks:   # diagonal order is topological
+                for chunk in plan.chunks:   # row-major order is topological
                     spec.run(a4, out4, carry, chunk, W)
             else:
                 self._run_parallel(plan, spec, a4, out4, carry, W)
@@ -276,7 +285,7 @@ class WavefrontEngine:
             nonlocal remaining
             newly_ready: list[int] = []
             with state_lock:
-                status[chunk.Is, chunk.Js] = TILE_DONE
+                status[chunk.row, chunk.J0:chunk.J1] = TILE_DONE
                 for sid in chunk.successors:
                     pending[sid] -= 1
                     if pending[sid] == 0:
@@ -286,7 +295,7 @@ class WavefrontEngine:
                     all_done.set()
                 for sid in newly_ready:
                     ready = plan.chunks[sid]
-                    status[ready.Is, ready.Js] = TILE_READY
+                    status[ready.row, ready.J0:ready.J1] = TILE_READY
             cont = newly_ready.pop() if newly_ready else None
             for cid in newly_ready:
                 pool.submit(run, cid)

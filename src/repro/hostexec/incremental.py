@@ -30,10 +30,11 @@ rectangle writes (:meth:`IncrementalSAT.update`), tile writes
 
 ``recompute`` (float accumulators, or forced)
     Floating-point addition does not associate, so delta repair would change
-    low bits.  Instead the engine re-executes the wavefront chunk kernels
+    low bits.  Instead the engine re-executes the wavefront row-run kernels
     (:mod:`repro.hostexec.kernels`) over exactly the *closure* of the dirty
     tiles — the down-right staircase ``Q = {(I, J) : some dirty (I₀, J₀) has
-    I₀ ≤ I, J₀ ≤ J}`` — in anti-diagonal order.  Every recomputed tile reads
+    I₀ ≤ I, J₀ ≤ J}`` — one run per tile row, top to bottom: row ``I`` of
+    ``Q`` is the suffix ``[J₀(I), tc)``.  Every recomputed tile reads
     either retained (still valid) or freshly recomputed producer values, so
     the repaired table is bit-identical to a full recompute for every dtype,
     and trivially independent of the worker count.
@@ -471,35 +472,27 @@ class IncrementalSAT:
                      repaired, "delta")
 
     def _repair_recompute(self, dirty_mask: np.ndarray) -> None:
-        """Bit-faithful repair: re-run the chunk kernels on the dirty closure.
+        """Bit-faithful repair: re-run the row-run kernels on the dirty closure.
 
         ``dirty_mask`` marks tiles whose input has already been written into
-        the working matrix.  The closure (down-right staircase) is executed
-        in anti-diagonal order — each recomputed tile gathers either retained
-        or just-recomputed producer values, so every published quantity comes
+        the working matrix.  Each tile row of the closure (down-right
+        staircase) is a suffix ``[J0(I), tc)``, executed as one run, rows top
+        to bottom — each recomputed tile reads either retained or
+        just-recomputed producer values, so every published quantity comes
         out of the exact same floating-point operation sequence as a full
         recompute.
         """
         state = self._required_state()
-        grid, W = state.grid, state.grid.W
         closure = np.logical_or.accumulate(
             np.logical_or.accumulate(dirty_mask, axis=0), axis=1)
-        Is, Js = np.nonzero(closure)
-        if Is.size == 0:
-            self._record(0, 0, "recompute")
-            return
-        a4, out4 = state.a4, state.out4
-        diag = Is + Js
-        order = np.argsort(diag, kind="stable")
-        Is, Js, diag = Is[order], Js[order], diag[order]
-        starts = np.flatnonzero(np.r_[True, diag[1:] != diag[:-1]])
-        bounds = np.r_[starts, Is.size]
-        for k in range(starts.size):
-            lo, hi = bounds[k], bounds[k + 1]
-            chunk = Chunk(index=k, diagonal=int(diag[lo]),
-                          Is=Is[lo:hi], Js=Js[lo:hi])
-            self._spec.run(a4, out4, state.carry, chunk, W)
-        self._record(int(dirty_mask.sum()), int(Is.size), "recompute")
+        rows = np.flatnonzero(closure[:, -1])
+        starts = closure.argmax(axis=1)
+        a4, out4, grid = state.a4, state.out4, state.grid
+        for k, I in enumerate(rows):
+            chunk = Chunk(index=k, row=int(I), J0=int(starts[I]),
+                          J1=grid.tile_cols)
+            self._spec.run(a4, out4, state.carry, chunk, grid.W)
+        self._record(int(dirty_mask.sum()), int(closure.sum()), "recompute")
 
 
 # -- state verification (used by tests and ``repro sanitize``) -----------------

@@ -3,24 +3,28 @@
 The tile-based SAT algorithms all share the same dependency skeleton: tile
 ``T(I, J)`` consumes values published by its *left* (``T(I, J-1)``), *up*
 (``T(I-1, J)``) and (for the corner term) *up-left* (``T(I-1, J-1)``)
-neighbours — every producer lies on an anti-diagonal with a smaller index,
-which is exactly why the paper's diagonal-major serials are deadlock-free.
-On the CPU the same structure means an entire anti-diagonal of tiles can run
-concurrently, and a tile of diagonal ``K+1`` may start as soon as its own
-producers retire, without waiting for the rest of diagonal ``K``.
+neighbours.  The paper acquires tiles in diagonal-major order because every
+producer lies on an earlier anti-diagonal, which keeps CUDA blocks
+deadlock-free under bounded residency.  On the host a tile row is one
+contiguous ``W x n`` block, and the in-row part of the look-back (sum the
+left tiles' LRS until a GRS is found) is just a prefix scan of that row's
+LRS.  So the host dispatches *row runs* instead: consecutive tiles of one
+tile row, executed as one cache-resident batch.  Parallelism comes from the
+``(row, run)`` wavefront — run ``(I, p)`` waits only for its left run and
+the runs of row ``I-1`` above it, so rows pipeline diagonally across
+workers.
 
 A :class:`WavefrontPlan` captures everything about that dataflow that does
 not depend on the matrix *values*, so repeated same-shape SATs (video
 pipelines) pay for it once:
 
-* the anti-diagonals, each split into up to ``workers`` contiguous *chunks*
-  (a chunk is the unit of dispatch; within a chunk the tile algebra is
-  executed batched over a ``(k, W, W)`` tile stack);
+* the tile rows, each split into up to ``workers`` runs of consecutive
+  columns (a run is the unit of dispatch, a :class:`Chunk`);
 * per-tile dependency counts and the per-tile **status words** the scheduler
   advances (``PENDING -> READY -> DONE`` — the CPU analogue of the SKSS-LB
   ``R``/``C`` protocol bytes);
-* per-chunk consumer index arrays, so retiring a chunk decrements its
-  dependents' counters with vectorised scatter updates.
+* the chunk DAG (successor lists and predecessor counts), so retiring a
+  chunk decrements its dependents' counters.
 
 Plans are immutable after construction; all mutable run state lives in the
 engine (one fresh copy of the counters per call), so a cached plan can be
@@ -29,10 +33,11 @@ reused across calls and engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backend.core import positive_int
 from repro.errors import ConfigurationError
 from repro.primitives.tile import TileGrid
 
@@ -45,43 +50,53 @@ TILE_DONE = 2      #: tile's published values committed
 DEPS_LEFT_UP = ((0, -1), (-1, 0))                 # 1R1W-SKSS (GRS + GCP chain)
 DEPS_LEFT_UP_CORNER = ((0, -1), (-1, 0), (-1, -1))  # the GRS/GCS/GS family
 
-#: Minimum tiles per chunk when splitting a diagonal for dispatch.  Shredding
-#: short diagonals into one-tile chunks costs more in pool dispatch and
-#: un-batched NumPy calls than the extra concurrency recovers, so a diagonal
-#: is split into at most ``len(tiles) // MIN_CHUNK_TILES`` parts (capped at
-#: the worker count, and never zero).  Cross-diagonal overlap — a chunk of
-#: diagonal ``K+1`` starting while ``K`` still runs — keeps the pool busy
-#: even when short diagonals stay whole.
+#: Minimum tiles per run when splitting a tile row for dispatch.  Shredding
+#: a row into short runs costs more in pool dispatch and per-run NumPy calls
+#: than the extra concurrency recovers, so a row is split into at most
+#: ``tile_cols // MIN_CHUNK_TILES`` runs (capped at the worker count, and
+#: never zero).  Only split rows overlap: a whole row waits for the whole
+#: row above it.
 MIN_CHUNK_TILES = 16
 
 
 @dataclass(frozen=True)
 class Chunk:
-    """A contiguous run of tiles on one anti-diagonal (the dispatch unit)."""
+    """A run of consecutive tiles ``T(row, J0) .. T(row, J1-1)`` of one tile
+    row (the dispatch unit)."""
 
     index: int
-    diagonal: int
-    #: Tile coordinates, parallel arrays (diagonal order: ``I`` ascending).
-    Is: np.ndarray
-    Js: np.ndarray
-    #: Chunks holding consumer tiles of this chunk (always later diagonals:
-    #: retiring this chunk decrements each successor's predecessor counter).
+    row: int
+    J0: int
+    J1: int
+    #: Chunks holding consumer tiles of this chunk (always later in row-major
+    #: order: retiring this chunk decrements each successor's counter).
     successors: tuple[int, ...] = ()
-    #: Number of distinct chunks holding producer tiles of this chunk.
+    #: Number of distinct other chunks holding producer tiles of this chunk.
     num_predecessors: int = 0
 
     @property
     def num_tiles(self) -> int:
-        return len(self.Is)
+        return self.J1 - self.J0
+
+    @property
+    def Is(self) -> np.ndarray:
+        """Tile row of each tile (parallel to :attr:`Js`)."""
+        return np.full(self.num_tiles, self.row, dtype=np.intp)
+
+    @property
+    def Js(self) -> np.ndarray:
+        """Tile column of each tile, ascending."""
+        return np.arange(self.J0, self.J1, dtype=np.intp)
 
 
 @dataclass(frozen=True)
 class WavefrontPlan:
-    """Immutable chunked-wavefront schedule for one tile-grid geometry."""
+    """Immutable row-run wavefront schedule for one tile-grid geometry."""
 
     grid: TileGrid
     deps: tuple[tuple[int, int], ...]
     workers: int
+    #: The runs in row-major order, which is a topological order of the DAG.
     chunks: tuple[Chunk, ...]
     #: ``(tr, tc)`` chunk index owning each tile.
     chunk_id: np.ndarray
@@ -109,40 +124,35 @@ class WavefrontPlan:
         return [c.index for c in self.chunks if c.num_predecessors == 0]
 
 
-def split_diagonal(tiles: list[tuple[int, int]], parts: int,
-                   min_tiles: int = 1) -> list[list[tuple[int, int]]]:
-    """Split one diagonal's tiles into at most ``parts`` contiguous chunks,
-    each at least ``min_tiles`` long (except when the diagonal itself is
-    shorter)."""
+def split_row(tiles: int, parts: int,
+              min_tiles: int = 1) -> list[tuple[int, int]]:
+    """Split a row of ``tiles`` tiles into at most ``parts`` runs
+    ``[J0, J1)`` of consecutive columns, each at least ``min_tiles`` long
+    (except when the row itself is shorter)."""
     if parts <= 0:
         raise ConfigurationError("chunk count must be positive")
     if min_tiles > 1:
-        parts = min(parts, max(1, len(tiles) // min_tiles))
-    parts = min(parts, len(tiles))
-    size, extra = divmod(len(tiles), parts)
+        parts = min(parts, max(1, tiles // min_tiles))
+    parts = min(parts, tiles)
+    size, extra = divmod(tiles, parts)
     out, lo = [], 0
     for p in range(parts):
         hi = lo + size + (1 if p < extra else 0)
-        out.append(tiles[lo:hi])
+        out.append((lo, hi))
         lo = hi
     return out
 
 
 def build_plan(grid: TileGrid, deps: tuple[tuple[int, int], ...],
                workers: int) -> WavefrontPlan:
-    """Construct the chunked wavefront plan for one tile grid."""
-    if workers <= 0:
-        raise ConfigurationError("workers must be positive")
+    """Construct the row-run wavefront plan for one tile grid."""
+    workers = positive_int(workers, "workers")
     tr, tc = grid.tile_rows, grid.tile_cols
-    chunk_id = np.full((tr, tc), -1, dtype=np.int32)
-    chunks: list[Chunk] = []
-    for K in range(grid.num_diagonals):
-        for part in split_diagonal(grid.tiles_on_diagonal(K), workers,
-                                   MIN_CHUNK_TILES):
-            Is = np.fromiter((I for I, _ in part), dtype=np.intp)
-            Js = np.fromiter((J for _, J in part), dtype=np.intp)
-            chunk_id[Is, Js] = len(chunks)
-            chunks.append(Chunk(index=len(chunks), diagonal=K, Is=Is, Js=Js))
+    runs = [(I, J0, J1) for I in range(tr)
+            for J0, J1 in split_row(tc, workers, MIN_CHUNK_TILES)]
+    chunk_id = np.empty((tr, tc), dtype=np.int32)
+    for cid, (I, J0, J1) in enumerate(runs):
+        chunk_id[I, J0:J1] = cid
 
     deps_init = np.zeros((tr, tc), dtype=np.int8)
     for dI, dJ in deps:
@@ -151,27 +161,29 @@ def build_plan(grid: TileGrid, deps: tuple[tuple[int, int], ...],
         deps_init[lo_i:, lo_j:] += 1
 
     # Collapse the tile dependencies onto the chunk DAG: chunk ``c`` precedes
-    # chunk ``s`` when some tile of ``s`` consumes a tile of ``c``.  Producers
-    # always lie on earlier diagonals, hence in other chunks — no self-edges.
-    predecessors: list[set[int]] = [set() for _ in chunks]
-    for c in chunks:
+    # chunk ``s`` when some tile of ``s`` consumes a tile of ``c``.  A run's
+    # tiles also consume their left neighbours inside the run; the kernel
+    # resolves those as a scan, so a run is never its own predecessor.
+    predecessors: list[set[int]] = []
+    for cid, (I, J0, J1) in enumerate(runs):
+        found: set[int] = set()
         for dI, dJ in deps:
-            pIs, pJs = c.Is + dI, c.Js + dJ
-            m = (pIs >= 0) & (pJs >= 0)
-            if m.any():
-                predecessors[c.index].update(
-                    int(p) for p in chunk_id[pIs[m], pJs[m]])
-    successors: list[set[int]] = [set() for _ in chunks]
-    for c in chunks:
-        for p in predecessors[c.index]:
-            successors[p].add(c.index)
+            pI, pJ0, pJ1 = I + dI, max(J0 + dJ, 0), J1 + dJ
+            if pI >= 0 and pJ0 < pJ1:
+                found.update(np.unique(chunk_id[pI, pJ0:pJ1]).tolist())
+        found.discard(cid)
+        predecessors.append(found)
+    successors: list[list[int]] = [[] for _ in runs]
+    for cid, preds in enumerate(predecessors):
+        for p in preds:
+            successors[p].append(cid)
 
-    finished = [Chunk(index=c.index, diagonal=c.diagonal, Is=c.Is, Js=c.Js,
-                      successors=tuple(sorted(successors[c.index])),
-                      num_predecessors=len(predecessors[c.index]))
-                for c in chunks]
-    pending_init = np.array([c.num_predecessors for c in finished],
+    chunks = tuple(Chunk(index=cid, row=I, J0=J0, J1=J1,
+                         successors=tuple(successors[cid]),
+                         num_predecessors=len(predecessors[cid]))
+                   for cid, (I, J0, J1) in enumerate(runs))
+    pending_init = np.array([c.num_predecessors for c in chunks],
                             dtype=np.int64)
     return WavefrontPlan(grid=grid, deps=tuple(deps), workers=workers,
-                         chunks=tuple(finished), chunk_id=chunk_id,
+                         chunks=chunks, chunk_id=chunk_id,
                          deps_init=deps_init, pending_init=pending_init)

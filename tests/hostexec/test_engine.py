@@ -6,8 +6,9 @@ The central claims under test (see ``docs/ARCHITECTURE.md``):
 * every tile-based algorithm's wavefront execution equals the NumPy
   reference SAT (exact, on integer-valued inputs);
 * wavefront results are **bit-identical** to the algorithm's own serial
-  ``run_host`` loop, for any worker count — batching a chunk of tiles into
-  one ``(k, W, W)`` NumPy call sequence does not change a single bit;
+  ``run_host`` loop, for any worker count — running a tile row's tiles as
+  one in-place batch, with its look-back as a scan, does not change a
+  single bit, whether or not the row is split into several runs;
 * two runs of the same engine are bit-identical (scheduling order does not
   leak into results).
 """
@@ -17,8 +18,9 @@ import pytest
 
 from repro.backend.registry import get_backend, resolve_backend
 from repro.errors import ConfigurationError
-from repro.hostexec import (WavefrontEngine, default_workers, shared_engine,
-                            wavefront_sat)
+from repro.hostexec import (WavefrontEngine, default_workers, kernel_for,
+                            shared_engine, wavefront_sat)
+from repro.primitives.tile import TileGrid
 from repro.sat.reference import sat_reference
 from repro.sat.registry import get_algorithm
 
@@ -50,6 +52,29 @@ def test_bit_identical_to_serial_host(algorithm, workers):
     serial = get_algorithm(algorithm).run_host(a)
     with WavefrontEngine(workers=workers) as eng:
         assert np.array_equal(eng.compute(a, algorithm=algorithm), serial)
+
+
+def spread_matrix(shape, dtype, seed=11):
+    """Signed values whose magnitudes spread over 12 decades."""
+    rng = np.random.default_rng(seed)
+    magnitude = 10.0 ** rng.uniform(-6, 6, size=shape)
+    return (rng.choice([-1.0, 1.0], size=shape) * magnitude).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
+@pytest.mark.parametrize("workers", [2, 4])
+def test_split_rows_bit_identical_to_serial_host(algorithm, workers, dtype):
+    # 150 x 530 at W=8 is a 19 x 67 tile grid whose rows split into
+    # min(workers, 67 // MIN_CHUNK_TILES) runs each.
+    a = spread_matrix((150, 530), dtype)
+    serial = get_algorithm(algorithm, tile_width=8).run_host(a)
+    with WavefrontEngine(workers=workers) as eng:
+        sat = eng.compute(a, algorithm=algorithm, tile_width=8)
+        plan = eng.plan(TileGrid(rows=150, cols=530, W=8),
+                        kernel_for(algorithm).deps)
+    assert plan.num_chunks == 19 * workers
+    assert np.array_equal(sat, serial)
 
 
 def test_two_runs_bit_identical():
@@ -197,6 +222,11 @@ class TestValidation:
             WavefrontEngine(workers=0)
         with pytest.raises(ConfigurationError):
             WavefrontEngine(workers=-2)
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True, "2"])
+    def test_worker_count_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            WavefrontEngine(workers=workers)
 
     def test_closed_engine_refuses_parallel_compute(self):
         eng = WavefrontEngine(workers=2)
