@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-slow lint typecheck sanitize-smoke \
+.PHONY: install test test-slow lint typecheck doctest sanitize-smoke \
 	modelcheck-smoke modelcheck-sweep costcheck-smoke numcheck-smoke \
 	bench bench-smoke \
 	bench-incremental-smoke distsat-smoke satbench-smoke \
@@ -15,6 +15,7 @@ install:
 # plus the benchmark and sanitizer smoke gates.
 test:
 	$(PY) -m pytest tests/
+	$(MAKE) doctest
 	$(MAKE) bench-smoke
 	$(MAKE) bench-incremental-smoke
 	$(MAKE) distsat-smoke
@@ -39,6 +40,11 @@ typecheck:
 	@$(PY) -m mypy --version >/dev/null 2>&1 || \
 		{ echo "mypy is not installed (pip install mypy)"; exit 1; }
 	$(PY) -m mypy src/repro/gpusim src/repro/analysis src/repro/backend
+
+# The docstring examples of the package (quickstart, entry points).
+doctest:
+	PYTHONPATH=src $(PY) -m pytest -q --doctest-modules src/repro \
+		-o addopts=""
 
 # Race/protocol sanitizer + static kernel lint over all 7 algorithms under
 # relaxed consistency with the adversarial scheduler (also a CI job).

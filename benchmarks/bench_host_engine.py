@@ -5,9 +5,9 @@ Times the serial per-algorithm tile loop against the multi-core wavefront
 tile engine (:mod:`repro.hostexec`) and the fork/join banded 2R2W scan
 (:func:`repro.sat.parallel_host.parallel_sat`) over a size and worker sweep,
 with the plain NumPy double cumsum as the baseline row of every size, and
-quantifies the batched-execution amortization (``compute_many`` on a warm
-engine vs one-shot calls that pay pool spin-up and plan construction every
-time).  Every time is reported as the median and interquartile range of
+quantifies the batched-execution amortization (repeated ``compute`` calls
+on a warm engine vs one-shot calls that pay pool spin-up and plan
+construction every time).  Every time is reported as the median and interquartile range of
 ``--repeats`` runs, next to the machine that produced it (cpu count, NumPy
 and Python versions).
 
@@ -105,14 +105,15 @@ def bench_size(n: int, workers_list: list[int], repeats: int) -> dict:
 
 
 def bench_batched(n: int, batch: int, workers: int, repeats: int) -> dict:
-    """Amortization of ``compute_many`` over one-shot per-call engines."""
+    """Amortization of a warm engine's repeated computes over one-shot
+    per-call engines."""
     arrays = [_matrix(n, seed=100 + i) for i in range(batch)]
 
     with WavefrontEngine(workers=workers) as eng:
         eng.compute(arrays[0], algorithm=ALGORITHM, tile_width=TILE_WIDTH)
-        batched = _timed(lambda: eng.compute_many(
-            arrays, algorithm=ALGORITHM, tile_width=TILE_WIDTH),
-            repeats)["median_s"]
+        batched = _timed(lambda: [
+            eng.compute(a, algorithm=ALGORITHM, tile_width=TILE_WIDTH)
+            for a in arrays], repeats)["median_s"]
 
     def one_shot_all():
         for a in arrays:  # pays pool spin-up + plan build per call
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4, 8])
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--batch", type=int, default=10,
-                    help="batch size for the compute_many amortization run")
+                    help="batch size for the warm-engine amortization run")
     ap.add_argument("--batch-n", type=int, default=256,
                     help="matrix size for the batched run (small enough that "
                          "per-call pool/plan setup is visible)")

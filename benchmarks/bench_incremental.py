@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark incremental SAT repair against full wavefront recompute.
 
-Times :class:`repro.hostexec.IncrementalSAT` edit repair (rectangle patches
-of a configurable dirty fraction, cycling corner/edge/centre placements so
+Times :class:`repro.hostexec.incremental.IncrementalSAT` edit repair
+(rectangle patches of a configurable dirty fraction, cycling
+corner/edge/centre placements so
 best and worst repair frontiers are both sampled) against recomputing the
 whole table on a warm :class:`~repro.hostexec.WavefrontEngine`, across dirty
 fractions and both repair strategies, plus a frame-stream scenario

@@ -12,11 +12,10 @@ import time
 
 import numpy as np
 
-from repro import ALGORITHMS, get_algorithm, sat_reference
+from repro import compute_sat, get_algorithm, sat_reference
 from repro.backend.registry import engine_backends
 from repro.gpusim import GPU
 from repro.perfmodel.table import TABLE3_ORDER
-from repro.sat.registry import host_sat
 
 
 def main() -> None:
@@ -64,7 +63,7 @@ def compare_engines(n: int = 1024) -> None:
     print("-" * 25)
     for engine in engine_backends():
         t0 = time.perf_counter()
-        sat = host_sat(a, algorithm="1R1W-SKSS-LB", engine=engine)
+        sat = compute_sat(a, algorithm="1R1W-SKSS-LB", engine=engine).sat
         dt = time.perf_counter() - t0
         ok = "yes" if np.allclose(sat, ref) else "NO"
         print(f"{engine:<12} {ok:<3} {dt:>8.3f}")

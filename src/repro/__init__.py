@@ -22,10 +22,12 @@ Quickstart
 ----------
 >>> import numpy as np
 >>> from repro import compute_sat, sat_reference
->>> a = np.arange(64.0).reshape(8, 8)
->>> result = compute_sat(a, algorithm="1R1W-SKSS-LB", tile_width=4)
+>>> a = np.arange(4096.0).reshape(64, 64)
+>>> result = compute_sat(a, algorithm="1R1W-SKSS-LB", tile_width=32)
 >>> bool(np.array_equal(result.sat, sat_reference(a)))
 True
+>>> result.kernel_calls
+1
 """
 
 from repro._version import __version__

@@ -9,14 +9,15 @@ exception is reported with its full configuration for replay.
 Used by the test suite (short budget) and the ``repro fuzz`` CLI command
 (arbitrary budgets).
 
-Two modes share the harness (``repro fuzz --mode``):
+The modes share one harness (``repro fuzz --mode``, :data:`FUZZ_MODES`):
 
 ``simulate``
     The original algorithm-vs-reference check on the GPU simulator.
 
 ``incremental``
-    Edit-sequence fuzzing of :class:`~repro.hostexec.IncrementalSAT`: a
-    random frame takes a random sequence of rectangle writes, tile writes,
+    Edit-sequence fuzzing of
+    :class:`~repro.hostexec.incremental.IncrementalSAT`: a random frame
+    takes a random sequence of rectangle writes, tile writes,
     sparse frame deltas and frame advances, and after *every* edit the
     resident table must be bit-identical to a from-scratch host computation
     of the current input (same accumulator dtype), with the carry planes
@@ -82,8 +83,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -95,14 +97,6 @@ from repro.sat import get_algorithm, sat_reference
 #: Algorithms eligible for fuzzing (all of them).
 FUZZ_ALGORITHMS = ("2R2W", "2R2W-optimal", "2R1W", "1R1W", "(1+r)R1W",
                    "1R1W-SKSS", "1R1W-SKSS-LB")
-
-#: Fuzzing modes accepted by :func:`fuzz` / ``repro fuzz --mode``.
-#: ``sanitize`` replays a configuration under the concurrency sanitizer with
-#: a bounded spin budget — the dynamic half of the model checker's
-#: counterexamples (:mod:`repro.analysis.modelcheck` emits replay configs in
-#: this mode, including bug-corpus kernels via the ``kernel`` field).
-FUZZ_MODES = ("simulate", "incremental", "sanitize", "engine", "cost",
-              "distsat", "numeric")
 
 #: Backends exercised by engine-mode fuzzing (everything registered except
 #: the serial oracle itself; resolved lazily so sampling reflects the
@@ -443,6 +437,39 @@ def sample_numeric_config(rng: np.random.Generator) -> FuzzConfig:
     )
 
 
+def _oracle_mismatch(subject: str, got: np.ndarray, want: np.ndarray,
+                     a: np.ndarray, *, exact: bool, algorithm: str | None,
+                     tile_width: int, extra_depth: int = 0) -> str | None:
+    """Compare ``got`` with the serial oracle's ``want``; an error or ``None``.
+
+    The comparison is exact when ``exact`` is set (bit-identical backends)
+    and on integer accumulators; otherwise it uses the proven mass-relative
+    budget of :func:`repro.analysis.tolerances.derived_tolerance` for
+    ``algorithm`` (``None``: the worst case over Table I), with oracle
+    ``"host"`` because both legs round, plus ``extra_depth`` roundings the
+    static model cannot see.
+    """
+    exact = exact or np.issubdtype(got.dtype, np.integer)
+    if exact:
+        ok = np.array_equal(got, want)
+    elif got.shape != want.shape:
+        ok = False
+    else:
+        tol = derived_tolerance(algorithm, got.shape, got.dtype,
+                                tile_width=tile_width, oracle="host",
+                                extra_depth=extra_depth)
+        ok = sat_close(got, want, tol, abs_input=a)
+    if not ok:
+        bad = int(np.argmax(got != want)) if got.shape == want.shape else -1
+        kind = "exact" if exact else "derived-tolerance"
+        return (f"{subject} diverged from the serial oracle ({kind} "
+                f"comparison, first mismatch at flat index {bad})")
+    if got.dtype != want.dtype:
+        return (f"{subject} accumulator dtype {got.dtype} != oracle "
+                f"{want.dtype}")
+    return None
+
+
 def _run_engine(config: FuzzConfig) -> str | None:
     """Difference one registered backend against the serial oracle.
 
@@ -450,10 +477,9 @@ def _run_engine(config: FuzzConfig) -> str | None:
     wavefront engine) must satisfy ``np.array_equal``, as must every backend
     on integer accumulators.  Float results from the rest (parallel's
     banding, gpusim's simulator-side float64 accumulation, outofcore's band
-    stitching) reorder reductions, so they are held to the proven
-    mass-relative budget of
-    :func:`repro.analysis.tolerances.derived_tolerance` (oracle ``"host"``:
-    both legs round).
+    stitching) reorder reductions, so they are held to the proven rounding
+    budget — the worst case over Table I for the algorithm-agnostic parallel
+    backend, whose banded dataflow is shallower than any tiled algorithm.
     """
     from repro.backend.registry import get_backend
 
@@ -474,30 +500,11 @@ def _run_engine(config: FuzzConfig) -> str | None:
     else:
         want = get_algorithm(config.algorithm,
                              tile_width=config.tile_width).run_host(a)
-    exact = spec.bit_identical or np.issubdtype(got.dtype, np.integer)
-    if exact:
-        ok = np.array_equal(got, want)
-    elif got.shape != want.shape:
-        ok = False
-    else:
-        # Proven rounding budget for this algorithm/size/dtype; the host
-        # oracle is as deep as the subject, hence oracle="host".  Worst-case
-        # over Table I for the algorithm-agnostic parallel backend (its
-        # banded dataflow is shallower than any tiled algorithm).
-        tol = derived_tolerance(
-            None if spec.algorithm_agnostic else config.algorithm,
-            got.shape, got.dtype, tile_width=config.tile_width,
-            oracle="host")
-        ok = sat_close(got, want, tol, abs_input=a)
-    if not ok:
-        bad = int(np.argmax(got != want)) if got.shape == want.shape else -1
-        kind = "exact" if exact else "derived-tolerance"
-        return (f"backend {config.engine!r} diverged from the serial oracle "
-                f"({kind} comparison, first mismatch at flat index {bad})")
-    if got.dtype != want.dtype:
-        return (f"backend {config.engine!r} accumulator dtype {got.dtype} "
-                f"!= oracle {want.dtype}")
-    return None
+    return _oracle_mismatch(
+        f"backend {config.engine!r}", got, want, a,
+        exact=spec.bit_identical,
+        algorithm=None if spec.algorithm_agnostic else config.algorithm,
+        tile_width=config.tile_width)
 
 
 def _run_distsat(config: FuzzConfig) -> str | None:
@@ -507,9 +514,9 @@ def _run_distsat(config: FuzzConfig) -> str | None:
     attempt accounting is exact) with the configured shard count, chunk
     height and fault plan.  The stitched SAT must match the serial oracle —
     exactly on integer accumulators, within the derived rounding budget on
-    floats (band stitching adds one carry fold per chunk, charged as
-    ``extra_depth``) — and every
-    shard's per-phase attempt counter must equal
+    floats (band stitching accumulates a carry add per chunk and a
+    cols-length cumsum of the carry vector, charged as ``extra_depth``) —
+    and every shard's per-phase attempt counter must equal
     :meth:`~repro.distsat.FaultPlan.expected_attempts`: recovery invisible
     in the output, exact in the books.
     """
@@ -521,32 +528,14 @@ def _run_distsat(config: FuzzConfig) -> str | None:
         a, shards=config.shards or 2, algorithm=config.algorithm,
         tile_width=config.tile_width, chunk_rows=config.band_rows,
         fault_plan=plan, max_attempts=4)
-    got = result.sat
     want = get_algorithm(config.algorithm,
                          tile_width=config.tile_width).run_host(a)
-    exact = np.issubdtype(got.dtype, np.integer)
-    if exact:
-        ok = np.array_equal(got, want)
-    elif got.shape != want.shape:
-        ok = False
-    else:
-        # Band stitching accumulates a carry add per chunk (<= rows) and a
-        # cols-length cumsum of the carry vector on top of the algorithm's
-        # proven depth — extra_depth covers what the static model cannot
-        # see.  The host oracle runs the same algorithm, so its depth is
-        # charged too.
-        tol = derived_tolerance(config.algorithm, got.shape, got.dtype,
-                                tile_width=config.tile_width, oracle="host",
-                                extra_depth=sum(got.shape))
-        ok = sat_close(got, want, tol, abs_input=a)
-    if not ok:
-        bad = int(np.argmax(got != want)) if got.shape == want.shape else -1
-        kind = "exact" if exact else "derived-tolerance"
-        return (f"distributed executor diverged from the serial oracle "
-                f"({kind} comparison, first mismatch at flat index {bad})")
-    if got.dtype != want.dtype:
-        return (f"distributed accumulator dtype {got.dtype} "
-                f"!= oracle {want.dtype}")
+    error = _oracle_mismatch("distributed executor", result.sat, want, a,
+                             exact=False, algorithm=config.algorithm,
+                             tile_width=config.tile_width,
+                             extra_depth=sum(result.sat.shape))
+    if error is not None:
+        return error
     for phase, counters in result.stats["attempts"].items():
         for shard, n in counters.items():
             expect = plan.expected_attempts(shard, phase)
@@ -629,6 +618,28 @@ def _run_incremental(config: FuzzConfig) -> str | None:
     return None
 
 
+def _run_simulate(config: FuzzConfig, sanitizer=None) -> str | None:
+    """Run the configured algorithm on the simulator against the NumPy
+    reference, under ``sanitizer`` when one is given (any finding fails)."""
+    a = config.build_matrix()
+    kwargs: dict = {"tile_width": config.tile_width}
+    if config.algorithm == "(1+r)R1W":
+        kwargs["r"] = config.r
+    if config.algorithm == "1R1W-SKSS-LB":
+        kwargs["acquisition"] = config.acquisition
+    gpu = config.build_gpu()
+    if sanitizer is not None:
+        gpu.attach_sanitizer(sanitizer)
+    result = get_algorithm(config.algorithm, **kwargs).run(a, gpu)
+    want = sat_reference(a)
+    if not np.array_equal(result.sat, want):
+        bad = int(np.argmax(result.sat != want))
+        return f"wrong SAT (first mismatch at flat index {bad})"
+    if sanitizer is not None and not sanitizer.ok:
+        return f"{sanitizer.summary()}; first: {sanitizer.findings[0]}"
+    return None
+
+
 def _run_sanitize(config: FuzzConfig) -> str | None:
     """Replay one model-checker counterexample under the dynamic sanitizer.
 
@@ -651,22 +662,13 @@ def _run_sanitize(config: FuzzConfig) -> str | None:
         if rules:
             return f"corpus '{spec.name}': sanitizer rules {sorted(rules)}"
         return None
-    a = config.build_matrix()
-    kwargs: dict = {"tile_width": config.tile_width}
-    if config.algorithm == "(1+r)R1W":
-        kwargs["r"] = config.r
-    if config.algorithm == "1R1W-SKSS-LB":
-        kwargs["acquisition"] = config.acquisition
-    gpu = config.build_gpu()
-    sanitizer = Sanitizer()
-    gpu.attach_sanitizer(sanitizer)
-    result = get_algorithm(config.algorithm, **kwargs).run(a, gpu)
-    if not np.array_equal(result.sat, sat_reference(a)):
-        bad = int(np.argmax(result.sat != sat_reference(a)))
-        return f"wrong SAT (first mismatch at flat index {bad})"
-    if not sanitizer.ok:
-        return f"{sanitizer.summary()}; first: {sanitizer.findings[0]}"
-    return None
+    return _run_simulate(config, Sanitizer())
+
+
+def _sample_sanitize_config(rng: np.random.Generator) -> FuzzConfig:
+    """A :func:`sample_config` draw replayed under the sanitizer with a
+    bounded spin budget."""
+    return replace(sample_config(rng), mode="sanitize", spin_bound=200_000)
 
 
 def _run_cost(config: FuzzConfig) -> str | None:
@@ -753,69 +755,46 @@ def _run_numeric(config: FuzzConfig) -> str | None:
     return None
 
 
+#: Fuzzing modes accepted by :func:`fuzz` / ``repro fuzz --mode``: each name
+#: maps to its ``(sampler, runner)`` pair.  A sampler draws one
+#: :class:`FuzzConfig` from a generator; a runner replays one and returns an
+#: error description or ``None``.  ``sanitize`` replays a configuration under
+#: the concurrency sanitizer with a bounded spin budget — the dynamic half of
+#: the model checker's counterexamples (:mod:`repro.analysis.modelcheck`
+#: emits replay configs in this mode, including bug-corpus kernels via the
+#: ``kernel`` field).
+FUZZ_MODES: dict[str, tuple[Callable[[np.random.Generator], FuzzConfig],
+                            Callable[[FuzzConfig], str | None]]] = {
+    "simulate": (sample_config, _run_simulate),
+    "incremental": (sample_incremental_config, _run_incremental),
+    "sanitize": (_sample_sanitize_config, _run_sanitize),
+    "engine": (sample_engine_config, _run_engine),
+    "cost": (sample_cost_config, _run_cost),
+    "distsat": (sample_distsat_config, _run_distsat),
+    "numeric": (sample_numeric_config, _run_numeric),
+}
+
+
 def run_one(config: FuzzConfig, *, sanitize: bool = False) -> str | None:
     """Run one configuration; returns an error description or ``None``.
 
-    With ``sanitize=True`` the run executes under the concurrency sanitizer
-    (:mod:`repro.analysis.sanitizer`) and any race or protocol finding counts
-    as a failure even when the numeric result happens to be right.
-    ``mode="incremental"`` configs replay an edit sequence instead, and
-    ``mode="engine"`` configs difference a registered backend against the
-    serial oracle (the sanitizer flag does not apply to either mode).
+    The config's ``mode`` picks the runner from :data:`FUZZ_MODES`.  With
+    ``sanitize=True`` a ``simulate`` config runs under the concurrency
+    sanitizer (:mod:`repro.analysis.sanitizer`), so any race or protocol
+    finding counts as a failure even when the numeric result happens to be
+    right; the flag does not apply to the other modes.  An exception from
+    the runner is reported, not raised (a deadlock counts as a finding).
     """
-    if config.mode == "incremental":
-        try:
-            return _run_incremental(config)
-        except Exception as exc:  # noqa: BLE001 - the fuzzer reports
-            return f"exception: {type(exc).__name__}: {exc}"
-    if config.mode == "engine":
-        try:
-            return _run_engine(config)
-        except Exception as exc:  # noqa: BLE001 - the fuzzer reports
-            return f"exception: {type(exc).__name__}: {exc}"
-    if config.mode == "sanitize":
-        try:
-            return _run_sanitize(config)
-        except Exception as exc:  # noqa: BLE001 - deadlocks count as findings
-            return f"exception: {type(exc).__name__}: {exc}"
-    if config.mode == "cost":
-        try:
-            return _run_cost(config)
-        except Exception as exc:  # noqa: BLE001 - the fuzzer reports
-            return f"exception: {type(exc).__name__}: {exc}"
-    if config.mode == "distsat":
-        try:
-            return _run_distsat(config)
-        except Exception as exc:  # noqa: BLE001 - the fuzzer reports
-            return f"exception: {type(exc).__name__}: {exc}"
-    if config.mode == "numeric":
-        try:
-            return _run_numeric(config)
-        except Exception as exc:  # noqa: BLE001 - the fuzzer reports
-            return f"exception: {type(exc).__name__}: {exc}"
-    if config.mode != "simulate":
-        return f"unknown fuzz mode {config.mode!r}; known: {FUZZ_MODES}"
-    a = config.build_matrix()
-    kwargs = {"tile_width": config.tile_width}
-    if config.algorithm == "(1+r)R1W":
-        kwargs["r"] = config.r
-    gpu = config.build_gpu()
-    sanitizer = None
-    if sanitize:
-        from repro.analysis.sanitizer import Sanitizer
-        sanitizer = Sanitizer()
-        gpu.attach_sanitizer(sanitizer)
+    mode = "sanitize" if sanitize and config.mode == "simulate" \
+        else config.mode
+    if mode not in FUZZ_MODES:
+        return (f"unknown fuzz mode {config.mode!r}; "
+                f"known: {tuple(FUZZ_MODES)}")
+    _, runner = FUZZ_MODES[mode]
     try:
-        result = get_algorithm(config.algorithm, **kwargs).run(a, gpu)
-    except Exception as exc:  # noqa: BLE001 - the fuzzer reports, not raises
+        return runner(config)
+    except Exception as exc:  # noqa: BLE001 - the fuzzer reports
         return f"exception: {type(exc).__name__}: {exc}"
-    if not np.array_equal(result.sat, sat_reference(a)):
-        bad = int(np.argmax(result.sat != sat_reference(a)))
-        return f"wrong SAT (first mismatch at flat index {bad})"
-    if sanitizer is not None and not sanitizer.ok:
-        first = sanitizer.findings[0]
-        return f"{sanitizer.summary()}; first: {first}"
-    return None
 
 
 def fuzz(num_runs: int = 50, *, seed: int = 0,
@@ -823,17 +802,14 @@ def fuzz(num_runs: int = 50, *, seed: int = 0,
          sanitize: bool = False, mode: str = "simulate") -> FuzzReport:
     """Run ``num_runs`` random configurations (or until the time budget).
 
-    ``mode`` selects the harness: ``"simulate"`` (algorithms vs the NumPy
-    reference on the simulator), ``"incremental"`` (edit sequences vs
-    from-scratch recompute; see :func:`sample_incremental_config`),
-    ``"sanitize"``, ``"engine"`` (registered backends vs the serial
-    oracle; see :func:`sample_engine_config`), or ``"distsat"`` (the
-    sharded distributed executor under random fault plans; see
-    :func:`sample_distsat_config`).
+    ``mode`` selects the harness from :data:`FUZZ_MODES` (see the module
+    docstring): its sampler draws each configuration and :func:`run_one`
+    replays it.
     """
     if mode not in FUZZ_MODES:
         raise ConfigurationError(
-            f"unknown fuzz mode {mode!r}; known: {FUZZ_MODES}")
+            f"unknown fuzz mode {mode!r}; known: {tuple(FUZZ_MODES)}")
+    sample, _ = FUZZ_MODES[mode]
     rng = np.random.default_rng(seed)
     report = FuzzReport()
     start = time.perf_counter()
@@ -841,21 +817,7 @@ def fuzz(num_runs: int = 50, *, seed: int = 0,
         if time_budget_s is not None \
                 and time.perf_counter() - start > time_budget_s:
             break
-        if mode == "incremental":
-            config = sample_incremental_config(rng)
-        elif mode == "engine":
-            config = sample_engine_config(rng)
-        elif mode == "cost":
-            config = sample_cost_config(rng)
-        elif mode == "distsat":
-            config = sample_distsat_config(rng)
-        elif mode == "numeric":
-            config = sample_numeric_config(rng)
-        else:
-            config = sample_config(rng)
-            if mode == "sanitize":
-                from dataclasses import replace
-                config = replace(config, mode="sanitize", spin_bound=200_000)
+        config = sample(rng)
         error = run_one(config, sanitize=sanitize)
         report.runs += 1
         if error is not None:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sat.reference import sat_reference
-from repro.sat.registry import compute_sat, host_sat
+from repro.sat.registry import compute_sat
 
 
 def _window_bounds(n_rows: int, n_cols: int, radius: int):
@@ -64,11 +63,12 @@ def box_filter(image: np.ndarray, radius: int, *,
                workers: int | None = None) -> np.ndarray:
     """Mean-filter ``image`` with a clamped ``(2·radius+1)²`` box window.
 
-    With ``algorithm`` given, the SAT is built by that paper algorithm (on the
-    simulator when ``gpu`` is provided, host path otherwise); the default uses
-    the NumPy reference SAT.  ``engine`` picks a host executor
-    (:func:`~repro.sat.registry.host_sat`) and is mutually exclusive with
-    ``gpu``.
+    The SAT comes from one :func:`~repro.sat.registry.compute_sat` call: on
+    the simulator when ``gpu`` is given (mutually exclusive with
+    ``engine``), otherwise on the host ``engine`` (serial by default).
+    ``algorithm=None`` runs the executor's default — the paper's
+    1R1W-SKSS-LB on the simulator and the wavefront engine, the plain double
+    scan on the others.
 
     Any dtype is accepted: integer images accumulate exactly (the SAT stack's
     exact dtype policy) and only the final mean division produces floats.
@@ -76,18 +76,9 @@ def box_filter(image: np.ndarray, radius: int, *,
     image = np.asarray(image)
     if image.ndim != 2:
         raise ConfigurationError("box_filter expects a 2-D image")
-    if engine is not None:
-        if gpu is not None:
-            raise ConfigurationError(
-                "a host engine and a simulator GPU are mutually exclusive")
-        sat = host_sat(image, algorithm=algorithm, tile_width=tile_width,
-                       engine=engine, workers=workers)
-    elif algorithm is None:
-        sat = sat_reference(image)
-    else:
-        result = compute_sat(image, algorithm=algorithm, tile_width=tile_width,
-                             gpu=gpu, simulate=gpu is not None)
-        sat = result.sat
+    sat = compute_sat(image, algorithm=algorithm, tile_width=tile_width,
+                      gpu=gpu, simulate=gpu is not None, engine=engine,
+                      workers=workers).sat
     sums = window_sums_from_sat(sat, radius)
     return sums / window_areas(*image.shape, radius)
 

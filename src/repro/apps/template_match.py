@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.variance_filter import squared_image
 from repro.errors import ConfigurationError
-from repro.sat.reference import sat_reference
+from repro.sat.registry import compute_sat
 
 
 def window_stats(image: np.ndarray, th: int, tw: int, *,
@@ -22,24 +22,19 @@ def window_stats(image: np.ndarray, th: int, tw: int, *,
     """Per-anchor window sums and sums of squares via two SATs.
 
     Returns arrays of shape ``(rows-th+1, cols-tw+1)`` where entry ``(i, j)``
-    covers ``image[i:i+th, j:j+tw]``.  ``engine`` routes the two SAT builds
-    through a host executor (:func:`~repro.sat.registry.host_sat`);
-    any rectangular image works with either engine.  Integer images stay
-    exact: ``x²`` is widened before summing and the returned statistics are
-    integer-valued.
+    covers ``image[i:i+th, j:j+tw]``.  The two SATs are built by
+    :func:`~repro.sat.registry.compute_sat` on the host ``engine`` (serial
+    by default); any rectangular image works with every engine.  Integer
+    images stay exact: ``x²`` is widened before summing and the returned
+    statistics are integer-valued.
     """
     image = np.asarray(image)
     rows, cols = image.shape
     if th > rows or tw > cols or th <= 0 or tw <= 0:
         raise ConfigurationError("template larger than image (or empty)")
-    squared = squared_image(image)
-    if engine is not None:
-        from repro.sat.registry import host_sat
-        sat1 = host_sat(image, engine=engine, workers=workers)
-        sat2 = host_sat(squared, engine=engine, workers=workers)
-    else:
-        sat1 = sat_reference(image)
-        sat2 = sat_reference(squared)
+    sat1, sat2 = (compute_sat(x, algorithm=None, simulate=False,
+                              engine=engine, workers=workers).sat
+                  for x in (image, squared_image(image)))
 
     def sums(sat):
         padded = np.zeros((rows + 1, cols + 1), dtype=sat.dtype)

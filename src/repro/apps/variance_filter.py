@@ -12,8 +12,7 @@ import numpy as np
 
 from repro.apps.box_filter import window_areas, window_sums_from_sat
 from repro.errors import ConfigurationError
-from repro.sat.reference import sat_reference
-from repro.sat.registry import compute_sat, host_sat
+from repro.sat.registry import compute_sat
 
 
 def squared_image(image: np.ndarray) -> np.ndarray:
@@ -40,10 +39,13 @@ def local_moments(image: np.ndarray, radius: int, *,
     absorbs the float round-off that can push tiny variances negative —
     the standard caveat of the VSM formulation).
 
-    ``engine`` routes both SAT builds through a host executor
-    (:func:`~repro.sat.registry.host_sat`); with ``engine="wavefront"`` the
-    two builds share one pooled engine, so the second SAT reuses the tile
-    plan of the first.  Mutually exclusive with ``gpu``.
+    Both SATs are built exactly as in
+    :func:`~repro.apps.box_filter.box_filter`: one
+    :func:`~repro.sat.registry.compute_sat` call each, on the simulator when
+    ``gpu`` is given (mutually exclusive with ``engine``), otherwise on the
+    host ``engine``.  With ``engine="wavefront"`` and no ``workers`` the two
+    builds share the process-wide pooled engine, so the second SAT reuses
+    the tile plan of the first.
 
     Integer images are supported directly: both SATs accumulate exactly
     (``x²`` is widened via :func:`squared_image` before summing) and only the
@@ -54,25 +56,10 @@ def local_moments(image: np.ndarray, radius: int, *,
         raise ConfigurationError("local_moments expects a 2-D image")
     if radius < 0:
         raise ConfigurationError("radius must be non-negative")
-    squared = squared_image(image)
-    if engine is not None:
-        if gpu is not None:
-            raise ConfigurationError(
-                "a host engine and a simulator GPU are mutually exclusive")
-        sat1 = host_sat(image, algorithm=algorithm, tile_width=tile_width,
-                        engine=engine, workers=workers)
-        sat2 = host_sat(squared, algorithm=algorithm,
-                        tile_width=tile_width, engine=engine, workers=workers)
-    elif algorithm is None:
-        sat1 = sat_reference(image)
-        sat2 = sat_reference(squared)
-    else:
-        simulate = gpu is not None
-        sat1 = compute_sat(image, algorithm=algorithm, tile_width=tile_width,
-                           gpu=gpu, simulate=simulate).sat
-        sat2 = compute_sat(squared, algorithm=algorithm,
-                           tile_width=tile_width, gpu=gpu,
-                           simulate=simulate).sat
+    sat1, sat2 = (compute_sat(x, algorithm=algorithm, tile_width=tile_width,
+                              gpu=gpu, simulate=gpu is not None,
+                              engine=engine, workers=workers).sat
+                  for x in (image, squared_image(image)))
     area = window_areas(*image.shape, radius)
     mean = window_sums_from_sat(sat1, radius) / area
     mean_sq = window_sums_from_sat(sat2, radius) / area

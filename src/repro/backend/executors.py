@@ -166,25 +166,15 @@ class OutOfCoreBackend(_BandBackend):
 
     def _execute(self, plan: ExecutionPlan, a: np.ndarray,
                  out: np.ndarray | None) -> np.ndarray:
-        from repro.sat.outofcore import out_of_core_sat
-        return out_of_core_sat(a, band_rows=plan.band_rows,
-                               algorithm=plan.algorithm,
-                               tile_width=plan.tile_width,
-                               dtype_policy=plan.acc_dtype)
+        return self._execute_with_carries(plan, a)[0]
 
     def _execute_with_carries(self, plan: ExecutionPlan,
                               a: np.ndarray) -> tuple[np.ndarray, CarrySet]:
-        from repro.sat.outofcore import _band_engine, band_bounds
-        acc = plan.acc_dtype
-        sat = np.empty((plan.rows, plan.cols), dtype=acc)
-        carry_cols = np.zeros(plan.cols, dtype=acc)
-        for lo, hi in band_bounds(plan.rows, plan.band_rows):
-            band = a[lo:hi]
-            band_sat = _band_engine(band, plan.algorithm, plan.tile_width,
-                                    None, None, acc)
-            sat[lo:hi] = band_sat + np.cumsum(carry_cols)[None, :]
-            carry_cols = carry_cols + band.sum(axis=0, dtype=acc)
-        return sat, BandCarrySet(column_sums=carry_cols)
+        from repro.sat.outofcore import stitch_bands
+        sat, column_sums = stitch_bands(
+            a, band_rows=plan.band_rows, algorithm=plan.algorithm,
+            tile_width=plan.tile_width, acc=plan.acc_dtype)
+        return sat, BandCarrySet(column_sums=column_sums)
 
 
 class DistributedBackend(_BandBackend):

@@ -36,7 +36,8 @@ class ExecutionPlan:
     """A fully validated description of one SAT computation.
 
     ``algorithm`` is the canonical paper name, or ``None`` for the plain
-    reference double scan (the ``host_sat(algorithm=None)`` contract).
+    reference double scan (what ``compute_sat(algorithm=None)`` runs on a
+    backend without a ``default_algorithm``).
     ``grid`` is the tile geometry for tile-based execution, ``None`` when the
     backend runs the matrix flat.  ``acc_dtype`` is the accumulator dtype the
     configured policy resolved for ``input_dtype`` — results are always

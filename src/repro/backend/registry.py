@@ -4,10 +4,10 @@ Every executor in the repo registers exactly one :class:`BackendSpec` here —
 the host engines (serial / wavefront / parallel), the functional GPU
 simulator, the out-of-core band streamer and the sharded distributed
 executor.  The CLI ``--engine`` choices, ``repro list`` (text and
-``--json``), the fuzzer's engine pool, the routing layers
-(:func:`repro.sat.registry.host_sat` / ``compute_sat``) and every "unknown
-engine" error message all read from this one table, so none of them can
-drift from the registered set (the conformance suite pins this).
+``--json``), the fuzzer's engine pool, the one host entry point
+(:func:`repro.sat.registry.compute_sat`) and every "unknown engine" error
+message all read from this one table, so none of them can drift from the
+registered set (the conformance suite pins this).
 
 Specs are built lazily on first access and backend *instances* lazier still
 (:func:`get_backend` imports the executor modules on demand), keeping the

@@ -35,6 +35,7 @@ from repro._version import __version__
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.fuzzing import FUZZ_MODES
     from repro.backend.registry import engine_backends
     p = argparse.ArgumentParser(
         prog="repro",
@@ -122,9 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fz = sub.add_parser("fuzz", help="differential fuzzing of all algorithms")
     fz.add_argument("--runs", type=int, default=50)
     fz.add_argument("--seed", type=int, default=0)
-    fz.add_argument("--mode", default="simulate",
-                    choices=["simulate", "incremental", "sanitize",
-                             "engine", "cost", "distsat", "numeric"],
+    fz.add_argument("--mode", default="simulate", choices=list(FUZZ_MODES),
                     help="simulate: algorithms vs the reference on the "
                          "simulator; incremental: random edit sequences "
                          "through IncrementalSAT vs from-scratch recompute; "
@@ -331,8 +330,7 @@ def _cmd_run(args) -> int:
     if args.host or args.engine != "serial":
         result = compute_sat(a, algorithm=args.algorithm,
                              tile_width=args.tile_width, simulate=False,
-                             engine=args.engine if args.engine != "serial"
-                             else None, workers=args.workers,
+                             engine=args.engine, workers=args.workers,
                              shards=args.shards)
     else:
         gpu = GPU(seed=args.seed, scheduler_policy=args.policy,

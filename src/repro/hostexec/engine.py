@@ -15,13 +15,12 @@ inside the row-run kernels, so runs can overlap on multi-core hosts; on any
 host the batching itself (one NumPy call sequence per run instead of per
 tile) is a large constant-factor win over the serial ``_run_host`` loops.
 
-Two usage shapes:
-
-* :func:`wavefront_sat` — one-shot convenience;
-* :class:`WavefrontEngine` — persistent: pool, row-run plans and carry
-  planes are built once and reused, which is what makes the batched API
-  (:meth:`~WavefrontEngine.compute_many`, :meth:`~WavefrontEngine.stream`)
-  cheap for video-style repeated same-shape SATs.
+A :class:`WavefrontEngine` is persistent: its pool, row-run plans and
+carry planes are built once and reused, which makes repeated same-shape
+SATs (video-style streams) cheap.  Callers reach it through
+``compute_sat(..., engine="wavefront")`` (the process-wide
+:func:`shared_engine`) or ``compute_sat(..., engine=WavefrontEngine(...))``
+for a caller-managed pool.
 
 Results are bit-identical to each algorithm's serial host path (in the same
 accumulator dtype) and independent of the worker count and of scheduling
@@ -43,7 +42,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -321,36 +319,6 @@ class WavefrontEngine:
         if errors:
             raise errors[0]
 
-    # -- batched API -------------------------------------------------------------
-
-    def compute_many(self, arrays: Iterable[np.ndarray], *,
-                     algorithm: str = "1R1W-SKSS-LB", tile_width: int = 32,
-                     dtype_policy=None) -> list[np.ndarray]:
-        """SATs of many same-shape matrices, amortizing pool/plan/carries."""
-        return [self.compute(a, algorithm=algorithm, tile_width=tile_width,
-                             dtype_policy=dtype_policy)
-                for a in arrays]
-
-    def stream(self, arrays: Iterable[np.ndarray], *,
-               algorithm: str = "1R1W-SKSS-LB", tile_width: int = 32,
-               reuse_output: bool = False,
-               dtype_policy=None) -> Iterator[np.ndarray]:
-        """Streaming iterator over SATs (video-style pipelines).
-
-        With ``reuse_output=True`` every yield returns the *same* buffer,
-        overwritten per frame — zero allocation per frame, but the consumer
-        must finish with (or copy) a frame before advancing.
-        """
-        out: np.ndarray | None = None
-        for a in arrays:
-            result = self.compute(a, algorithm=algorithm,
-                                  tile_width=tile_width,
-                                  out=out if reuse_output else None,
-                                  dtype_policy=dtype_policy)
-            if reuse_output:
-                out = result
-            yield result
-
 
 #: Lazily-created process-wide engine used by ``engine="wavefront"`` call
 #: sites that do not manage their own instance.
@@ -365,16 +333,3 @@ def shared_engine() -> WavefrontEngine:
         if _shared is None or _shared._closed:
             _shared = WavefrontEngine()
         return _shared
-
-
-def wavefront_sat(a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
-                  tile_width: int = 32, workers: int | None = None,
-                  dtype_policy=None) -> np.ndarray:
-    """One-shot wavefront SAT (uses the shared engine unless ``workers`` set)."""
-    if workers is None:
-        return shared_engine().compute(a, algorithm=algorithm,
-                                       tile_width=tile_width,
-                                       dtype_policy=dtype_policy)
-    with WavefrontEngine(workers=workers) as engine:
-        return engine.compute(a, algorithm=algorithm, tile_width=tile_width,
-                              dtype_policy=dtype_policy)

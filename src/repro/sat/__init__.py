@@ -15,12 +15,11 @@ from repro.sat.nehab_2r1w import Nehab2R1W
 from repro.sat.integral import (exclusive_sat, integral_image, rect_sum_ii,
                                 tilted_integral)
 from repro.sat.outofcore import OutOfCoreSAT, out_of_core_sat
-from repro.sat.parallel_host import ParallelSATEngine, parallel_sat
+from repro.sat.parallel_host import parallel_sat
 from repro.sat.optimal_2r2w import Optimal2R2W
 from repro.sat.reference import (rect_sum, rect_sums, sat_reference,
                                  sat_sequential)
-from repro.sat.registry import (ALGORITHMS, compute_sat, get_algorithm,
-                                incremental_sat)
+from repro.sat.registry import ALGORITHMS, compute_sat, get_algorithm
 from repro.sat.skss import SKSS1R1W
 from repro.sat.skss_lb import SKSSLB1R1W, serial_to_tile, tile_serial_number
 
@@ -30,10 +29,10 @@ __all__ = [
     "SKSS1R1W", "SKSSLB1R1W",
     "band_limits", "band_tiles",
     "sat_reference", "sat_sequential", "rect_sum", "rect_sums",
-    "ALGORITHMS", "compute_sat", "get_algorithm", "incremental_sat",
+    "ALGORITHMS", "compute_sat", "get_algorithm",
     "OutOfCoreSAT", "out_of_core_sat",
     "integral_image", "exclusive_sat", "rect_sum_ii", "tilted_integral",
-    "ParallelSATEngine", "parallel_sat",
+    "parallel_sat",
     "tile_serial_number", "serial_to_tile",
     "DTypePolicy", "EXACT", "WIDEN_FLOAT", "LEGACY_FLOAT64", "POLICIES",
     "fixed_policy", "resolve_policy", "accumulator_dtype",

@@ -6,9 +6,9 @@ Every algorithm is a :class:`SATAlgorithm` subclass with two execution paths:
   simulator, returning a :class:`SATResult` whose ``report`` carries measured
   kernel calls, thread counts and global traffic (the Table I quantities);
 * :meth:`SATAlgorithm.run_host` — a dataflow-equivalent pure-NumPy execution
-  of the same tile decomposition (same intermediate quantities, no scheduling),
-  used by property tests at sizes the simulator would be slow at and by the
-  applications layer.
+  of the same tile decomposition (same intermediate quantities, no scheduling):
+  the serial oracle behind the ``serial`` backend, used by property tests at
+  sizes the simulator would be slow at.
 
 Construction takes the paper's tuning parameters: ``tile_width`` (W) and
 ``threads_per_block`` (W²/m for tile-based algorithms).
@@ -47,11 +47,12 @@ class SATResult:
     ``report`` is ``None`` for the host path; for simulated runs it holds the
     per-kernel statistics from which Table I rows are measured.  ``n`` is the
     row count (equal to the side length for the paper's square matrices);
-    ``shape`` gives the full output shape.
+    ``shape`` gives the full output shape.  ``algorithm`` is ``None`` when a
+    host engine ran the plain double scan.
     """
 
     sat: np.ndarray
-    algorithm: str
+    algorithm: str | None
     n: int
     params: dict[str, Any] = field(default_factory=dict)
     report: LaunchSummary | None = None
@@ -77,7 +78,7 @@ class SATResult:
         rows, cols = self.sat.shape
         size = f"n={rows}" if rows == cols else f"shape={rows}x{cols}"
         if self.report is None:
-            return f"{self.algorithm}: {size} (host path)"
+            return f"{self.algorithm or 'reference'}: {size} (host path)"
         t = self.report.traffic
         return (f"{self.algorithm}: {size}, kernels={self.report.kernel_calls}, "
                 f"max_threads={self.report.max_threads}, "
@@ -198,26 +199,16 @@ class SATAlgorithm(ABC):
         return SATResult(sat=sat, algorithm=self.name, n=prep.rows,
                          params=self.params(), report=report)
 
-    def run_host(self, a: np.ndarray, *, engine=None,
-                 dtype_policy=None) -> np.ndarray:
+    def run_host(self, a: np.ndarray, *, dtype_policy=None) -> np.ndarray:
         """Dataflow-equivalent host execution (same tile algebra, no simulator).
 
-        ``engine`` selects the host executor: ``None``/``"serial"`` runs the
-        algorithm's own serial tile loop (the default — deterministic and
-        dependency-free); any other value resolves through the unified
-        backend registry (:mod:`repro.backend.registry`) — ``"wavefront"``
-        or a :class:`~repro.hostexec.WavefrontEngine` instance routes the
-        same dataflow through the multi-core wavefront engine (tile-based
-        algorithms only), bit-identical to the serial path for every shape
-        and dtype.
+        This is the algorithm's own serial tile loop: deterministic,
+        dependency-free, and the oracle every host engine is held to.  The
+        other host executors run the same dataflow through
+        ``compute_sat(..., engine=...)``.
         """
-        if engine is None or engine == "serial":
-            prep = self._validate(a, dtype_policy)
-            return prep.crop(self._run_host(prep.array))
-        from repro.backend.registry import resolve_backend
-        return resolve_backend(engine).compute(
-            np.asarray(a), algorithm=self.name, tile_width=self.tile_width,
-            dtype_policy=dtype_policy)
+        prep = self._validate(a, dtype_policy)
+        return prep.crop(self._run_host(prep.array))
 
     # -- subclass hooks ------------------------------------------------------------
 

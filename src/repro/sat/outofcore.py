@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backend.core import positive_int
 from repro.errors import ConfigurationError
 from repro.sat.dtypes import resolve_policy
 from repro.sat.registry import get_algorithm
@@ -31,61 +32,68 @@ from repro.sat.registry import get_algorithm
 
 def band_bounds(n_rows: int, band_rows: int) -> list[tuple[int, int]]:
     """Half-open row ranges of each band."""
-    if band_rows <= 0:
-        raise ConfigurationError("band_rows must be positive")
+    band_rows = positive_int(band_rows, "band_rows")
     return [(lo, min(n_rows, lo + band_rows))
             for lo in range(0, n_rows, band_rows)]
 
 
 def out_of_core_sat(a: np.ndarray, *, band_rows: int,
                     algorithm: str | None = None, tile_width: int = 32,
-                    gpu_factory=None, engine=None,
-                    dtype_policy=None) -> np.ndarray:
+                    gpu_factory=None, dtype_policy=None) -> np.ndarray:
     """Compute the SAT of ``a`` band by band.
 
     ``algorithm`` selects the per-band SAT engine (``None`` = NumPy
-    reference).  With an algorithm name, bands are computed via that
-    algorithm's host path, or on fresh simulator instances produced by
-    ``gpu_factory()`` when given.  Bands may be any rectangle — ragged tile
-    edges follow the zero-padding convention of :mod:`repro.sat.base`.
+    reference).  With an algorithm name, bands are computed by that
+    algorithm's serial host loop, or on fresh simulator instances produced
+    by ``gpu_factory()`` when given.  Bands may be any rectangle — ragged
+    tile edges follow the zero-padding convention of :mod:`repro.sat.base`.
+    The ``outofcore`` backend runs the same band loop (:func:`stitch_bands`)
+    behind the plan/execute protocol.
 
-    ``engine`` selects the *host* executor for the per-band computation
-    (``"serial"``, ``"wavefront"``/a
-    :class:`~repro.hostexec.WavefrontEngine` or ``"parallel"``); it is
-    mutually exclusive with ``gpu_factory``.  ``dtype_policy`` resolves the
-    accumulator dtype (:mod:`repro.sat.dtypes`; exact by default) — the carry
-    vectors accumulate in that dtype too, so integer inputs stitch exactly.
+    ``dtype_policy`` resolves the accumulator dtype (:mod:`repro.sat.dtypes`;
+    exact by default) — the carry vectors accumulate in that dtype too, so
+    integer inputs stitch exactly.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ConfigurationError("out_of_core_sat expects a 2-D matrix")
-    if engine is not None and gpu_factory is not None:
-        raise ConfigurationError(
-            "a host engine and gpu_factory are mutually exclusive")
     acc = resolve_policy(dtype_policy).accumulator(a.dtype)
+    return stitch_bands(a, band_rows=band_rows, algorithm=algorithm,
+                        tile_width=tile_width, gpu_factory=gpu_factory,
+                        acc=acc)[0]
+
+
+def stitch_bands(a: np.ndarray, *, band_rows: int, algorithm: str | None,
+                 tile_width: int, acc: np.dtype, gpu_factory=None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The band loop: each band's SAT plus the carry of the bands above.
+
+    Returns ``(sat, column_sums)``, the column sums over all rows being the
+    final carry vector (the band-level GCP state).
+    """
     n_rows, n_cols = a.shape
     out = np.empty((n_rows, n_cols), dtype=acc)
     carry_cols = np.zeros(n_cols, dtype=acc)
     for lo, hi in band_bounds(n_rows, band_rows):
         band = a[lo:hi]
         band_sat = _band_engine(band, algorithm, tile_width, gpu_factory,
-                                engine, acc)
+                                acc)
         out[lo:hi] = band_sat + np.cumsum(carry_cols)[None, :]
         carry_cols = carry_cols + band.sum(axis=0, dtype=acc)
-    return out
+    return out, carry_cols
 
 
 def _band_engine(band: np.ndarray, algorithm: str | None, tile_width: int,
-                 gpu_factory, engine, acc: np.dtype) -> np.ndarray:
+                 gpu_factory, acc: np.dtype) -> np.ndarray:
     if gpu_factory is not None:
         if algorithm is None:
             return band.astype(acc, copy=False).cumsum(axis=0).cumsum(axis=1)
         alg = get_algorithm(algorithm, tile_width=tile_width)
         return alg.run(band, gpu_factory(), dtype_policy=acc).sat
-    from repro.backend.registry import resolve_backend
-    return resolve_backend(engine).compute(band, algorithm=algorithm,
-                                           tile_width=tile_width,
-                                           dtype_policy=acc)
+    from repro.backend.registry import get_backend
+    return get_backend("serial").compute(band, algorithm=algorithm,
+                                         tile_width=tile_width,
+                                         dtype_policy=acc)
 
 
 @dataclass

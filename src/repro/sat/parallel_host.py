@@ -10,9 +10,7 @@ This is exactly the paper's 2R2W structure executed by P workers instead of
 n GPU threads — a useful fast path for hosts without a GPU, and a second,
 independently-implemented engine the tests difference against the others.
 
-The two phases each read and write every element once (2R2W on the CPU);
-``parallel_sat`` is the simple fork/join version and
-:class:`ParallelSATEngine` keeps a persistent pool for repeated use.
+The two phases each read and write every element once (2R2W on the CPU).
 
 The row phase needs no transpose (and no carry stitching at all): row-wise
 prefix sums are independent per row, so each worker simply ``cumsum``\\ s its
@@ -38,6 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.backend.core import positive_int
 from repro.errors import ConfigurationError
 from repro.hostexec.engine import default_workers as _default_workers
 from repro.primitives.prefix_sum import partition_bounds
@@ -99,46 +98,11 @@ def parallel_sat(a: np.ndarray, *, workers: int | None = None,
     a = np.asarray(a)
     if a.ndim != 2:
         raise ConfigurationError("parallel_sat expects a 2-D matrix")
+    workers = _default_workers() if workers is None \
+        else positive_int(workers, "workers")
     acc = resolve_policy(dtype_policy).accumulator(a.dtype)
     a = np.array(a, dtype=acc, copy=True)
-    if workers is not None and workers <= 0:
-        raise ConfigurationError("workers must be positive")
-    workers = workers or _default_workers()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         _parallel_cumsum_axis0(a, pool, workers)
         _parallel_cumsum_axis1(a, pool, workers)
     return a
-
-
-class ParallelSATEngine:
-    """Reusable engine: persistent pool for repeated fork/join SATs.
-
-    For repeated SATs (video pipelines), keeping the pool alive removes the
-    per-call thread setup; both scan phases run in place on the single
-    defensive input copy, which each call returns (no aliasing across calls).
-    """
-
-    def __init__(self, *, workers: int | None = None) -> None:
-        if workers is not None and workers <= 0:
-            raise ConfigurationError("workers must be positive")
-        self.workers = workers or _default_workers()
-        self._pool = ThreadPoolExecutor(max_workers=self.workers)
-
-    def compute(self, a: np.ndarray, *, dtype_policy=None) -> np.ndarray:
-        a = np.asarray(a)
-        if a.ndim != 2:
-            raise ConfigurationError("expected a 2-D matrix")
-        acc = resolve_policy(dtype_policy).accumulator(a.dtype)
-        a = np.array(a, dtype=acc, copy=True)
-        _parallel_cumsum_axis0(a, self._pool, self.workers)
-        _parallel_cumsum_axis1(a, self._pool, self.workers)
-        return a
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ParallelSATEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

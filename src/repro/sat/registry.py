@@ -6,6 +6,7 @@ from typing import Any, Type
 
 import numpy as np
 
+from repro.backend.registry import get_spec, resolve_backend
 from repro.errors import ConfigurationError
 from repro.gpusim.kernel import GPU
 from repro.sat.base import SATAlgorithm, SATResult
@@ -68,58 +69,20 @@ def get_algorithm(name: str, **params: Any) -> SATAlgorithm:
     return ALGORITHMS[canonical](**params)
 
 
-def host_sat(a: np.ndarray, *, algorithm: str | None = None,
-             tile_width: int = 32, engine=None,
-             workers: int | None = None, dtype_policy=None) -> np.ndarray:
-    """Route a host-path SAT computation through the chosen engine.
-
-    The single entry point the applications layer uses: ``engine`` is
-    ``None`` or any name in
-    :func:`~repro.backend.registry.engine_backends` — ``"serial"`` (the
-    algorithm's serial host loop, or the NumPy reference when ``algorithm``
-    is ``None``), ``"wavefront"`` (or a
-    :class:`~repro.hostexec.WavefrontEngine` instance), ``"parallel"`` or
-    ``"distributed"``.  ``a`` may be any 2-D rectangle; ``dtype_policy``
-    resolves the accumulator dtype (:mod:`repro.sat.dtypes`; exact by
-    default).
-    """
-    from repro.backend.registry import resolve_backend
-    return resolve_backend(engine).compute(
-        np.asarray(a), algorithm=algorithm, tile_width=tile_width,
-        workers=workers, dtype_policy=dtype_policy)
-
-
-def incremental_sat(a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
-                    tile_width: int = 32, dtype_policy=None,
-                    workers: int | None = None, strategy: str = "auto"):
-    """Build a resident :class:`~repro.hostexec.IncrementalSAT` over ``a``.
-
-    The stateful counterpart to :func:`compute_sat` for edit/streaming
-    traffic: the returned engine keeps the tile grid's carry state between
-    calls and repairs only dirty tiles plus their right/down frontier on
-    ``update``/``update_tiles``/``delta``/``advance``.  Use as a context
-    manager (or call ``close()``) to release the resident planes.
-
-    >>> import numpy as np
-    >>> with incremental_sat(np.ones((8, 8), dtype=np.int32)) as inc:
-    ...     sat = inc.update(0, 0, np.full((2, 2), 5, dtype=np.int32))
-    >>> int(sat[7, 7])
-    80
-    """
-    from repro.hostexec.incremental import IncrementalSAT
-    name = get_algorithm(algorithm).name
-    return IncrementalSAT(a, algorithm=name, tile_width=tile_width,
-                          dtype_policy=dtype_policy, workers=workers,
-                          strategy=strategy)
-
-
-def compute_sat(a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
+def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
                 tile_width: int = 32, gpu: GPU | None = None,
                 simulate: bool = True, engine=None,
                 workers: int | None = None, dtype_policy=None,
-                incremental=None, shards: int | None = None,
-                **params: Any) -> SATResult:
-    """Compute the summed area table of ``a``.
+                shards: int | None = None, **params: Any) -> SATResult:
+    """Compute the summed area table of ``a``: the one entry point.
+
+    A call takes one of two routes.  With ``gpu`` given, or with
+    ``simulate=True`` and no ``engine``, the kernels run on the functional
+    GPU simulator and the result carries its launch report.  Every other
+    call resolves ``engine`` in the backend registry
+    (:func:`~repro.backend.registry.resolve_backend`; ``None`` is the serial
+    oracle) and runs ``Backend.plan`` then ``Backend.execute``, so all of its
+    configuration is validated before any data is read.
 
     Parameters
     ----------
@@ -127,16 +90,19 @@ def compute_sat(a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
         Any 2-D ``rows x cols`` matrix; ragged tile edges are zero-padded
         internally and the result is cropped back.
     algorithm:
-        Paper name or alias; defaults to the paper's 1R1W-SKSS-LB.
+        Paper name or alias; defaults to the paper's 1R1W-SKSS-LB.  ``None``
+        means the executor's default: the backend's ``default_algorithm``,
+        or the plain double scan when it has none (the serial and parallel
+        engines).
     gpu:
         Optional pre-configured simulator (device, scheduling policy, seed,
-        consistency mode).
+        consistency mode).  Mutually exclusive with ``engine``.
     simulate:
-        When ``False``, run the dataflow-equivalent host path instead of the
-        simulator (no traffic report; much faster for large matrices).
+        When ``False``, run on a host engine instead of the simulator (no
+        traffic report; much faster for large matrices).
     engine:
-        Host executor for the non-simulated path (implies ``simulate=False``):
-        one of :func:`~repro.backend.registry.engine_backends` or a
+        Host executor (implies ``simulate=False``): one of
+        :func:`~repro.backend.registry.engine_backends` or a
         :class:`~repro.hostexec.WavefrontEngine` instance.
     workers:
         Worker count for the ``wavefront``/``parallel``/``distributed``
@@ -151,61 +117,41 @@ def compute_sat(a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
         Input-to-accumulator dtype mapping (:mod:`repro.sat.dtypes`): a
         policy, a policy name (``"exact"``, ``"widen-float"``, ``"float64"``)
         or a fixed dtype.  Defaults to the exact policy.
-    incremental:
-        A resident :class:`~repro.hostexec.IncrementalSAT` (from
-        :func:`incremental_sat`): ``a`` is treated as the next frame and the
-        table is *repaired* via :meth:`~repro.hostexec.IncrementalSAT.advance`
-        instead of recomputed — only the changed tiles' right/down frontier
-        pays.  Mutually exclusive with ``gpu``/``engine``; the result is
-        bit-identical to a from-scratch computation.
+    params:
+        Further algorithm parameters (``threads_per_block``, the hybrid's
+        ``r``), which only the simulator uses.
 
     Returns a :class:`~repro.sat.base.SATResult`.
+
+    >>> import numpy as np
+    >>> a = np.arange(12, dtype=np.int32).reshape(3, 4)
+    >>> result = compute_sat(a, tile_width=2, engine="wavefront")
+    >>> result.params["engine"], result.sat.dtype.name, int(result.sat[-1, -1])
+    ('wavefront', 'int64', 66)
     """
-    if incremental is not None:
-        from repro.hostexec.incremental import IncrementalSAT
-        if not isinstance(incremental, IncrementalSAT):
-            raise ConfigurationError(
-                "incremental= expects an IncrementalSAT instance "
-                "(see repro.sat.incremental_sat)")
-        if gpu is not None or engine is not None:
-            raise ConfigurationError(
-                "incremental= is mutually exclusive with gpu=/engine=")
-        sat = incremental.advance(np.asarray(a))
-        stats = incremental.stats
-        return SATResult(sat=sat, algorithm=incremental.algorithm,
-                         n=sat.shape[0],
-                         params={"tile_width": incremental.tile_width,
-                                 "engine": "incremental",
-                                 "strategy": stats.strategy,
-                                 "dirty_tiles": stats.dirty_tiles,
-                                 "repaired_tiles": stats.repaired_tiles,
-                                 "total_tiles": stats.total_tiles},
-                         report=None)
-    if shards is not None and (engine is None or engine == "serial"):
-        raise ConfigurationError(
-            "shards is only meaningful for the distributed engine "
-            "(pass engine='distributed')")
-    alg = get_algorithm(algorithm, tile_width=tile_width, **params)
-    if engine is not None and engine != "serial":
-        if gpu is not None:
+    if gpu is not None or (simulate and engine is None):
+        if engine is not None:
             raise ConfigurationError(
                 "a host engine and a simulator GPU are mutually exclusive")
-        simulate = False
-    if simulate:
+        if shards is not None:
+            raise ConfigurationError(
+                "shards is only meaningful for the distributed engine "
+                "(pass engine='distributed')")
+        if algorithm is None:
+            algorithm = get_spec("gpusim").default_algorithm
+        alg = get_algorithm(algorithm, tile_width=tile_width, **params)
         return alg.run(a, gpu, dtype_policy=dtype_policy)
-    engine_name = engine if isinstance(engine, str) or engine is None \
-        else None
-    if engine is None or engine == "serial":
-        sat = alg.run_host(a, dtype_policy=dtype_policy)
-    else:
-        from repro.backend.registry import resolve_backend
-        backend = resolve_backend(engine)
-        engine_name = backend.spec.name
-        sat = backend.compute(np.asarray(a), algorithm=alg.name,
-                              tile_width=tile_width, workers=workers,
-                              dtype_policy=dtype_policy, shards=shards)
-    p = alg.params()
-    if engine is not None:
-        p["engine"] = engine_name
-    return SATResult(sat=sat, algorithm=alg.name, n=sat.shape[0],
-                     params=p, report=None)
+    backend = resolve_backend(engine)
+    if params:
+        raise ConfigurationError(
+            f"algorithm parameters {sorted(params)} only apply to the "
+            "simulator; host engines take none")
+    a = np.asarray(a)
+    plan = backend.plan(a.shape, a.dtype, algorithm=algorithm,
+                        tile_width=tile_width, dtype_policy=dtype_policy,
+                        workers=workers, shards=shards)
+    sat = backend.execute(plan, a)
+    return SATResult(sat=sat, algorithm=plan.algorithm, n=plan.rows,
+                     params={"tile_width": plan.tile_width,
+                             "engine": plan.backend},
+                     report=None)

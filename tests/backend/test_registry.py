@@ -87,9 +87,9 @@ def test_unknown_engine_error_lists_the_registry():
 
 
 def test_routing_uses_the_registry_message():
-    from repro.sat.registry import host_sat
+    from repro.sat.registry import compute_sat
     with pytest.raises(ConfigurationError) as exc:
-        host_sat(np.zeros((4, 4)), algorithm="1R1W", engine="turbo")
+        compute_sat(np.zeros((4, 4)), algorithm="1R1W", engine="turbo")
     assert str(exc.value) == str(unknown_engine_error("turbo"))
 
 

@@ -100,6 +100,24 @@ def test_workers_must_match_a_caller_managed_engine():
             np.testing.assert_array_equal(result.sat, want)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tile_width": 2.5}, {"tile_width": True}, {"workers": -1},
+    {"engine": "serial", "workers": "x"}],
+    ids=["tile_width-float", "tile_width-bool", "workers-negative",
+         "serial-workers-str"])
+def test_compute_sat_host_calls_are_planned(kwargs, monkeypatch):
+    """Every host call of ``compute_sat`` (the serial route included) goes
+    through ``Backend.plan``, so a bad setting raises before execution."""
+    from repro.sat.registry import compute_sat
+
+    def tripwire(self, plan, a, out=None):
+        raise AssertionError("executed an invalid configuration")
+    monkeypatch.setattr(Backend, "execute", tripwire)
+    a = np.arange(64, dtype=np.int32).reshape(8, 8)
+    with pytest.raises(ConfigurationError):
+        compute_sat(a, simulate=False, **kwargs)
+
+
 def test_unsupported_dtype_rejected_by_the_protocol():
     """The spec's dtype capability gate is enforced by the shared plan stage
     (no registered backend restricts dtypes today, so prove the mechanism

@@ -19,10 +19,10 @@ import pytest
 from repro.backend.registry import get_backend, resolve_backend
 from repro.errors import ConfigurationError
 from repro.hostexec import (WavefrontEngine, default_workers, kernel_for,
-                            shared_engine, wavefront_sat)
+                            shared_engine)
 from repro.primitives.tile import TileGrid
 from repro.sat.reference import sat_reference
-from repro.sat.registry import get_algorithm
+from repro.sat.registry import compute_sat, get_algorithm
 
 TILE_ALGORITHMS = ["2R1W", "1R1W", "(1+r)R1W", "1R1W-SKSS", "1R1W-SKSS-LB"]
 
@@ -86,17 +86,20 @@ def test_two_runs_bit_identical():
 
 
 def test_run_host_engine_parameter():
+    """A caller-managed engine through compute_sat equals the serial loop."""
     a = matrix(96)
     alg = get_algorithm("1R1W-SKSS-LB")
     with WavefrontEngine(workers=2) as eng:
-        assert np.array_equal(alg.run_host(a, engine=eng), alg.run_host(a))
+        assert np.array_equal(
+            compute_sat(a, algorithm=alg.name, engine=eng).sat,
+            alg.run_host(a))
 
 
 def test_run_host_rejects_non_tile_algorithm():
     a = matrix(96)
     with pytest.raises(ConfigurationError,
                        match="does not support algorithm '2R2W'"):
-        get_algorithm("2R2W").run_host(a, engine="wavefront")
+        compute_sat(a, algorithm="2R2W", engine="wavefront")
 
 
 def test_algorithm_aliases_resolve():
@@ -107,12 +110,7 @@ def test_algorithm_aliases_resolve():
 
 
 class TestBatchedAPI:
-    def test_compute_many_equals_one_shot(self):
-        arrays = [matrix(96, seed=s, integer=False) for s in range(4)]
-        with WavefrontEngine(workers=2) as eng:
-            batched = eng.compute_many(arrays)
-        for a, sat in zip(arrays, batched):
-            assert np.array_equal(sat, wavefront_sat(a, workers=2))
+    """Repeated computes on one persistent engine."""
 
     def test_compute_many_mixed_algorithms_independent(self):
         a = matrix(96)
@@ -120,30 +118,6 @@ class TestBatchedAPI:
             for algorithm in TILE_ALGORITHMS:
                 sat = eng.compute(a, algorithm=algorithm)
                 assert np.array_equal(sat, sat_reference(a))
-
-    def test_stream_yields_in_order(self):
-        arrays = [matrix(64, seed=s) for s in range(3)]
-        with WavefrontEngine(workers=2) as eng:
-            sats = list(eng.stream(iter(arrays)))
-        assert len(sats) == 3
-        for a, sat in zip(arrays, sats):
-            assert np.array_equal(sat, sat_reference(a))
-
-    def test_stream_fresh_buffers_by_default(self):
-        arrays = [matrix(64, seed=s) for s in range(2)]
-        with WavefrontEngine(workers=1) as eng:
-            first, second = list(eng.stream(arrays))
-        assert first is not second
-        assert np.array_equal(first, sat_reference(arrays[0]))
-
-    def test_stream_reuse_output_recycles_buffer(self):
-        arrays = [matrix(64, seed=s) for s in range(3)]
-        with WavefrontEngine(workers=1) as eng:
-            buffers = []
-            for a, sat in zip(arrays, eng.stream(arrays, reuse_output=True)):
-                buffers.append(sat)
-                assert np.array_equal(sat, sat_reference(a))
-        assert buffers[0] is buffers[1] is buffers[2]
 
     def test_plan_and_carry_caches_are_reused(self):
         with WavefrontEngine(workers=2) as eng:
@@ -303,9 +277,3 @@ class TestResolution:
     def test_resolve_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_backend("gpu")
-
-
-def test_wavefront_sat_one_shot():
-    a = matrix(96)
-    assert np.array_equal(wavefront_sat(a, workers=2), sat_reference(a))
-    assert np.array_equal(wavefront_sat(a), sat_reference(a))

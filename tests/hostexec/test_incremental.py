@@ -14,7 +14,6 @@ from repro.errors import ConfigurationError
 from repro.hostexec import WavefrontEngine
 from repro.hostexec.incremental import (IncrementalSAT, repair_benchmark,
                                         sanitize_incremental, verify_state)
-from repro.sat import compute_sat, incremental_sat
 from repro.sat.registry import get_algorithm
 
 ALGORITHMS = ("2R1W", "1R1W", "(1+r)R1W", "1R1W-SKSS", "1R1W-SKSS-LB")
@@ -303,22 +302,6 @@ class TestStateAndAPI:
             IncrementalSAT(a, strategy="nope")
         with pytest.raises(ConfigurationError):
             IncrementalSAT(np.zeros(5, dtype=np.int32))
-
-    def test_registry_entry_points(self, rng):
-        a = _data(rng, (80, 60), np.int32)
-        with incremental_sat(a, algorithm="skss-lb") as inc:
-            assert inc.algorithm == "1R1W-SKSS-LB"
-            frame = a.copy()
-            frame[10:20, 10:20] = 0
-            res = compute_sat(frame, incremental=inc)
-            assert res.params["engine"] == "incremental"
-            assert res.params["repaired_tiles"] <= res.params["total_tiles"]
-            assert np.array_equal(res.sat, _reference(inc,
-                                                      frame.astype(inc.dtype)))
-        with pytest.raises(ConfigurationError):
-            compute_sat(a, incremental="not-an-engine")
-        with pytest.raises(ConfigurationError):
-            compute_sat(a, incremental=inc, engine="wavefront")
 
     def test_sanitize_hook_clean(self):
         assert sanitize_incremental(n=64, edits=2) == []

@@ -1,5 +1,5 @@
-"""Engine routing through the public layers: registry, CLI, out-of-core,
-and the applications."""
+"""Engine routing through the public layers: registry, CLI and the
+applications."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,8 @@ from repro.backend.registry import engine_backends
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 from repro.hostexec import WavefrontEngine
-from repro.sat.outofcore import out_of_core_sat
 from repro.sat.reference import sat_reference
-from repro.sat.registry import compute_sat, host_sat
+from repro.sat.registry import compute_sat
 
 
 def matrix(n, seed=3):
@@ -22,29 +21,35 @@ def matrix(n, seed=3):
 
 
 class TestHostSat:
+    """Host routing through compute_sat (``simulate=False``)."""
+
     @pytest.mark.parametrize("engine", [None, "serial", "wavefront",
                                         "parallel"])
     def test_engines_agree(self, engine):
         a = matrix(96)
-        assert np.array_equal(host_sat(a, algorithm="skss-lb", engine=engine),
-                              sat_reference(a))
+        sat = compute_sat(a, algorithm="skss-lb", engine=engine,
+                          simulate=False).sat
+        assert np.array_equal(sat, sat_reference(a))
 
     def test_engine_instance_accepted(self):
         a = matrix(96)
         with WavefrontEngine(workers=2) as eng:
-            assert np.array_equal(host_sat(a, engine=eng), sat_reference(a))
+            assert np.array_equal(compute_sat(a, engine=eng).sat,
+                                  sat_reference(a))
 
     def test_reference_when_no_algorithm(self):
         a = matrix(100)  # not tile-aligned: only the plain scan handles it
-        assert np.array_equal(host_sat(a), sat_reference(a))
+        assert np.array_equal(
+            compute_sat(a, algorithm=None, simulate=False).sat,
+            sat_reference(a))
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="engine"):
-            host_sat(matrix(96), engine="gpu")
+            compute_sat(matrix(96), engine="gpu")
 
     def test_workers_forwarded_to_wavefront(self):
         a = matrix(96)
-        sat = host_sat(a, engine="wavefront", workers=2)
+        sat = compute_sat(a, engine="wavefront", workers=2).sat
         assert np.array_equal(sat, sat_reference(a))
 
 
@@ -84,6 +89,11 @@ class TestComputeSat:
         result = compute_sat(a, algorithm="hybrid", engine="wavefront")
         assert result.algorithm == "(1+r)R1W"
 
+    def test_simulator_params_rejected_on_host_engines(self):
+        with pytest.raises(ConfigurationError, match="simulator"):
+            compute_sat(matrix(96), algorithm="hybrid", engine="wavefront",
+                        r=0.5)
+
 
 class TestCLI:
     def run_cli(self, capsys, *argv):
@@ -110,25 +120,6 @@ class TestCLI:
             cli_main(["run", "-n", "64", "--engine", "warp"])
 
 
-class TestOutOfCore:
-    def test_wavefront_bands_match_reference(self):
-        a = matrix(128)
-        out = out_of_core_sat(a, band_rows=128, algorithm="skss-lb",
-                              tile_width=32, engine="wavefront")
-        assert np.array_equal(out, sat_reference(a))
-
-    def test_parallel_engine_any_band_shape(self):
-        a = matrix(96)
-        out = out_of_core_sat(a, band_rows=32, engine="parallel")
-        assert np.array_equal(out, sat_reference(a))
-
-    def test_engine_and_gpu_factory_mutually_exclusive(self):
-        from repro.gpusim import GPU
-        with pytest.raises(ConfigurationError, match="exclusive"):
-            out_of_core_sat(matrix(64), band_rows=32, engine="wavefront",
-                            gpu_factory=GPU)
-
-
 class TestApps:
     def test_box_filter_engines_agree(self):
         img = matrix(64, seed=11)
@@ -140,6 +131,23 @@ class TestApps:
         from repro.gpusim import GPU
         with pytest.raises(ConfigurationError, match="exclusive"):
             box_filter(matrix(64), 2, engine="wavefront", gpu=GPU())
+
+    @pytest.mark.parametrize("app", [box_filter, local_moments])
+    def test_gpu_without_algorithm_runs_the_simulator(self, app):
+        """``gpu=`` alone runs gpusim's default algorithm on that GPU."""
+        from repro.gpusim import GPU
+
+        class CountingGPU(GPU):
+            allocs = 0
+
+            def alloc(self, *args, **kwargs):
+                self.allocs += 1
+                return super().alloc(*args, **kwargs)
+        img = matrix(64, seed=15)
+        gpu = CountingGPU()
+        got = np.asarray(app(img, 2, gpu=gpu))
+        assert gpu.allocs > 0
+        assert np.array_equal(got, np.asarray(app(img, 2)))
 
     def test_local_moments_engine(self):
         img = matrix(64, seed=12)

@@ -25,6 +25,11 @@ class TestBandBounds:
         with pytest.raises(ConfigurationError):
             band_bounds(8, 0)
 
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_band_rows_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ConfigurationError, match="band_rows"):
+            out_of_core_sat(np.ones((4, 4)), band_rows=bad)
+
 
 class TestOutOfCoreSat:
     def test_matches_reference(self, rng):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sat import sat_reference
-from repro.sat.parallel_host import ParallelSATEngine, parallel_sat
+from repro.sat.parallel_host import parallel_sat
 
 
 class TestParallelSat:
@@ -43,6 +43,11 @@ class TestParallelSat:
         with pytest.raises(ConfigurationError):
             parallel_sat(np.zeros((4, 4)), workers=0)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, "2"])
+    def test_workers_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ConfigurationError, match="workers"):
+            parallel_sat(np.zeros((4, 4)), workers=bad)
+
     @settings(deadline=None, max_examples=25)
     @given(rows=st.integers(1, 60), cols=st.integers(1, 60),
            workers=st.integers(1, 6), seed=st.integers(0, 10_000))
@@ -51,37 +56,3 @@ class TestParallelSat:
         a = rng.integers(-20, 20, size=(rows, cols)).astype(float)
         assert np.array_equal(parallel_sat(a, workers=workers),
                               sat_reference(a))
-
-
-class TestEngine:
-    def test_reusable(self, rng):
-        with ParallelSATEngine(workers=3) as engine:
-            for _ in range(3):
-                a = rng.integers(0, 9, size=(48, 32)).astype(float)
-                assert np.array_equal(engine.compute(a), sat_reference(a))
-
-    def test_shape_change_reallocates(self, rng):
-        # Integer-valued data: band-wise summation order must still be exact.
-        with ParallelSATEngine(workers=2) as engine:
-            a = rng.integers(-9, 9, size=(20, 30)).astype(float)
-            b = rng.integers(-9, 9, size=(30, 20)).astype(float)
-            assert np.array_equal(engine.compute(a), sat_reference(a))
-            assert np.array_equal(engine.compute(b), sat_reference(b))
-
-    def test_result_survives_next_compute(self, rng):
-        """Returned arrays must not alias the engine's scratch."""
-        with ParallelSATEngine(workers=2) as engine:
-            a = rng.integers(0, 9, size=(16, 16)).astype(float)
-            b = rng.integers(0, 9, size=(16, 16)).astype(float)
-            ra = engine.compute(a)
-            engine.compute(b)
-            assert np.array_equal(ra, sat_reference(a))
-
-    def test_invalid_workers(self):
-        with pytest.raises(ConfigurationError):
-            ParallelSATEngine(workers=0)
-
-    def test_close_idempotent(self):
-        engine = ParallelSATEngine(workers=1)
-        engine.close()
-        engine.close()

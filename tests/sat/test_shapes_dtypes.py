@@ -14,7 +14,7 @@ import pytest
 
 from repro.hostexec import WavefrontEngine
 from repro.sat import resolve_policy, sat_reference
-from repro.sat.registry import ALGORITHMS, get_algorithm
+from repro.sat.registry import ALGORITHMS, compute_sat, get_algorithm
 
 #: square / wide / tall / non-multiple-of-W (W = 32 throughout).
 SHAPES = [(64, 64), (32, 96), (96, 32), (70, 45)]
@@ -27,7 +27,7 @@ def run_host(name, a, engine):
     if engine == "wavefront" and not alg.tile_based:
         pytest.skip(f"{name} has no tile dataflow (wavefront engine is for "
                     "tile-based algorithms)")
-    return alg.run_host(a, engine=None if engine == "serial" else engine)
+    return compute_sat(a, algorithm=name, engine=engine).sat
 
 
 def make_input(shape, dtype, seed=0):
@@ -69,8 +69,8 @@ def test_wavefront_bit_identical_to_serial(shape, dtype):
     alg = get_algorithm("1R1W-SKSS-LB")
     serial = alg.run_host(a)
     with WavefrontEngine(workers=4) as eng:
-        wf1 = alg.run_host(a, engine=eng)
-        wf2 = alg.run_host(a, engine=eng)
+        wf1 = compute_sat(a, algorithm=alg.name, engine=eng).sat
+        wf2 = compute_sat(a, algorithm=alg.name, engine=eng).sat
     assert serial.dtype == wf1.dtype
     assert np.array_equal(serial, wf1)
     assert np.array_equal(wf1, wf2)
