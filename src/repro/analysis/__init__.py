@@ -22,10 +22,9 @@ from repro.analysis.modelcheck import (CheckResult, LaunchCheck, PoolCheck,
                                        VIOLATION_KINDS, Violation, check,
                                        check_algorithm, check_corpus,
                                        check_model)
-from repro.analysis.protomodel import (KernelProtocol, MODEL_ALGORITHMS,
-                                       ProtocolModel, build_corpus_model,
-                                       build_model, extract_kernel,
-                                       validate_hints)
+from repro.analysis.protomodel import (KernelProtocol, ProtocolModel,
+                                       build_corpus_model, build_model,
+                                       extract_kernel)
 from repro.analysis.sanitizer import (PROTOCOL_RULES, RACE_RULES, Finding,
                                       SanitizeReport, SanitizeRun, Sanitizer,
                                       sanitize_algorithm, sanitize_all)
@@ -50,8 +49,8 @@ __all__ = [
     "RACE_RULES", "PROTOCOL_RULES",
     "sanitize_algorithm", "sanitize_all",
     "LintFinding", "lint_source", "lint_file", "lint_paths", "default_targets",
-    "KernelProtocol", "MODEL_ALGORITHMS", "ProtocolModel", "build_model",
-    "build_corpus_model", "extract_kernel", "validate_hints",
+    "KernelProtocol", "ProtocolModel", "build_model", "build_corpus_model",
+    "extract_kernel",
     "CheckResult", "LaunchCheck", "PoolCheck", "Violation", "VIOLATION_KINDS",
     "check", "check_algorithm", "check_corpus", "check_model",
     "ParallelismProfile", "lookback_profile", "profile", "render_profile",

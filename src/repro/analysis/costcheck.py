@@ -2,16 +2,17 @@
 
 The dynamic counters (:mod:`repro.gpusim.counters`) *measure* each
 algorithm's global-memory traffic; this module *derives* it, symbolically,
-from the same kernel ASTs that :mod:`repro.analysis.protomodel` extracts, and
-proves three things about the code we actually execute:
+from the kernel sites :mod:`repro.analysis.kernelir` parses, and proves three
+things about the code we actually execute:
 
 1. **Table I optimality** — every counted global access site in the 13
-   kernels carries a ``COST_HINTS`` annotation in its module (execution
-   count, access width, coalescing pattern, as functions of the geometry).
-   Interpreting the sites over *symbolic* geometry (``t = n/W`` tiles per
-   side, ``W`` the tile width) yields each algorithm's read/write request
-   counts as bivariate polynomials in ``(t, W)``; the leading ``n²``
-   coefficient and the remainder class must equal the row declared in
+   kernels carries its cost fields in its module's ``KERNEL_HINTS`` table
+   (execution count, access width, coalescing pattern, as functions of the
+   geometry), read through kernelir's drift gate.  Interpreting the sites
+   over *symbolic* geometry (``t = n/W`` tiles per side, ``W`` the tile
+   width) yields each algorithm's read/write request counts as bivariate
+   polynomials in ``(t, W)``; the leading ``n²`` coefficient and the
+   remainder class must equal the row declared in
    :mod:`repro.analysis.table1` (2 reads/2 writes for 2R2W, ``1+r`` reads for
    the hybrid, 1R1W for SKSS, ...).  A kernel edit that adds traffic — or a
    hint that no longer matches the source — fails here, statically, before
@@ -50,22 +51,22 @@ from __future__ import annotations
 import ast
 import importlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.analysis.protomodel import (_calls_postorder, _expr_name,
-                                       _function_ast, _method_name)
+from repro.analysis.kernelir import (Site, function_ast, kernel_sites,
+                                     parse_sites)
+from repro.analysis.kernellint import redundant_fence_calls, spin_store_calls
 from repro.analysis.table1 import TABLE1_ORDER, table1_sym
-from repro.errors import ConfigurationError, CostModelError
+from repro.errors import ConfigurationError, CostModelError, ExtractionError
 
-__all__ = ["Poly", "AccessSite", "extract_sites", "dump_hint_keys",
-           "kernel_totals", "algorithm_totals", "prove_table1",
+__all__ = ["Poly", "kernel_totals", "algorithm_totals", "prove_table1",
            "crossval_algorithm", "check_overflow", "find_cost_bugs",
-           "spin_store_calls", "redundant_fence_calls",
-           "run_costcheck", "render_report", "KERNELS"]
+           "corpus_verdicts", "check_corpus", "run_costcheck",
+           "render_report", "KERNELS"]
 
 
 # ---------------------------------------------------------------------------
@@ -190,134 +191,13 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# Access-site extraction from kernel ASTs
-# ---------------------------------------------------------------------------
-
-#: Counted global-memory methods, by role.
-_LOADS = ("gload",)
-_SCALAR_LOADS = ("gload_scalar",)
-_TILE_LOADS = ("load_tile", "load_tile_with_col_sums")
-_STORES = ("gstore",)
-_SCALAR_STORES = ("gstore_scalar",)
-_TILE_STORES = ("store_tile",)
-_PUBLISHES = ("publish", "publish_vector", "publish_scalar")
-_WAITS = ("wait_until",)
-_WALKS = ("lookback_walk", "row_lookback", "col_lookback", "diag_lookback")
-_ATOMICS = ("atomic_add",)
-_FENCES = ("threadfence",)
-
-_ROLE_OF = {}
-for _names, _role in ((_LOADS, "load"), (_SCALAR_LOADS, "scalar_load"),
-                      (_TILE_LOADS, "tile_load"), (_STORES, "store"),
-                      (_SCALAR_STORES, "scalar_store"),
-                      (_TILE_STORES, "tile_store"),
-                      (_PUBLISHES, "publish"), (_WAITS, "wait"),
-                      (_WALKS, "walk"), (_ATOMICS, "atomic"),
-                      (_FENCES, "fence")):
-    for _name in _names:
-        _ROLE_OF[_name] = _role
-
-#: Hint fields each role accepts (``count`` defaults to 1 where optional).
-_ROLE_FIELDS = {
-    "load": {"count", "width", "pattern"},
-    "scalar_load": {"count"},
-    "tile_load": {"count", "width", "pattern"},
-    "store": {"count", "width", "pattern"},
-    "scalar_store": {"count"},
-    "tile_store": {"count", "width", "pattern"},
-    "publish": {"count", "width", "pattern"},
-    "wait": {"count"},
-    "walk": {"steps_lo", "steps_hi", "width", "pattern"},
-    "atomic": {"count"},
-    "fence": {"count"},
-}
-
-_PATTERNS = ("coalesced", "strided", "scalar")
-
-
-@dataclass(frozen=True)
-class AccessSite:
-    """One counted global-memory access site in a kernel's source."""
-
-    kernel: str
-    method: str
-    role: str
-    key: str   # ast.unparse of the full call — the COST_HINTS key
-    file: str
-    line: int  # 1-based line in the source file
-    buffer: str  # AST name of the stored/loaded buffer ("" when unknown)
-
-    @property
-    def where(self) -> str:
-        return f"{self.file}:{self.line}"
-
-
-def _site_buffer(call: ast.Call, method: str) -> str:
-    """The AST-level name of the buffer a counted call touches."""
-    role = _ROLE_OF[method]
-    if role in ("load", "scalar_load", "store", "scalar_store", "wait"):
-        return _expr_name(call.args[0]) if call.args else ""
-    if role in ("tile_load", "tile_store"):
-        return _expr_name(call.args[1]) if len(call.args) > 1 else ""
-    if method == "publish" and len(call.args) > 1:
-        entries = call.args[1]
-        if isinstance(entries, (ast.List, ast.Tuple)) and entries.elts:
-            first = entries.elts[0]
-            if isinstance(first, ast.Tuple) and first.elts:
-                return _expr_name(first.elts[0])
-    if method in ("publish_vector", "publish_scalar") and len(call.args) > 1:
-        return _expr_name(call.args[1])
-    return ""
-
-
-def extract_sites(fn: Callable) -> list[AccessSite]:
-    """All counted global-access sites of ``fn``, in source order.
-
-    A *duplicate* site (two lexically identical counted calls in one kernel)
-    raises :class:`~repro.errors.CostModelError`: identical global accesses
-    are redundant traffic by construction — this is the static excess-read
-    detector the planted-bug corpus exercises.
-    """
-    func = _function_ast(fn)
-    filename = fn.__code__.co_filename.rsplit("/", 1)[-1]
-    base = fn.__code__.co_firstlineno
-    sites: list[AccessSite] = []
-    seen: dict[str, AccessSite] = {}
-    for call in _calls_postorder(func):
-        method = _method_name(call)
-        if method not in _ROLE_OF:
-            continue
-        site = AccessSite(kernel=fn.__name__, method=method,
-                          role=_ROLE_OF[method], key=ast.unparse(call),
-                          file=filename, line=base + call.lineno - 1,
-                          buffer=_site_buffer(call, method))
-        if site.key in seen:
-            if site.role == "fence":
-                # Repeated bare fences are legitimate (and separately judged
-                # by the redundant-fence detector); one hint covers them all.
-                continue
-            first = seen[site.key]
-            raise CostModelError(
-                f"{site.where}: kernel {fn.__name__} repeats the global "
-                f"access `{site.key}` (first at {first.where}) — identical "
-                f"accesses are redundant traffic (excess-read)")
-        seen[site.key] = site
-        sites.append(site)
-    sites.sort(key=lambda s: s.line)
-    return sites
-
-
-def dump_hint_keys(fn: Callable) -> list[str]:
-    """The COST_HINTS keys ``fn`` requires (for authoring annotations)."""
-    return [s.key for s in extract_sites(fn)]
-
-
-# ---------------------------------------------------------------------------
 # Hint interpretation: sites x geometry -> traffic totals
 # ---------------------------------------------------------------------------
 
 #: float64 elements per 32-byte DRAM segment.
 _ELEMS_PER_SEGMENT = 4
+
+_PATTERNS = ("coalesced", "strided", "scalar")
 
 
 def _tx_exec(width: int, pattern: str, where: str) -> int:
@@ -363,46 +243,25 @@ def _merge_totals(into: dict[str, Any], other: Mapping[str, Any]) -> None:
         into[k] = into.get(k, 0) + v
 
 
-def kernel_totals(fn: Callable, hints: Mapping[str, Mapping[str, Any]],
-                  g: Geometry, *, concrete: bool) -> dict[str, Any]:
-    """Interpret ``fn``'s access sites under ``hints`` over geometry ``g``.
+def kernel_totals(fn: Callable, g: Geometry, *,
+                  concrete: bool) -> dict[str, Any]:
+    """Interpret ``fn``'s access sites under their ``KERNEL_HINTS`` entries
+    over geometry ``g``.
 
     Returns request totals (``reads_lo``/``reads_hi``/``writes``/``atomics``/
-    ``fences``; plus ``*_tx`` transaction totals in concrete mode).  Raises
-    :class:`~repro.errors.CostModelError` with the offending source location
-    when the hints are missing, stale, or malformed — the drift gate.
+    ``fences``; plus ``*_tx`` transaction totals in concrete mode).  The
+    sites come through the :mod:`~repro.analysis.kernelir` drift gate, which
+    raises :class:`~repro.errors.ExtractionError` at the offending source
+    location when an entry is missing, stale or malformed.
     """
-    sites = extract_sites(fn)
-    keys = {s.key for s in sites}
-    for key in hints:
-        if key not in keys:
-            raise CostModelError(
-                f"{fn.__name__}: COST_HINTS entry `{key}` matches no access "
-                f"site in the kernel source — stale annotation")
     totals = _zero_totals(concrete)
-    for site in sites:
-        hint = hints.get(site.key)
-        if hint is None:
-            raise CostModelError(
-                f"{site.where}: access site `{site.key}` has no COST_HINTS "
-                f"entry in {fn.__module__}")
-        allowed = _ROLE_FIELDS[site.role]
-        extra = set(hint) - allowed
-        if extra:
-            raise CostModelError(
-                f"{site.where}: COST_HINTS for `{site.key}` has unknown "
-                f"field(s) {sorted(extra)}; a {site.role} site takes "
-                f"{sorted(allowed)}")
-        if site.role == "walk" and ("steps_lo" not in hint
-                                    or "steps_hi" not in hint):
-            raise CostModelError(
-                f"{site.where}: walk site `{site.key}` needs steps_lo= and "
-                f"steps_hi= bounds")
-        _merge_totals(totals, _site_cost(site, hint, g, concrete))
+    for site, hint in kernel_sites(fn):
+        if site.cost:
+            _merge_totals(totals, _site_cost(site, hint, g, concrete))
     return totals
 
 
-def _site_cost(site: AccessSite, hint: Mapping[str, Any], g: Geometry,
+def _site_cost(site: Site, hint: Mapping[str, Any], g: Geometry,
                concrete: bool) -> dict[str, Any]:
     count = _ev(hint.get("count", 1), g)
     width = _ev(hint.get("width", 1), g)
@@ -412,7 +271,7 @@ def _site_cost(site: AccessSite, hint: Mapping[str, Any], g: Geometry,
             f"{site.where}: unknown pattern {pattern!r} (expected one of "
             f"{_PATTERNS})")
     out: dict[str, Any] = {}
-    role = site.role
+    role = site.cost
     if role in ("scalar_load", "scalar_store", "wait"):
         width, pattern = 1, "scalar"
     tx = (_tx_exec(width, pattern, site.where) if concrete
@@ -469,6 +328,11 @@ class KernelSpec:
     #: Concrete-mode predicted total grid blocks over those launches.
     blocks: Callable[[Geometry], int]
 
+    @property
+    def fn(self) -> Callable:
+        """The kernel function itself."""
+        return getattr(importlib.import_module(self.module), self.kernel)
+
 
 #: Table I algorithms -> the kernels that implement them.  The hybrid band
 #: kernels run once per band (A and C); the wavefront kernel is shared
@@ -520,16 +384,6 @@ KERNELS: dict[str, tuple[KernelSpec, ...]] = {
                    ("skss_lb",), lambda g: g.tiles),
     ),
 }
-
-
-def _load_kernel(spec: KernelSpec) -> tuple[Callable, Mapping]:
-    module = importlib.import_module(spec.module)
-    fn = getattr(module, spec.kernel)
-    all_hints = getattr(module, "COST_HINTS", None)
-    if all_hints is None or spec.kernel not in all_hints:
-        raise CostModelError(
-            f"{spec.module} declares no COST_HINTS for {spec.kernel}")
-    return fn, all_hints[spec.kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +567,7 @@ def algorithm_totals(algorithm: str, *, sym: bool, n: int = 128,
     g = build_geometry(algorithm, sym=sym, n=n, W=W)
     totals = _zero_totals(concrete=not sym)
     for spec in KERNELS[algorithm]:
-        fn, hints = _load_kernel(spec)
-        _merge_totals(totals, kernel_totals(fn, hints, g, concrete=not sym))
+        _merge_totals(totals, kernel_totals(spec.fn, g, concrete=not sym))
     return totals
 
 
@@ -812,8 +665,7 @@ def crossval_algorithm(algorithm: str, *, n: int = 128, W: int = 32,
     measured = result.report.per_kernel()
     checks = []
     for spec in KERNELS[algorithm]:
-        fn, hints = _load_kernel(spec)
-        pred = kernel_totals(fn, hints, g, concrete=True)
+        pred = kernel_totals(spec.fn, g, concrete=True)
         pred["blocks"] = spec.blocks(g)
         present = [name for name in spec.launches if name in measured]
         if not present:
@@ -907,7 +759,7 @@ def device_max_n(*, dtype_bytes: int = 8) -> int:
     return math.isqrt(TITAN_V.global_mem_bytes // (2 * dtype_bytes))
 
 
-def _store_sites() -> list[AccessSite]:
+def _store_sites() -> list[Site]:
     """Every accumulator store site across the 13 kernels, in Table I and
     program order (the pinpointing order for overflow verdicts)."""
     sites = []
@@ -917,13 +769,10 @@ def _store_sites() -> list[AccessSite]:
             if (spec.module, spec.kernel) in seen:
                 continue
             seen.add((spec.module, spec.kernel))
-            module = importlib.import_module(spec.module)
-            for site in extract_sites(getattr(module, spec.kernel)):
-                if site.role in ("store", "scalar_store", "tile_store",
-                                 "publish"):
-                    if site.buffer in _CONTROL_BUFFERS:
-                        continue
-                    sites.append(site)
+            sites += [site for site in parse_sites(spec.fn)
+                      if site.cost in ("store", "scalar_store", "tile_store",
+                                       "publish")
+                      and site.buffer not in _CONTROL_BUFFERS]
     return sites
 
 
@@ -1001,59 +850,12 @@ def check_overflow(*, n: int | None = None, W: int = 32,
 # Structural cost-bug detectors (shared with lint rule KL006)
 # ---------------------------------------------------------------------------
 
-def spin_store_calls(func: ast.FunctionDef) -> list[ast.Call]:
-    """Global stores issued inside hand-rolled spin loops.
-
-    A spin loop is a ``while`` that polls global memory (``gload``/
-    ``gload_scalar``) without the sanctioned primitives (``wait_until``,
-    ticket ``atomic_add``).  A store inside one is re-issued every
-    iteration: unbounded redundant write traffic.
-    """
-    findings = []
-    for node in ast.walk(func):
-        if not isinstance(node, ast.While):
-            continue
-        calls = _calls_postorder(node)
-        names = {_method_name(c) for c in calls}
-        if not names & {"gload", "gload_scalar"}:
-            continue
-        if names & {"wait_until", "atomic_add"}:
-            continue
-        findings += [c for c in calls
-                     if _method_name(c) in ("gstore", "gstore_scalar")]
-    return findings
-
-
-_FENCE_BREAKERS = (_STORES + _SCALAR_STORES + _TILE_STORES + _PUBLISHES
-                   + _ATOMICS)
-
-
-def redundant_fence_calls(func: ast.FunctionDef) -> list[ast.Call]:
-    """``threadfence`` calls with no global store since the previous fence.
-
-    Back-to-back fences commit nothing new — pure latency.  ``publish``
-    counts as a store (its flag store follows its internal fence), so a
-    fence after a publish is *not* flagged.
-    """
-    findings = []
-    stores_since_fence: int | None = None
-    for call in _calls_postorder(func):
-        name = _method_name(call)
-        if name == "threadfence":
-            if stores_since_fence == 0:
-                findings.append(call)
-            stores_since_fence = 0
-        elif name in _FENCE_BREAKERS:
-            if stores_since_fence is not None:
-                stores_since_fence += 1
-    return findings
-
-
 def find_cost_bugs(fn: Callable) -> list[dict[str, Any]]:
-    """All static cost findings for one kernel: stores-in-spin-loops,
-    redundant fences, and duplicated (excess) global accesses — each with
-    its source location."""
-    func = _function_ast(fn)
+    """All static cost findings for one kernel: stores-in-spin-loops and
+    redundant fences (the AST predicates lint rule KL006 uses, see
+    :func:`repro.analysis.kernellint.spin_store_calls`), and duplicated
+    (excess) global accesses — each with its source location."""
+    func = function_ast(fn)
     filename = fn.__code__.co_filename.rsplit("/", 1)[-1]
     base = fn.__code__.co_firstlineno
     findings = []
@@ -1071,9 +873,9 @@ def find_cost_bugs(fn: Callable) -> list[dict[str, Any]]:
         add("redundant-fence", call,
             "threadfence with no global store since the previous fence")
     try:
-        extract_sites(fn)
-    except CostModelError as exc:
-        # extract_sites pinpoints the duplicate in its message.
+        parse_sites(fn)
+    except ExtractionError as exc:
+        # parse_sites pinpoints the repeated access in its message.
         msg = str(exc)
         line = int(msg.split(":", 2)[1]) if msg.split(":", 2)[1].isdigit() \
             else base
@@ -1082,29 +884,25 @@ def find_cost_bugs(fn: Callable) -> list[dict[str, Any]]:
     return findings
 
 
-def check_corpus() -> list[dict[str, Any]]:
-    """Run the cost detectors over the planted-bug corpus.
-
-    Every :data:`~repro.analysis.bugcorpus.COST_CORPUS` entry must be
-    rejected with its declared finding kind (and a source location); the
-    clean control kernels must produce no findings.
-    """
-    from repro.analysis import bugcorpus
+def corpus_verdicts(specs: Iterable[Any], expected: str,
+                    find: Callable[[Callable], list]) -> list[dict[str, Any]]:
+    """One planted-bug corpus verdict: each spec's kernel must yield the
+    finding kind named by its ``expected`` attribute (a clean spec, none),
+    and the 13 real kernels must yield no finding at all."""
     results = []
-    for spec in bugcorpus.COST_CORPUS:
-        findings = find_cost_bugs(spec.kernel)
+    for spec in specs:
+        findings = find(spec.kernel)
         kinds = {f["kind"] for f in findings}
-        ok = spec.expected_cost in kinds if spec.expected_cost else \
-            not findings
+        want = getattr(spec, expected)
         results.append({
-            "bug": spec.name, "expected": spec.expected_cost,
-            "found": sorted(kinds), "findings": findings, "ok": ok,
+            "bug": spec.name, "expected": want, "found": sorted(kinds),
+            "findings": findings,
+            "ok": want in kinds if want else not findings,
         })
     # Control: the real kernels must stay clean.
     for algorithm in TABLE1_ORDER:
         for spec in KERNELS[algorithm]:
-            module = importlib.import_module(spec.module)
-            findings = find_cost_bugs(getattr(module, spec.kernel))
+            findings = find(spec.fn)
             if findings:
                 results.append({
                     "bug": f"control:{spec.kernel}", "expected": "",
@@ -1112,6 +910,16 @@ def check_corpus() -> list[dict[str, Any]]:
                     "findings": findings, "ok": False,
                 })
     return results
+
+
+def check_corpus() -> list[dict[str, Any]]:
+    """Run the cost detectors over the planted-bug corpus: every
+    :data:`~repro.analysis.bugcorpus.COST_CORPUS` entry must be rejected
+    with its declared finding kind (and a source location); the clean
+    control kernels must produce no findings."""
+    from repro.analysis import bugcorpus
+    return corpus_verdicts(bugcorpus.COST_CORPUS, "expected_cost",
+                           find_cost_bugs)
 
 
 # ---------------------------------------------------------------------------
@@ -1122,9 +930,14 @@ def run_costcheck(algorithms: Iterable[str] | None = None, *,
                   crossval: bool = True, corpus: bool = True,
                   overflow: bool = True, n: int = 128, W: int = 32,
                   seed: int = 0) -> dict[str, Any]:
-    """The full static cost verification; the ``repro costcheck`` payload."""
-    names = list(algorithms) if algorithms is not None else \
-        list(TABLE1_ORDER)
+    """The full static cost verification; the ``repro costcheck`` payload.
+
+    ``algorithms`` takes paper names or their aliases (``"skss-lb"``); the
+    report carries the canonical names.
+    """
+    from repro.sat.registry import get_algorithm
+    names = [get_algorithm(name, tile_width=W).name for name in algorithms] \
+        if algorithms is not None else list(TABLE1_ORDER)
     out: dict[str, Any] = {"n": n, "W": W, "algorithms": [], "ok": True}
     for name in names:
         entry: dict[str, Any] = {"algorithm": name,

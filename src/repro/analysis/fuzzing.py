@@ -85,7 +85,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -671,6 +671,34 @@ def _sample_sanitize_config(rng: np.random.Generator) -> FuzzConfig:
     return replace(sample_config(rng), mode="sanitize", spin_bound=200_000)
 
 
+def _replay_corpus(spec: Any, layer: str, expected: str,
+                   findings: list[dict]) -> str | None:
+    """One planted-bug replay through a static layer: the kernel must yield
+    the ``expected`` finding kind with a source line on every finding (a
+    clean spec, no finding), and the lint must produce the spec's
+    ``expected_lint`` rules."""
+    import repro.analysis.bugcorpus as bugcorpus
+    from repro.analysis.kernellint import lint_file
+
+    kinds = sorted({f["kind"] for f in findings})
+    if expected:
+        if expected not in kinds:
+            return (f"corpus '{spec.name}': {layer} expected '{expected}', "
+                    f"found {kinds or 'nothing'}")
+        if any(not f.get("line") for f in findings):
+            return f"corpus '{spec.name}': finding without a source line"
+    elif findings:
+        return (f"corpus '{spec.name}': {layer} flagged a clean kernel: "
+                f"{kinds}")
+    lint_rules = {f.rule for f in lint_file(bugcorpus.__file__)
+                  if f.function == spec.kernel.__name__}
+    missing = set(spec.expected_lint) - lint_rules
+    if missing:
+        return (f"corpus '{spec.name}': lint missed expected rule(s) "
+                f"{sorted(missing)} (got {sorted(lint_rules) or 'none'})")
+    return None
+
+
 def _run_cost(config: FuzzConfig) -> str | None:
     """Replay one planted traffic regression through the static cost layer.
 
@@ -681,29 +709,12 @@ def _run_cost(config: FuzzConfig) -> str | None:
     lint must produce exactly the spec's ``expected_lint`` rules; the
     control must survive both untouched.
     """
-    import repro.analysis.bugcorpus as bugcorpus
+    from repro.analysis.bugcorpus import get_spec
     from repro.analysis.costcheck import find_cost_bugs
-    from repro.analysis.kernellint import lint_file
 
-    spec = bugcorpus.get_spec(config.kernel or "store-in-spin")
-    findings = find_cost_bugs(spec.kernel)
-    kinds = sorted({f["kind"] for f in findings})
-    if spec.expected_cost:
-        if spec.expected_cost not in kinds:
-            return (f"corpus '{spec.name}': costcheck expected "
-                    f"'{spec.expected_cost}', found {kinds or 'nothing'}")
-        if any(not f.get("line") for f in findings):
-            return f"corpus '{spec.name}': finding without a source line"
-    elif findings:
-        return (f"corpus '{spec.name}': costcheck flagged a clean kernel: "
-                f"{kinds}")
-    lint_rules = {f.rule for f in lint_file(bugcorpus.__file__)
-                  if f.function == spec.kernel.__name__}
-    missing = set(spec.expected_lint) - lint_rules
-    if missing:
-        return (f"corpus '{spec.name}': lint missed expected rule(s) "
-                f"{sorted(missing)} (got {sorted(lint_rules) or 'none'})")
-    return None
+    spec = get_spec(config.kernel or "store-in-spin")
+    return _replay_corpus(spec, "costcheck", spec.expected_cost,
+                          find_cost_bugs(spec.kernel))
 
 
 def _run_numeric(config: FuzzConfig) -> str | None:
@@ -718,31 +729,13 @@ def _run_numeric(config: FuzzConfig) -> str | None:
     point's measured worst-case error on adversarial inputs must sit under
     the statically proven bound.
     """
-    import repro.analysis.bugcorpus as bugcorpus
-    from repro.analysis.kernellint import lint_file
     from repro.analysis.numcheck import find_numeric_bugs, validate_bounds
 
     if config.kernel is not None:
-        spec = bugcorpus.get_spec(config.kernel)
-        findings = find_numeric_bugs(spec.kernel)
-        kinds = sorted({f["kind"] for f in findings})
-        if spec.expected_numeric:
-            if spec.expected_numeric not in kinds:
-                return (f"corpus '{spec.name}': numcheck expected "
-                        f"'{spec.expected_numeric}', found "
-                        f"{kinds or 'nothing'}")
-            if any(not f.get("line") for f in findings):
-                return f"corpus '{spec.name}': finding without a source line"
-        elif findings:
-            return (f"corpus '{spec.name}': numcheck flagged a clean "
-                    f"kernel: {kinds}")
-        lint_rules = {f.rule for f in lint_file(bugcorpus.__file__)
-                      if f.function == spec.kernel.__name__}
-        missing = set(spec.expected_lint) - lint_rules
-        if missing:
-            return (f"corpus '{spec.name}': lint missed expected rule(s) "
-                    f"{sorted(missing)} (got {sorted(lint_rules) or 'none'})")
-        return None
+        from repro.analysis.bugcorpus import get_spec
+        spec = get_spec(config.kernel)
+        return _replay_corpus(spec, "numcheck", spec.expected_numeric,
+                              find_numeric_bugs(spec.kernel))
     rows = validate_bounds([config.algorithm], sizes=(config.n,),
                            dtypes=(config.dtype,), device=False,
                            seed=config.data_seed)

@@ -28,16 +28,23 @@ checks, per function and in source order:
     loudly.  Ticket-acquisition loops (``while True`` around ``atomic_add``)
     are not spins and are exempt.
 
-Buffer roles are inferred from names, matching the repo's conventions: an
-identifier (or attribute) containing ``status`` — or the scratch attributes
-``.R``/``.C`` — is a status buffer; one containing ``counter`` is a ticket
-counter.  A call to ``publish``/``publish_vector``/``publish_scalar`` resets
-the unfenced-store count (the helper fences internally).
+Buffer and call roles come from :mod:`repro.analysis.kernelir`, the AST
+helpers every static checker shares: an identifier (or attribute)
+containing ``status`` — or the scratch attributes ``.R``/``.C`` — is a
+status buffer; one containing ``counter`` is a ticket counter; a method's
+role (load, store, publish, wait, ...) is its kernelir cost role.  A call
+to ``publish``/``publish_vector``/``publish_scalar`` resets the
+unfenced-store count (the helper fences internally).  The AST predicates
+of KL006 (:func:`spin_store_calls`, :func:`redundant_fence_calls`) and
+KL007 (:func:`roundtrip_update_stmts`) live here and are the ones
+:mod:`repro.analysis.costcheck` and :mod:`repro.analysis.numcheck` run, so
+the lint and the verifiers can never disagree on a shape.
 
 The checks are heuristic in the way all lints are: they approximate program
-order by source order within one function.  They are tuned to be exactly
-clean on this repository's kernels and to catch each seeded bug in the
-corpus at :mod:`repro.analysis.bugcorpus`.
+order by evaluation order (a call's arguments before the call) within one
+function.  They are tuned to be exactly clean on this repository's kernels
+and to catch each seeded bug in the corpus at
+:mod:`repro.analysis.bugcorpus`.
 """
 
 from __future__ import annotations
@@ -46,6 +53,10 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from repro.analysis.kernelir import (COST_ROLES, calls_postorder, expr_name,
+                                     is_counter_name, is_status_name,
+                                     method_name)
 
 #: Rule identifiers and their one-line descriptions.
 RULES = {
@@ -73,9 +84,8 @@ RULES = {
 #: helper itself lives here and owns the fence).
 _PUBLISH_MODULES = ("lookback.py",)
 
-_STORE_METHODS = ("gstore", "gstore_scalar")
-_LOAD_METHODS = ("gload", "gload_scalar")
-_PUBLISH_HELPERS = ("publish", "publish_vector", "publish_scalar")
+_STORES = ("store", "scalar_store")
+_LOADS = ("load", "scalar_load")
 
 
 @dataclass(frozen=True)
@@ -93,56 +103,16 @@ class LintFinding:
                f"{self.message}"
 
 
-def _expr_name(node: ast.AST) -> str:
-    """Best-effort identifier for a buffer expression (name or attribute)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Call):
-        return _expr_name(node.func)
-    if isinstance(node, ast.Subscript):
-        return _expr_name(node.value)
-    return ""
+def _role(call: ast.Call) -> str:
+    return COST_ROLES.get(method_name(call), "")
 
 
 def _is_status_buffer(node: ast.AST) -> bool:
-    name = _expr_name(node)
-    if name in ("R", "C"):  # TileScratch status bytes
-        return True
-    return "status" in name.lower()
+    return is_status_name(expr_name(node))
 
 
 def _is_counter_buffer(node: ast.AST) -> bool:
-    return "counter" in _expr_name(node).lower()
-
-
-def _method_name(call: ast.Call) -> str:
-    """``ctx.gstore(...)`` -> ``gstore``; plain ``publish(...)`` -> ``publish``."""
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return ""
-
-
-def _function_calls(func: ast.AST) -> list[ast.Call]:
-    """All calls lexically inside ``func`` but not inside a nested function,
-    in source order (the lint's approximation of program order)."""
-    calls: list[ast.Call] = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                continue
-            if isinstance(child, ast.Call):
-                calls.append(child)
-            visit(child)
-
-    visit(func)
-    calls.sort(key=lambda c: (c.lineno, c.col_offset))
-    return calls
+    return is_counter_name(expr_name(node))
 
 
 def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
@@ -159,27 +129,25 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
     funcs = [n for n in ast.walk(tree)
              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     for func in funcs:
-        unfenced = 0  # data stores since the last fence, in source order
-        for call in _function_calls(func):
-            method = _method_name(call)
+        unfenced = 0  # data stores since the last fence, in program order
+        for call in calls_postorder(func):
+            role = _role(call)
             args = call.args
-            if method == "threadfence":
-                unfenced = 0
-            elif method in _PUBLISH_HELPERS:
-                unfenced = 0  # the helper fences before raising the flag
-            elif method in _STORE_METHODS and args:
+            if role in ("fence", "publish"):
+                unfenced = 0  # publish fences before raising the flag
+            elif role in _STORES and args:
                 buf = args[0]
                 if _is_counter_buffer(buf):
                     findings.append(LintFinding(
                         "KL002", path, call.lineno, func.name,
                         f"plain store to counter "
-                        f"'{_expr_name(buf)}' — {RULES['KL002']}"))
+                        f"'{expr_name(buf)}' — {RULES['KL002']}"))
                 elif _is_status_buffer(buf):
                     if not may_store_status:
                         findings.append(LintFinding(
                             "KL003", path, call.lineno, func.name,
                             f"direct store to status buffer "
-                            f"'{_expr_name(buf)}' — {RULES['KL003']}"))
+                            f"'{expr_name(buf)}' — {RULES['KL003']}"))
                     if unfenced:
                         findings.append(LintFinding(
                             "KL001", path, call.lineno, func.name,
@@ -187,13 +155,12 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
                             f"status flag is raised — {RULES['KL001']}"))
                 else:
                     unfenced += 1
-            elif method in _LOAD_METHODS and args \
-                    and _is_counter_buffer(args[0]):
+            elif role in _LOADS and args and _is_counter_buffer(args[0]):
                 findings.append(LintFinding(
                     "KL002", path, call.lineno, func.name,
-                    f"plain load of counter '{_expr_name(args[0])}' — "
+                    f"plain load of counter '{expr_name(args[0])}' — "
                     f"{RULES['KL002']}"))
-            elif method == "wait_until":
+            elif role == "wait":
                 if not isinstance(parents.get(call), ast.YieldFrom):
                     findings.append(LintFinding(
                         "KL004", path, call.lineno, func.name,
@@ -205,32 +172,62 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
     return findings
 
 
-def _check_spin_loops(func: ast.AST, path: str) -> list[LintFinding]:
-    """KL005: ``while`` loops that poll a status buffer without wait_until.
+def _unbounded_loops(func: ast.AST):
+    """``while`` loops that neither drive ``wait_until`` (the bounded
+    primitive) nor acquire tickets via ``atomic_add`` (a dispatch loop, not
+    a spin), each with its calls."""
+    for loop in ast.walk(func):
+        if isinstance(loop, ast.While):
+            calls = calls_postorder(loop)
+            if not {_role(c) for c in calls} & {"wait", "atomic"}:
+                yield loop, calls
 
-    A loop is a hand-rolled spin when its test or body loads a status buffer
-    but neither drives ``wait_until`` (the bounded primitive) nor acquires
-    tickets via ``atomic_add`` (a dispatch loop, not a spin).
+
+def _check_spin_loops(func: ast.AST, path: str) -> list[LintFinding]:
+    """KL005: unbounded ``while`` loops that poll a status buffer."""
+    return [LintFinding("KL005", path, loop.lineno, func.name,
+                        RULES["KL005"])
+            for loop, calls in _unbounded_loops(func)
+            if any(_role(c) in _LOADS and c.args
+                   and _is_status_buffer(c.args[0]) for c in calls)]
+
+
+def spin_store_calls(func: ast.AST) -> list[ast.Call]:
+    """Global stores issued inside hand-rolled spin loops.
+
+    A spin loop is a ``while`` that polls global memory (``gload``/
+    ``gload_scalar``) without the sanctioned primitives (``wait_until``,
+    ticket ``atomic_add``).  A store inside one is re-issued every
+    iteration: unbounded redundant write traffic.  Shared with
+    :func:`repro.analysis.costcheck.find_cost_bugs` so lint rule KL006 and
+    the cost verifier can never disagree on the shape.
+    """
+    stores = []
+    for _, calls in _unbounded_loops(func):
+        if any(_role(c) in _LOADS for c in calls):
+            stores += [c for c in calls if _role(c) in _STORES]
+    return stores
+
+
+def redundant_fence_calls(func: ast.AST) -> list[ast.Call]:
+    """``threadfence`` calls with no global store since the previous fence.
+
+    Back-to-back fences commit nothing new — pure latency.  ``publish``
+    counts as a store (its flag store follows its internal fence), so a
+    fence after a publish is *not* flagged.  Shared with
+    :func:`repro.analysis.costcheck.find_cost_bugs`.
     """
     findings = []
-    for loop in ast.walk(func):
-        if not isinstance(loop, ast.While):
-            continue
-        polls_status = False
-        bounded = False
-        for call in ast.walk(loop):
-            if not isinstance(call, ast.Call):
-                continue
-            method = _method_name(call)
-            if method in ("wait_until", "atomic_add"):
-                bounded = True
-            elif method in _LOAD_METHODS and call.args \
-                    and _is_status_buffer(call.args[0]):
-                polls_status = True
-        if polls_status and not bounded:
-            findings.append(LintFinding(
-                "KL005", path, loop.lineno, func.name,
-                RULES["KL005"]))
+    stores_since_fence: int | None = None
+    for call in calls_postorder(func):
+        role = _role(call)
+        if role == "fence":
+            if stores_since_fence == 0:
+                findings.append(call)
+            stores_since_fence = 0
+        elif role in _STORES + ("tile_store", "publish", "atomic"):
+            if stores_since_fence is not None:
+                stores_since_fence += 1
     return findings
 
 
@@ -238,49 +235,21 @@ def _check_redundant_traffic(func: ast.AST, path: str) -> list[LintFinding]:
     """KL006: traffic a correct kernel never needs to issue.
 
     Two shapes, both also caught quantitatively by
-    :mod:`repro.analysis.costcheck`:
-
-    * a global store inside a hand-rolled spin loop (one that polls global
-      memory without ``wait_until``/``atomic_add``) — re-issued on *every*
-      poll iteration, so its traffic is schedule-unbounded;
-    * a ``threadfence`` with no global store since the previous fence —
-      back-to-back fences commit nothing new (``publish`` counts as a store:
-      its flag store follows its internal fence).
+    :mod:`repro.analysis.costcheck`: a global store inside a hand-rolled
+    spin loop (:func:`spin_store_calls`) — re-issued on *every* poll
+    iteration, so its traffic is schedule-unbounded — and a ``threadfence``
+    with no global store since the previous fence
+    (:func:`redundant_fence_calls`).
     """
-    findings = []
     name = getattr(func, "name", "<lambda>")
-    for loop in ast.walk(func):
-        if not isinstance(loop, ast.While):
-            continue
-        methods = {_method_name(c) for c in ast.walk(loop)
-                   if isinstance(c, ast.Call)}
-        if not methods & set(_LOAD_METHODS):
-            continue
-        if methods & {"wait_until", "atomic_add"}:
-            continue
-        for call in ast.walk(loop):
-            if isinstance(call, ast.Call) \
-                    and _method_name(call) in _STORE_METHODS:
-                findings.append(LintFinding(
-                    "KL006", path, call.lineno, name,
-                    f"global store re-issued on every iteration of a spin "
-                    f"loop — {RULES['KL006']}"))
-    stores_since_fence: int | None = None
-    for call in _function_calls(func):
-        method = _method_name(call)
-        if method == "threadfence":
-            if stores_since_fence == 0:
-                findings.append(LintFinding(
-                    "KL006", path, call.lineno, name,
-                    f"no global store since the previous fence — "
-                    f"{RULES['KL006']}"))
-            stores_since_fence = 0
-        elif method in _PUBLISH_HELPERS:
-            stores_since_fence = 1
-        elif method in _STORE_METHODS + ("store_tile", "atomic_add"):
-            if stores_since_fence is not None:
-                stores_since_fence += 1
-    return findings
+    return [LintFinding("KL006", path, call.lineno, name,
+                        f"global store re-issued on every iteration of a "
+                        f"spin loop — {RULES['KL006']}")
+            for call in spin_store_calls(func)] + \
+        [LintFinding("KL006", path, call.lineno, name,
+                     f"no global store since the previous fence — "
+                     f"{RULES['KL006']}")
+         for call in redundant_fence_calls(func)]
 
 
 def roundtrip_update_stmts(func: ast.AST) -> list[ast.stmt]:

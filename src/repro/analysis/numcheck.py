@@ -22,8 +22,8 @@ The bound is *mass*-relative (relative to the absolute-value SAT), which is
 the only form that stays sound under cancellation — a result-relative
 ``rtol * |want|`` is unsound whenever ``SAT(|a|) >> |SAT(a)|``.
 
-**What is extracted.**  Each kernel's AST is scanned for three roles of
-rounding-error site:
+**What is extracted.**  :mod:`repro.analysis.kernelir` parses each kernel
+once and gives every rounding-error site one of three roles:
 
 * *reduction* — a call to a shared-memory/warp reduction or prefix helper
   (``tile_row_sums``, ``assemble_gsat_in_shared``, ``cumsum``, look-back
@@ -33,13 +33,14 @@ rounding-error site:
 * *carry* — a global store/publish whose value expression itself performs a
   float addition (``ctx.gstore(sb.grs, ..., grs_left + lrs)``).
 
-Each site carries an ``ERR_HINTS`` annotation next to the kernel code: the
-worst-path number of serial float additions the site contributes over the
-whole algorithm run, as an int or a ``lambda g`` over the counting geometry
-(:func:`build_error_geometry`, reusing :mod:`repro.analysis.costcheck`'s
-:class:`~repro.analysis.costcheck.Poly` so every formula evaluates both
-symbolically and concretely).  Stale/missing/malformed hints raise
-:class:`~repro.errors.NumericModelError` with file:line — the drift gate.
+Each site's entry in its module's ``KERNEL_HINTS`` table carries ``depth``:
+the worst-path number of serial float additions the site contributes over
+the whole algorithm run, as an int or a ``lambda g`` over the counting
+geometry (:func:`build_error_geometry`, reusing
+:mod:`repro.analysis.costcheck`'s :class:`~repro.analysis.costcheck.Poly`
+so every formula evaluates both symbolically and concretely).  A missing,
+stale or malformed entry raises :class:`~repro.errors.ExtractionError` with
+file:line at kernelir's drift gate.
 Summing per-site worst-path contributions over-approximates the deepest
 path, so the per-algorithm depth ``D(t, W)`` is a sound closed form.
 
@@ -68,23 +69,20 @@ them overflow-free, hence error-free.
 from __future__ import annotations
 
 import ast
-import importlib
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.analysis.costcheck import (KERNELS, Geometry, Poly, _ev,
-                                      build_geometry, check_overflow)
+                                      build_geometry, check_overflow,
+                                      corpus_verdicts)
+from repro.analysis.kernelir import function_ast, kernel_sites
 from repro.analysis.kernellint import roundtrip_update_stmts
-from repro.analysis.protomodel import (_calls_postorder, _function_ast,
-                                       _method_name)
 from repro.analysis.table1 import TABLE1_ORDER
 from repro.errors import ConfigurationError, NumericModelError
 
-__all__ = ["ErrorSite", "extract_error_sites", "dump_error_keys",
-           "kernel_error_depth", "kernel_depths", "build_error_geometry",
+__all__ = ["kernel_error_depth", "kernel_depths", "build_error_geometry",
            "symbolic_depth", "symbolic_host_depth", "concrete_depth",
            "error_bound_strings", "gamma", "find_numeric_bugs",
            "validate_bounds", "integer_exactness", "check_numeric_corpus",
@@ -93,184 +91,24 @@ __all__ = ["ErrorSite", "extract_error_sites", "dump_error_keys",
 
 
 # ---------------------------------------------------------------------------
-# Error-site extraction from kernel ASTs
-# ---------------------------------------------------------------------------
-
-#: Reduction/prefix helpers whose result feeds an accumulator.  ``sum`` is
-#: deliberately absent: bare ``.sum(...)`` only appears inside accumulation
-#: statements, which are already sites — listing it would double-extract.
-_REDUCTIONS = frozenset({
-    "tile_row_sums", "tile_col_sums", "tile_row_prefix_sums",
-    "tile_col_prefix_sums", "load_tile_with_col_sums",
-    "assemble_gsat_in_shared", "lane_vector_sum", "block_inclusive_scan",
-    "cumsum", "lookback_walk", "row_lookback", "col_lookback",
-    "diag_lookback", "add_to_col", "add_to_row", "add_to_element",
-})
-
-#: Store/publish methods -> positional index of the stored value expression.
-#: ``publish`` is handled separately (its values sit in a stores list).
-_CARRY_VALUE_ARG = {"gstore": 2, "gstore_scalar": 2,
-                    "publish_vector": 3, "publish_scalar": 3}
-
-#: The only field an ERR_HINTS entry takes.
-_HINT_FIELDS = {"depth"}
-
-
-@dataclass(frozen=True)
-class ErrorSite:
-    """One rounding-error site in a kernel's source."""
-
-    kernel: str
-    role: str    # "reduction" | "accumulate" | "carry"
-    method: str  # helper/store method name ("" for accumulate statements)
-    key: str     # ast.unparse of the call/statement — the ERR_HINTS key
-    file: str
-    line: int    # 1-based line in the source file
-
-    @property
-    def where(self) -> str:
-        return f"{self.file}:{self.line}"
-
-
-def _stmts_in(node: ast.AST) -> Iterator[ast.AST]:
-    """Nodes lexically inside ``node``, excluding nested function/lambda
-    bodies (mirrors ``_calls_postorder``'s scoping)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.Lambda)):
-            continue
-        yield child
-        yield from _stmts_in(child)
-
-
-def _names_in(node: ast.AST) -> set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _is_accumulation(stmt: ast.AST) -> bool:
-    """An assignment that folds its own target back in with ``+``/``-``."""
-    if isinstance(stmt, ast.AugAssign):
-        return isinstance(stmt.op, (ast.Add, ast.Sub))
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        target, value = stmt.targets[0], stmt.value
-        return (isinstance(target, ast.Name) and isinstance(value, ast.BinOp)
-                and isinstance(value.op, (ast.Add, ast.Sub))
-                and target.id in _names_in(value))
-    return False
-
-
-def _has_float_binop(node: ast.AST) -> bool:
-    return any(isinstance(sub, ast.BinOp)
-               and isinstance(sub.op, (ast.Add, ast.Sub))
-               for sub in ast.walk(node))
-
-
-def _carry_value_exprs(call: ast.Call, method: str) -> list[ast.AST]:
-    """The stored value expression(s) of a store/publish call."""
-    if method in _CARRY_VALUE_ARG:
-        idx = _CARRY_VALUE_ARG[method]
-        return [call.args[idx]] if len(call.args) > idx else []
-    if method == "publish" and len(call.args) > 1:
-        entries = call.args[1]
-        if isinstance(entries, (ast.List, ast.Tuple)):
-            return [e.elts[2] for e in entries.elts
-                    if isinstance(e, (ast.Tuple, ast.List))
-                    and len(e.elts) >= 3]
-    return []
-
-
-def extract_error_sites(fn: Callable) -> list[ErrorSite]:
-    """All rounding-error sites of ``fn``, in source order.
-
-    Duplicate (lexically identical) sites raise
-    :class:`~repro.errors.NumericModelError`: ERR_HINTS keys on the
-    unparsed source, so ambiguity would make the drift gate unsound.
-    """
-    func = _function_ast(fn)
-    filename = fn.__code__.co_filename.rsplit("/", 1)[-1]
-    base = fn.__code__.co_firstlineno
-    sites: list[ErrorSite] = []
-    seen: dict[str, ErrorSite] = {}
-
-    def add(role: str, method: str, node: ast.AST, key: str) -> None:
-        site = ErrorSite(kernel=fn.__name__, role=role, method=method,
-                         key=key, file=filename,
-                         line=base + node.lineno - 1)
-        if site.key in seen:
-            first = seen[site.key]
-            raise NumericModelError(
-                f"{site.where}: kernel {fn.__name__} repeats the error site "
-                f"`{site.key}` (first at {first.where}); numcheck needs "
-                f"lexically unique sites to key ERR_HINTS")
-        seen[site.key] = site
-        sites.append(site)
-
-    for call in _calls_postorder(func):
-        method = _method_name(call)
-        if method in _REDUCTIONS:
-            add("reduction", method, call, ast.unparse(call))
-        elif method in _CARRY_VALUE_ARG or method == "publish":
-            if any(_has_float_binop(v)
-                   for v in _carry_value_exprs(call, method)):
-                add("carry", method, call, ast.unparse(call))
-    for stmt in _stmts_in(func):
-        if isinstance(stmt, (ast.Assign, ast.AugAssign)) \
-                and _is_accumulation(stmt):
-            add("accumulate", "", stmt, ast.unparse(stmt))
-    sites.sort(key=lambda s: s.line)
-    return sites
-
-
-def dump_error_keys(fn: Callable) -> list[str]:
-    """The ERR_HINTS keys ``fn`` requires (for authoring annotations)."""
-    return [s.key for s in extract_error_sites(fn)]
-
-
-# ---------------------------------------------------------------------------
 # Hint interpretation: sites x geometry -> worst-path rounding depth
 # ---------------------------------------------------------------------------
 
-def kernel_error_depth(fn: Callable, hints: Mapping[str, Mapping[str, Any]],
-                       g: Geometry) -> Any:
-    """Total worst-path rounding depth of ``fn`` under ``hints`` over ``g``.
+def kernel_error_depth(fn: Callable, g: Geometry) -> Any:
+    """Total worst-path rounding depth of ``fn`` over ``g``: the sum of its
+    error sites' ``depth`` entries in ``KERNEL_HINTS``.
 
-    Each hint is the site's whole-run worst-path contribution; the sum
-    over-approximates the deepest addition chain.  Raises
-    :class:`~repro.errors.NumericModelError` with the offending source
-    location when hints are missing, stale, or malformed — the drift gate.
+    Each entry is the site's whole-run worst-path contribution; the sum
+    over-approximates the deepest addition chain.  The sites come through
+    the :mod:`~repro.analysis.kernelir` drift gate, which raises
+    :class:`~repro.errors.ExtractionError` at the offending source location
+    when an entry is missing, stale or malformed.
     """
-    sites = extract_error_sites(fn)
-    keys = {s.key for s in sites}
-    for key in hints:
-        if key not in keys:
-            raise NumericModelError(
-                f"{fn.__name__}: ERR_HINTS entry `{key}` matches no error "
-                f"site in the kernel source — stale annotation")
     total: Any = 0
-    for site in sites:
-        hint = hints.get(site.key)
-        if hint is None:
-            raise NumericModelError(
-                f"{site.where}: {site.role} site `{site.key}` has no "
-                f"ERR_HINTS entry in {fn.__module__}")
-        extra = set(hint) - _HINT_FIELDS
-        if extra or "depth" not in hint:
-            raise NumericModelError(
-                f"{site.where}: ERR_HINTS for `{site.key}` must be "
-                f"{{'depth': <int or lambda g>}}; got field(s) "
-                f"{sorted(hint)}")
-        total = total + _ev(hint["depth"], g)
+    for site, hint in kernel_sites(fn):
+        if site.error:
+            total = total + _ev(hint["depth"], g)
     return total
-
-
-def _load_err_kernel(spec) -> tuple[Callable, Mapping]:
-    module = importlib.import_module(spec.module)
-    fn = getattr(module, spec.kernel)
-    all_hints = getattr(module, "ERR_HINTS", None)
-    if all_hints is None or spec.kernel not in all_hints:
-        raise NumericModelError(
-            f"{spec.module} declares no ERR_HINTS for {spec.kernel}")
-    return fn, all_hints[spec.kernel]
 
 
 def build_error_geometry(algorithm: str, *, sym: bool, n: int = 128,
@@ -290,11 +128,8 @@ def kernel_depths(algorithm: str, g: Geometry) -> dict[str, Any]:
     if algorithm not in KERNELS:
         raise ConfigurationError(
             f"unknown algorithm '{algorithm}'; known: {sorted(KERNELS)}")
-    out: dict[str, Any] = {}
-    for spec in KERNELS[algorithm]:
-        fn, hints = _load_err_kernel(spec)
-        out[spec.kernel] = kernel_error_depth(fn, hints, g)
-    return out
+    return {spec.kernel: kernel_error_depth(spec.fn, g)
+            for spec in KERNELS[algorithm]}
 
 
 #: ``_run_host`` dataflow depths where they EXCEED the kernel dataflow.
@@ -389,7 +224,7 @@ def find_numeric_bugs(fn: Callable) -> list[dict[str, Any]]:
     the new value directly.  Shares its AST predicate with lint rule KL007
     (:func:`repro.analysis.kernellint.roundtrip_update_stmts`).
     """
-    func = _function_ast(fn)
+    func = function_ast(fn)
     filename = fn.__code__.co_filename.rsplit("/", 1)[-1]
     base = fn.__code__.co_firstlineno
     return [{"kind": "rounding-roundtrip", "kernel": fn.__name__,
@@ -404,27 +239,8 @@ def find_numeric_bugs(fn: Callable) -> list[dict[str, Any]]:
 def check_numeric_corpus() -> list[dict[str, Any]]:
     """Planted numeric bugs must be caught; the 13 real kernels stay clean."""
     from repro.analysis import bugcorpus
-    results = []
-    for spec in bugcorpus.NUMERIC_CORPUS:
-        findings = find_numeric_bugs(spec.kernel)
-        kinds = {f["kind"] for f in findings}
-        ok = spec.expected_numeric in kinds if spec.expected_numeric \
-            else not findings
-        results.append({
-            "bug": spec.name, "expected": spec.expected_numeric,
-            "found": sorted(kinds), "findings": findings, "ok": ok,
-        })
-    for algorithm in TABLE1_ORDER:
-        for spec in KERNELS[algorithm]:
-            module = importlib.import_module(spec.module)
-            findings = find_numeric_bugs(getattr(module, spec.kernel))
-            if findings:
-                results.append({
-                    "bug": f"control:{spec.kernel}", "expected": "",
-                    "found": sorted({f["kind"] for f in findings}),
-                    "findings": findings, "ok": False,
-                })
-    return results
+    return corpus_verdicts(bugcorpus.NUMERIC_CORPUS, "expected_numeric",
+                           find_numeric_bugs)
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +422,12 @@ def run_numcheck(algorithms: Iterable[str] | None = None, *,
                  corpus: bool = True, seed: int = 0,
                  tightness_limit: float = 100.0) -> dict[str, Any]:
     """The full numerical-accuracy verification; the ``repro numcheck``
-    payload (written to ``numcheck.json`` by the smoke gate)."""
-    names = list(algorithms) if algorithms is not None \
-        else list(TABLE1_ORDER)
+    payload (written to ``numcheck.json`` by the smoke gate).  Algorithm
+    aliases (``"skss-lb"``) resolve to their paper names, which the report
+    carries."""
+    from repro.sat.registry import get_algorithm
+    names = [get_algorithm(name, tile_width=W).name for name in algorithms] \
+        if algorithms is not None else list(TABLE1_ORDER)
     out: dict[str, Any] = {"W": W, "sizes": list(sizes),
                            "dtypes": list(dtypes), "algorithms": [],
                            "ok": True}

@@ -13,10 +13,12 @@ The split of trust is deliberate and narrow:
 
 * the **protocol shape** (which buffers are published under which status
   values, in which order; which walks run with which thresholds; whether the
-  kernel loops on an ``atomicAdd`` ticket) is *extracted* from the kernel
-  source via :func:`extract_kernel` and cross-checked against the kernel
-  module's declared ``MODEL_HINTS`` — any drift between source and
-  declaration raises :class:`~repro.errors.ExtractionError`;
+  kernel loops on an ``atomicAdd`` ticket) is *extracted* by
+  :func:`extract_kernel` from the kernel's sites, read through the
+  :mod:`~repro.analysis.kernelir` drift gate: every publish, wait, walk,
+  load, store and ticket is pinned by its exact-source ``KERNEL_HINTS`` key,
+  the tilecommon walkers' walks by their ``walk=`` entries, and any drift
+  between source and table raises :class:`~repro.errors.ExtractionError`;
 * the **index geometry** (which tile a serial maps to, which predecessors a
   walk visits) comes from the same host functions the kernels themselves
   call at run time (``acquisition_tile``, ``serial_to_tile``,
@@ -42,11 +44,13 @@ Stores that *are* read within a launch must go through :class:`Publish`
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
+from repro.analysis.kernelir import (COST_ROLES, expr_name, function_ast,
+                                     is_counter_name, is_status_name,
+                                     kernel_sites, keyword_arg, method_name,
+                                     resolve_const, walk_of, walker_call)
 from repro.errors import ConfigurationError, ExtractionError
 
 # ---------------------------------------------------------------------------
@@ -236,22 +240,6 @@ class ProtocolModel:
 # AST extraction
 # ---------------------------------------------------------------------------
 
-#: publish-style helpers -> (data arg, status arg, value arg) positions.
-_PUBLISH_SIGS = {
-    "publish": (1, 2, 4),
-    "publish_vector": (1, 4, 6),
-    "publish_scalar": (1, 4, 6),
-}
-_STORE_METHODS = ("gstore", "gstore_scalar")
-_LOAD_METHODS = ("gload", "gload_scalar")
-#: smem helpers that move a tile between global and shared memory
-#: (buffer argument right after ``ctx``).
-_TILE_STORES = ("store_tile",)
-_TILE_LOADS = ("load_tile", "load_tile_with_col_sums")
-#: Recognized look-back walker helpers (recursed into; see tilecommon).
-_WALKER_NAMES = ("row_lookback", "col_lookback", "diag_lookback")
-
-
 @dataclass(frozen=True)
 class KernelProtocol:
     """The extracted synchronization skeleton of one kernel function.
@@ -260,8 +248,7 @@ class KernelProtocol:
 
     ``("publish", data, status, value)``, ``("walk", status, lo, hi,
     local_buf, global_buf, walker)``, ``("wait", status, threshold)``,
-    ``("fence",)``, ``("flag-store", buf)``, ``("counter-load", buf)``,
-    ``("counter-store", buf)``, ``("store", buf)``, ``("load", buf)``.
+    ``("fence",)``, ``("store", buf)``, ``("load", buf)``.
     """
     kernel: str
     ticket: bool
@@ -291,66 +278,6 @@ class KernelProtocol:
     def loads(self) -> tuple[str, ...]:
         return tuple(sorted({ev[1] for ev in self._select("load")}))
 
-    @property
-    def flag_stores(self) -> int:
-        return len(self._select("flag-store"))
-
-
-def _expr_name(node: ast.AST) -> str:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Subscript):
-        return _expr_name(node.value)
-    return ""
-
-
-def _is_status_name(name: str) -> bool:
-    return name in ("R", "C") or "status" in name.lower()
-
-
-def _is_counter_name(name: str) -> bool:
-    return "counter" in name.lower()
-
-
-def _method_name(call: ast.Call) -> str:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return ""
-
-
-def _calls_postorder(node: ast.AST) -> list[ast.Call]:
-    """Calls lexically inside ``node`` (excluding nested function/lambda
-    bodies), children before parents — i.e. argument evaluation order."""
-    out: list[ast.Call] = []
-
-    def visit(n: ast.AST) -> None:
-        for child in ast.iter_child_nodes(n):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                continue
-            visit(child)
-        if isinstance(n, ast.Call):
-            out.append(n)
-
-    visit(node)
-    return out
-
-
-def _resolve_const(node: ast.AST, g: Mapping, where: str) -> int:
-    """An integer constant, possibly spelled as a module-level name."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return int(node.value)
-    if isinstance(node, ast.Name):
-        value = g.get(node.id)
-        if isinstance(value, int):
-            return value
-    raise ExtractionError(
-        f"{where}: cannot resolve {ast.dump(node)} to an integer constant")
-
 
 def _wait_threshold(call: ast.Call, g: Mapping, where: str) -> int:
     """Threshold from a ``lambda v: v >= X`` wait predicate."""
@@ -358,78 +285,9 @@ def _wait_threshold(call: ast.Call, g: Mapping, where: str) -> int:
         body = call.args[2].body
         if (isinstance(body, ast.Compare) and len(body.ops) == 1
                 and isinstance(body.ops[0], ast.GtE)):
-            return _resolve_const(body.comparators[0], g, where)
+            return resolve_const(body.comparators[0], g, where)
     raise ExtractionError(
         f"{where}: wait_until predicate is not 'lambda v: v >= <const>'")
-
-
-def _publish_data_buffer(node: ast.AST, where: str) -> str:
-    """Data buffer name of a publish call: a buffer expression, or the first
-    element of a ``[(buf, idx, values), ...]`` stores list."""
-    if isinstance(node, (ast.List, ast.Tuple)):
-        if node.elts and isinstance(node.elts[0], (ast.Tuple, ast.List)) \
-                and node.elts[0].elts:
-            node = node.elts[0].elts[0]
-    name = _expr_name(node)
-    if not name:
-        raise ExtractionError(f"{where}: cannot name the published buffer")
-    return name
-
-
-def _reader_buffer(node: ast.AST, where: str) -> str:
-    """Buffer a walk's ``read_local``/``read_global`` argument reads from."""
-    if isinstance(node, ast.Lambda):
-        for call in _calls_postorder(node.body):
-            if _method_name(call) in _LOAD_METHODS and call.args:
-                return _expr_name(call.args[0])
-        node = node.body
-    if isinstance(node, ast.Call):
-        for arg in node.args:
-            name = _expr_name(arg)
-            if name and name != "ctx":
-                return name
-    name = _expr_name(node)
-    if name:
-        return name
-    raise ExtractionError(f"{where}: cannot name the walk's read buffer")
-
-
-def _kw(call: ast.Call, name: str, where: str) -> ast.AST:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    raise ExtractionError(f"{where}: lookback_walk missing keyword '{name}'")
-
-
-def _walk_event(call: ast.Call, g: Mapping, where: str,
-                walker: str = "") -> tuple:
-    return ("walk",
-            _expr_name(_kw(call, "status_buf", where)),
-            _resolve_const(_kw(call, "local_threshold", where), g, where),
-            _resolve_const(_kw(call, "global_threshold", where), g, where),
-            _reader_buffer(_kw(call, "read_local", where), where),
-            _reader_buffer(_kw(call, "read_global", where), where),
-            walker)
-
-
-def _function_ast(fn: Callable) -> ast.FunctionDef:
-    source = textwrap.dedent(inspect.getsource(fn))
-    tree = ast.parse(source)
-    func = tree.body[0]
-    if not isinstance(func, ast.FunctionDef):
-        raise ExtractionError(f"{fn!r} is not a plain function")
-    return func
-
-
-def _extract_from_walker(walker_fn: Callable) -> tuple:
-    """The single ``lookback_walk`` event inside a tilecommon walker."""
-    func = _function_ast(walker_fn)
-    g = vars(inspect.getmodule(walker_fn))
-    where = walker_fn.__name__
-    for call in _calls_postorder(func):
-        if _method_name(call) == "lookback_walk":
-            return _walk_event(call, g, where, walker=walker_fn.__name__)
-    raise ExtractionError(f"{where}: no lookback_walk call found")
 
 
 class _ScratchGeometry:
@@ -449,130 +307,57 @@ def walker_status_indexer(walker_fn: Callable) -> Callable:
     Returns ``indexer(t, I, J, step) -> flat status index`` so builders can
     verify their step geometry against the kernel's own index arithmetic.
     """
-    func = _function_ast(walker_fn)
     where = walker_fn.__name__
-    for call in _calls_postorder(func):
-        if _method_name(call) == "lookback_walk":
-            lam = _kw(call, "status_index", where)
-            if not isinstance(lam, ast.Lambda):
-                raise ExtractionError(f"{where}: status_index is not a lambda")
-            expr = ast.Expression(lam)
-            ast.fix_missing_locations(expr)
-            code = compile(expr, f"<{where}.status_index>", "eval")
+    lam = keyword_arg(walker_call(walker_fn), "status_index", where)
+    if not isinstance(lam, ast.Lambda):
+        raise ExtractionError(f"{where}: status_index is not a lambda")
+    expr = ast.Expression(lam)
+    ast.fix_missing_locations(expr)
+    code = compile(expr, f"<{where}.status_index>", "eval")
 
-            def indexer(t: int, I: int, J: int, step: int,
-                        _code=code) -> int:
-                fn = eval(_code, {"sb": _ScratchGeometry(t), "I": I, "J": J})
-                return fn(step)
+    def indexer(t: int, I: int, J: int, step: int) -> int:
+        fn = eval(code, {"sb": _ScratchGeometry(t), "I": I, "J": J})
+        return fn(step)
 
-            return indexer
-    raise ExtractionError(f"{where}: no lookback_walk call found")
+    return indexer
 
 
 def extract_kernel(fn: Callable) -> KernelProtocol:
-    """Extract the protocol skeleton of one kernel function from its AST."""
-    func = _function_ast(fn)
-    g = dict(vars(inspect.getmodule(fn)))
+    """The protocol skeleton of one kernel, read from its sites through the
+    :mod:`~repro.analysis.kernelir` drift gate (which refuses a kernel whose
+    ``KERNEL_HINTS`` entry drifted from its source)."""
+    g = fn.__globals__
     where = fn.__name__
     events: list[tuple] = []
     ticket = False
     counter = ""
-
-    def handle_call(call: ast.Call) -> None:
-        nonlocal ticket, counter
-        method = _method_name(call)
-        args = call.args
-        if method == "atomic_add" and args \
-                and _is_counter_name(_expr_name(args[0])):
-            ticket = True
-            counter = _expr_name(args[0])
-        elif method in _PUBLISH_SIGS:
-            d, s, v = _PUBLISH_SIGS[method]
-            if len(args) <= max(d, s, v):
-                raise ExtractionError(f"{where}: truncated {method} call")
-            events.append(("publish",
-                           _publish_data_buffer(args[d], where),
-                           _expr_name(args[s]),
-                           _resolve_const(args[v], g, where)))
-        elif method == "wait_until" and args:
-            events.append(("wait", _expr_name(args[0]),
+    for site, hint in kernel_sites(fn):
+        call, role = site.node, site.cost
+        if not isinstance(call, ast.Call):
+            continue  # accumulate statements carry no protocol event
+        if role == "atomic" and is_counter_name(site.buffer):
+            ticket, counter = True, site.buffer
+        elif role == "publish":
+            # Every publish helper ends in (status_buf, status_idx, value).
+            if len(call.args) < 5:
+                raise ExtractionError(f"{where}: truncated publish call")
+            events.append(("publish", site.buffer, expr_name(call.args[-3]),
+                           resolve_const(call.args[-1], g, where)))
+        elif role == "wait":
+            events.append(("wait", site.buffer,
                            _wait_threshold(call, g, where)))
-        elif method == "lookback_walk":
-            events.append(_walk_event(call, g, where))
-        elif method in _WALKER_NAMES:
-            walker_fn = g.get(method)
-            if walker_fn is None:
-                raise ExtractionError(
-                    f"{where}: walker helper '{method}' is not importable")
-            events.append(_extract_from_walker(walker_fn))
-        elif method == "threadfence":
+        elif role == "walk" and "walk" in hint:
+            events.append(("walk", *hint["walk"], method_name(call)))
+        elif role == "walk":
+            events.append(("walk", *walk_of(call, g, where), ""))
+        elif role == "fence":
             events.append(("fence",))
-        elif method in _STORE_METHODS and args:
-            name = _expr_name(args[0])
-            if _is_counter_name(name):
-                events.append(("counter-store", name))
-            elif _is_status_name(name):
-                events.append(("flag-store", name))
-            else:
-                events.append(("store", name))
-        elif method in _LOAD_METHODS and args:
-            name = _expr_name(args[0])
-            if _is_counter_name(name):
-                events.append(("counter-load", name))
-            else:
-                events.append(("load", name))
-        elif method in _TILE_STORES and len(args) >= 2:
-            events.append(("store", _expr_name(args[1])))
-        elif method in _TILE_LOADS and len(args) >= 2:
-            events.append(("load", _expr_name(args[1])))
-
-    for call in _calls_postorder(func):
-        handle_call(call)
+        elif role in ("store", "scalar_store", "tile_store"):
+            events.append(("store", site.buffer))
+        elif role in ("load", "scalar_load", "tile_load"):
+            events.append(("load", site.buffer))
     return KernelProtocol(kernel=where, ticket=ticket, counter=counter,
                           events=tuple(events))
-
-
-def validate_hints(proto: KernelProtocol, hints: Mapping) -> KernelProtocol:
-    """Check an extracted protocol against the kernel's declared shape.
-
-    ``hints`` is the kernel's entry in its module's ``MODEL_HINTS``; any
-    mismatch means the kernel source and the declared protocol drifted and
-    the model would be verifying fiction — refuse loudly.
-    """
-    got = {
-        "ticket": proto.ticket,
-        "publishes": proto.publishes,
-        "walks": proto.walks,
-        "waits": proto.waits,
-        "stores": proto.stores,
-        "loads": proto.loads,
-    }
-    for key, actual in got.items():
-        want = hints.get(key)
-        if key in ("stores", "loads"):
-            want = tuple(sorted(want or ()))
-        elif want is None:
-            want = () if key != "ticket" else False
-        if actual != want:
-            raise ExtractionError(
-                f"{proto.kernel}: extracted {key}={actual!r} but MODEL_HINTS "
-                f"declares {want!r}; kernel and declaration drifted")
-    allowed_raw = hints.get("flag_stores", 0)
-    if proto.flag_stores != allowed_raw:
-        raise ExtractionError(
-            f"{proto.kernel}: {proto.flag_stores} plain status store(s) "
-            f"found, {allowed_raw} declared — raw flag stores bypass "
-            f"publish() and void the model's fence assumptions")
-    return proto
-
-
-def _extract_validated(fn: Callable) -> KernelProtocol:
-    module = inspect.getmodule(fn)
-    hints = getattr(module, "MODEL_HINTS", {})
-    if fn.__name__ not in hints:
-        raise ExtractionError(
-            f"{fn.__name__}: no MODEL_HINTS entry in {module.__name__}")
-    return validate_hints(extract_kernel(fn), hints[fn.__name__])
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +366,7 @@ def _extract_validated(fn: Callable) -> KernelProtocol:
 
 def _const_scalar(node: ast.AST, where: str) -> int:
     """Integer from a literal, possibly wrapped in ``np.asarray([x])``."""
-    if isinstance(node, ast.Call) and _method_name(node) == "asarray" \
+    if isinstance(node, ast.Call) and method_name(node) == "asarray" \
             and node.args and isinstance(node.args[0], ast.List) \
             and node.args[0].elts:
         node = node.args[0].elts[0]
@@ -597,10 +382,10 @@ def _compile_corpus_stmts(stmts: Iterable[ast.stmt], block_id: int,
     env_regs: dict[str, str] = {}  # python variable -> model register
 
     def flat_loc(node: ast.AST, index: ast.AST) -> Loc:
-        name = _expr_name(node)
+        name = expr_name(node)
         if isinstance(index, ast.Constant):
             return (name, int(index.value))
-        if _expr_name(index) == "block_id":
+        if expr_name(index) == "block_id":
             return (name, block_id)
         raise ExtractionError(f"{where}: unsupported index {ast.dump(index)}")
 
@@ -611,8 +396,8 @@ def _compile_corpus_stmts(stmts: Iterable[ast.stmt], block_id: int,
             return env_regs[node.id]
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
             return ("+", value_expr(node.left), value_expr(node.right))
-        if isinstance(node, ast.Call) \
-                and _method_name(node) in _LOAD_METHODS:
+        if isinstance(node, ast.Call) and COST_ROLES.get(
+                method_name(node)) in ("load", "scalar_load"):
             reg = f"r{len(ops)}"
             ops.append(Read(flat_loc(node.args[0], node.args[1]), reg))
             return reg
@@ -627,43 +412,43 @@ def _compile_corpus_stmts(stmts: Iterable[ast.stmt], block_id: int,
                 continue
             raise ExtractionError(
                 f"{where}: unsupported statement {ast.dump(stmt)}")
-        method = _method_name(node)
+        method = method_name(node)
         args = node.args
         if method == "syncthreads":
             continue
         elif method == "publish":
             data = args[1].elts[0]  # [(buf, idx, values)]
             ops.append(Publish(
-                (((_expr_name(data.elts[0]), 0),
+                (((expr_name(data.elts[0]), 0),
                   _const_scalar(data.elts[2], where)),),
                 flat_loc(args[2], args[3]),
-                _resolve_const(args[4], {}, where)))
+                resolve_const(args[4], {}, where)))
         elif method == "wait_until":
             ops.append(Wait(flat_loc(args[0], args[1]),
                             _wait_threshold(node, {}, where)))
         elif method == "threadfence":
             ops.append(Fence())
-        elif method in _STORE_METHODS:
-            name = _expr_name(args[0])
-            if _is_counter_name(name):
+        elif COST_ROLES.get(method) in ("store", "scalar_store"):
+            name = expr_name(args[0])
+            if is_counter_name(name):
                 ops.append(CounterStore(name, value_expr(args[2])))
-            elif _is_status_name(name):
+            elif is_status_name(name):
                 ops.append(RaiseFlag(flat_loc(args[0], args[1]),
-                                     _resolve_const(args[2], {}, where)))
+                                     resolve_const(args[2], {}, where)))
             elif name == "out":
                 ops.append(Out(flat_loc(args[0], args[1]),
                                value_expr(args[2])))
             else:
                 ops.append(Store(flat_loc(args[0], args[1]),
                                  _const_scalar(args[2], where)))
-        elif method in _LOAD_METHODS \
-                and _is_counter_name(_expr_name(args[0])):
+        elif COST_ROLES.get(method) in ("load", "scalar_load") \
+                and is_counter_name(expr_name(args[0])):
             if not isinstance(stmt, ast.Assign):
                 raise ExtractionError(f"{where}: dangling counter load")
             var = stmt.targets[0].id
             reg = f"{var}{block_id}"
             env_regs[var] = reg
-            ops.append(CounterRead(_expr_name(args[0]), reg))
+            ops.append(CounterRead(expr_name(args[0]), reg))
         else:
             raise ExtractionError(
                 f"{where}: unsupported call '{method}' in corpus kernel")
@@ -674,7 +459,7 @@ def build_corpus_model(name: str) -> ProtocolModel:
     """Compile one bug-corpus kernel into a two-block protocol model."""
     from repro.analysis.bugcorpus import get_spec
     spec = get_spec(name)
-    func = _function_ast(spec.kernel)
+    func = function_ast(spec.kernel)
     where = spec.kernel.__name__
     body = func.body
     while body and isinstance(body[0], ast.Expr) \
@@ -772,7 +557,7 @@ def _skss_lb_tile_ops(proto: KernelProtocol, I: int, J: int,
 
 def _build_skss_lb(t: int, acquisition: str = "diagonal") -> ProtocolModel:
     from repro.sat.skss_lb import acquisition_tile, skss_lb_kernel
-    proto = _extract_validated(skss_lb_kernel)
+    proto = extract_kernel(skss_lb_kernel)
     initial = {("a", i, j): unit(i, j, t)
                for i in range(t) for j in range(t)}
     programs, out_spec = [], {}
@@ -790,7 +575,7 @@ def _build_skss_lb(t: int, acquisition: str = "diagonal") -> ProtocolModel:
 
 def _build_skss(t: int) -> ProtocolModel:
     from repro.sat.skss import GRS_READY, skss_kernel
-    proto = _extract_validated(skss_kernel)
+    proto = extract_kernel(skss_kernel)
     assert proto.publishes == (("grs", "R", GRS_READY),)
     initial = {("a", i, j): unit(i, j, t)
                for i in range(t) for j in range(t)}
@@ -821,8 +606,8 @@ def _build_skss(t: int) -> ProtocolModel:
 
 def _build_naive(t: int) -> ProtocolModel:
     from repro.sat.naive_2r2w import column_scan_kernel, row_scan_kernel
-    _extract_validated(column_scan_kernel)
-    _extract_validated(row_scan_kernel)
+    extract_kernel(column_scan_kernel)
+    extract_kernel(row_scan_kernel)
     initial = {("a", i, j): unit(i, j, t)
                for i in range(t) for j in range(t)}
     col_programs, col_spec = [], {}
@@ -895,8 +680,8 @@ def _build_optimal(t: int) -> ProtocolModel:
     from repro.primitives.colscan import ColScanLayout, col_scan_kernel
     from repro.primitives.scan1d import (STATUS_AGGREGATE, STATUS_PREFIX,
                                          RowScanLayout, row_scan_kernel)
-    _extract_validated(col_scan_kernel)
-    _extract_validated(row_scan_kernel)
+    extract_kernel(col_scan_kernel)
+    extract_kernel(row_scan_kernel)
     thresholds = (STATUS_AGGREGATE, STATUS_PREFIX)
     initial = {("a", i, j): unit(i, j, t)
                for i in range(t) for j in range(t)}
@@ -957,9 +742,9 @@ def _gsat_tile_ops(I: int, J: int) -> tuple[Op, ...]:
 def _build_nehab(t: int) -> ProtocolModel:
     from repro.sat.nehab_2r1w import (global_sums_kernel, gsat_kernel,
                                       local_sums_kernel)
-    _extract_validated(local_sums_kernel)
-    _extract_validated(global_sums_kernel)
-    _extract_validated(gsat_kernel)
+    extract_kernel(local_sums_kernel)
+    extract_kernel(global_sums_kernel)
+    extract_kernel(gsat_kernel)
     initial = {("a", i, j): unit(i, j, t)
                for i in range(t) for j in range(t)}
     # L1: per-tile local sums (block_id row-major, one tile per block).
@@ -1069,7 +854,7 @@ def _wavefront_launch(name: str, tiles: Iterable[tuple[int, int]], t: int,
 def _build_kasagi(t: int) -> ProtocolModel:
     from repro.primitives.tile import TileGrid
     from repro.sat.kasagi_1r1w import wavefront_kernel
-    _extract_validated(wavefront_kernel)
+    extract_kernel(wavefront_kernel)
     grid = TileGrid(n=32 * t, W=32)
     cumulative = {("a", i, j): unit(i, j, t)
                   for i in range(t) for j in range(t)}
@@ -1189,9 +974,9 @@ def _build_hybrid(t: int, r: float = 0.25) -> ProtocolModel:
                                        band_global_sums_kernel,
                                        band_limits, band_local_sums_kernel,
                                        band_tiles)
-    _extract_validated(band_local_sums_kernel)
-    _extract_validated(band_global_sums_kernel)
-    _extract_validated(band_gsat_kernel)
+    extract_kernel(band_local_sums_kernel)
+    extract_kernel(band_global_sums_kernel)
+    extract_kernel(band_gsat_kernel)
     grid = TileGrid(n=32 * t, W=32)
     Ka, Kc = band_limits(r, t)
     a_tiles, b_tiles, c_tiles = band_tiles(grid, Ka, Kc)
@@ -1203,11 +988,6 @@ def _build_hybrid(t: int, r: float = 0.25) -> ProtocolModel:
             f"wavefront K={K}", grid.tiles_on_diagonal(K), t, cumulative))
     launches.extend(_band_launches("C", c_tiles, t, Ka, Kc, cumulative))
     return ProtocolModel(algorithm="(1+r)R1W", t=t, launches=tuple(launches))
-
-
-#: Algorithms the model builder covers, Table I order.
-MODEL_ALGORITHMS = ("2R2W", "2R2W-optimal", "2R1W", "1R1W", "(1+r)R1W",
-                    "1R1W-SKSS", "1R1W-SKSS-LB")
 
 
 def build_model(algorithm: str, t: int = 2, *, acquisition: str = "diagonal",

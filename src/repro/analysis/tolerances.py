@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -75,11 +76,13 @@ def derived_tolerance(algorithm: str | None, shape, dtype, *,
                       extra_depth: int = 0) -> Tolerance:
     """The proven comparison budget for SATs of ``shape`` in ``dtype``.
 
-    ``shape`` is a side length or a ``(rows, cols)`` pair; the depth is
-    evaluated at the larger side padded up to the layouts' granularity —
-    the lcm of the tile width and the 2R2W-optimal scan layouts' strip and
-    partition sizes (depths are monotone in n, so padding only loosens —
-    stays sound).  ``dtype`` is the
+    ``algorithm`` is a paper name or one of its aliases (``"skss-lb"``;
+    the tolerance records the paper name), or ``None`` for the worst case
+    over every Table I algorithm.  ``shape`` is a side length or a
+    ``(rows, cols)`` pair; the depth is evaluated at the larger side padded
+    up to the layouts' granularity — the lcm of the tile width and the
+    2R2W-optimal scan layouts' strip and partition sizes (depths are
+    monotone in n, so padding only loosens — stays sound).  ``dtype`` is the
     dtype of the compared arrays (the accumulator); integer accumulators get
     an exact tolerance — :mod:`repro.analysis.costcheck` proves them
     overflow-free, so any difference is a bug, not rounding.  ``oracle``
@@ -103,6 +106,8 @@ def derived_tolerance(algorithm: str | None, shape, dtype, *,
         depth = max(concrete_depth(alg, n, tile_width)
                     for alg in TABLE1_ORDER)
     else:
+        from repro.sat.registry import get_algorithm
+        algorithm = get_algorithm(algorithm, tile_width=tile_width).name
         depth = concrete_depth(algorithm, n, tile_width)
     if oracle == "reference":
         depth += 2 * n
@@ -121,16 +126,44 @@ def _error_scale(want: np.ndarray, abs_input) -> np.ndarray | float:
 
     With ``abs_input`` (the original matrix, sign-mixed welcome) the scale is
     the elementwise float64 SAT of its absolute values — the sharp bound.
-    Without it the scale falls back to ``max(1, max|want|)``: for the
-    non-negative inputs every built-in harness generates, ``SAT(|a|)`` *is*
-    ``want``, so its max dominates the elementwise mass and the fallback
-    stays sound (just looser near the origin corner).
+    Without it the scale falls back to ``max(1, max|want|)`` over the finite
+    entries of ``want``: for the non-negative inputs every built-in harness
+    generates, ``SAT(|a|)`` *is* ``want``, so its max dominates the
+    elementwise mass and the fallback stays sound (just looser near the
+    origin corner).
     """
     if abs_input is not None:
         a = np.abs(np.asarray(abs_input, dtype=np.float64))
         mass = a.cumsum(axis=0).cumsum(axis=1)
         return np.maximum(mass, np.finfo(np.float64).tiny)
-    return max(1.0, float(np.abs(np.asarray(want, dtype=np.float64)).max()))
+    w = np.abs(np.asarray(want, dtype=np.float64))
+    peak = float(w.max()) if w.size else 0.0
+    if not math.isfinite(peak):
+        finite = w[np.isfinite(w)]
+        peak = float(finite.max()) if finite.size else 0.0
+    return max(1.0, peak)
+
+
+def _within_budget(got: np.ndarray, want: np.ndarray, tol: Tolerance,
+                   abs_input) -> tuple[np.ndarray, np.ndarray, Any]:
+    """``(ok, diff, budget)``: which entries of ``got`` the float oracle
+    ``want`` and the proven budget explain.
+
+    A finite entry may differ by at most its budget.  A non-finite entry
+    matches only the same value at the same position — NaN with NaN, +inf
+    with +inf, -inf with -inf — so a NaN never slips past the budget test
+    and no invalid-value warning is raised.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = np.abs(got.astype(np.float64) - want.astype(np.float64))
+    budget = tol.gamma * _error_scale(want, abs_input)
+    ok = diff <= budget
+    if diff.size and not math.isfinite(float(diff.max())):
+        g = got.astype(np.float64)
+        w = want.astype(np.float64)
+        same = (g == w) | (np.isnan(g) & np.isnan(w))
+        ok = np.where(np.isfinite(g) & np.isfinite(w), ok, same)
+    return ok, diff, budget
 
 
 def sat_close(got: np.ndarray, want: np.ndarray, tol: Tolerance, *,
@@ -142,8 +175,7 @@ def sat_close(got: np.ndarray, want: np.ndarray, tol: Tolerance, *,
         return False
     if tol.exact:
         return bool(np.array_equal(got, want))
-    diff = np.abs(got.astype(np.float64) - want.astype(np.float64))
-    return bool(np.all(diff <= tol.gamma * _error_scale(want, abs_input)))
+    return bool(np.all(_within_budget(got, want, tol, abs_input)[0]))
 
 
 def assert_sat_close(got: np.ndarray, want: np.ndarray, tol: Tolerance, *,
@@ -163,13 +195,18 @@ def assert_sat_close(got: np.ndarray, want: np.ndarray, tol: Tolerance, *,
                 f"flat index {bad} ({tol.describe()}) — exact match "
                 f"required, rounding cannot explain any difference")
         return
-    diff = np.abs(got.astype(np.float64) - want.astype(np.float64))
-    budget = tol.gamma * _error_scale(want, abs_input)
-    over = diff > budget
-    if np.any(over):
-        bad = int(np.argmax(np.where(over, diff / np.maximum(budget, 1e-300),
-                                     0.0)))
+    ok, diff, budget = _within_budget(got, want, tol, abs_input)
+    if not np.all(ok):
+        over = ~ok
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(over, diff / np.maximum(budget, 1e-300), 0.0)
+        bad = int(np.argmax(ratio))  # a NaN ratio (NaN entry) comes first
         idx = tuple(int(i) for i in np.unravel_index(bad, diff.shape))
+        if not (np.isfinite(got[idx]) and np.isfinite(want[idx])):
+            raise AssertionError(
+                f"{prefix}SAT entry at {idx} is {got[idx]} where the oracle "
+                f"has {want[idx]}: a non-finite entry must match exactly "
+                f"({tol.describe()})")
         b = budget if np.isscalar(budget) else budget[idx]
         raise AssertionError(
             f"{prefix}SAT exceeds the proven rounding budget at {idx}: "

@@ -556,13 +556,13 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_modelcheck(args) -> int:
-    from repro.analysis import MODEL_ALGORITHMS, check
+    from repro.analysis import TABLE1_ORDER, check
     from repro.analysis.modelcheck import DEFAULT_MAX_STATES
     max_states = args.max_states or DEFAULT_MAX_STATES
     pools = tuple(args.pool) if args.pool else None
     rc = 0
     records = []
-    for name in args.algorithm or MODEL_ALGORITHMS:
+    for name in args.algorithm or TABLE1_ORDER:
         result = check(name, args.tiles, acquisition=args.acquisition,
                        por=not args.no_por, pools=pools,
                        max_states=max_states)

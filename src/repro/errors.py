@@ -83,28 +83,29 @@ class ProtocolError(SimulationError):
 
 
 class ExtractionError(ReproError):
-    """Static protocol extraction failed: a kernel's AST does not match the
-    protocol shape its module declares (see :mod:`repro.analysis.protomodel`).
-
-    Raised when a kernel drifts from its declared publish/wait/walk structure
-    — the extraction cross-check is itself a static gate."""
+    """The kernel drift gate refused a kernel: its sites and its module's
+    ``KERNEL_HINTS`` entry disagree — a missing, stale or out-of-order
+    entry, an unknown field, a walk without step bounds, an error site
+    without ``depth``, a ``walk=`` that does not match its walker, a plain
+    status-flag store or a repeated site — or its AST cannot be read (see
+    :mod:`repro.analysis.kernelir`).  Carries ``file:line`` in the message
+    when one exists."""
 
 
 class CostModelError(ReproError):
-    """Static cost verification failed: a kernel's AST-derived global-memory
-    traffic disagrees with its declared ``COST_HINTS``, with Table I, or with
-    the dynamic counters it is cross-validated against (see
+    """Static cost verification failed: a kernel's derived global-memory
+    traffic cannot be interpreted (an unaligned coalesced width, an unknown
+    pattern, a store with no overflow bound), disagrees with Table I, or
+    disagrees with the dynamic counters it is cross-validated against (see
     :mod:`repro.analysis.costcheck`).  Carries the offending source location
     in the message when one exists."""
 
 
 class NumericModelError(ReproError):
-    """Static numerical-accuracy verification failed: a kernel's AST-derived
-    rounding-error sites disagree with its declared ``ERR_HINTS``, a proven
-    bound was violated empirically, or a tolerance was requested for an
-    algorithm/dtype the error model cannot cover (see
-    :mod:`repro.analysis.numcheck`).  Carries the offending source location
-    in the message when one exists."""
+    """Static numerical-accuracy verification failed: a tolerance was
+    requested for an algorithm/dtype the error model cannot cover — the
+    proven rounding depth saturates the dtype, so no finite relative bound
+    exists (see :mod:`repro.analysis.numcheck`)."""
 
 
 class ModelCheckError(ReproError):

@@ -224,37 +224,25 @@ def run_col_scan(gpu: GPU, src: GlobalBuffer, dst: GlobalBuffer, *,
     return stats
 
 
-#: Declared protocol shape, cross-checked against the kernel AST by
-#: :func:`repro.analysis.protomodel.extract_kernel` — update BOTH when the
-#: synchronization structure changes, or model checking refuses to run.
-MODEL_HINTS = {
+#: Per-site annotations (see repro/sat/naive_2r2w.py for the convention).
+#: ``cs_tiles`` (strip, panel) pairs of ``cs_tile_elems = cs_panel_rows x
+#: cs_C`` elements each; the panel copy is modelled as one whole-tile access
+#: (its per-pass row segments are 32-byte aligned, so requests and
+#: transactions agree), the output walk stores one ``cs_C``-wide row per
+#: panel row.  The look-back executes at least ``cs_tiles - cs_strips``
+#: steps (every non-first panel terminates at its immediate predecessor).
+#: A column element's rounding path passes through one panel's strip
+#: accumulation (<= panel_rows serial adds), the look-back chain over
+#: earlier panels (one add per walked panel), the single
+#: exclusive+aggregate carry add, and the in-panel running replay.
+KERNEL_HINTS = {
     "col_scan_kernel": {
-        "ticket": True,
-        "publishes": (("aggregates", "status", STATUS_AGGREGATE),
-                      ("prefixes", "status", STATUS_PREFIX)),
-        "walks": (("status", STATUS_AGGREGATE, STATUS_PREFIX,
-                   "aggregates", "prefixes"),),
-        "waits": (),
-        "stores": ("dst",),
-        "loads": ("src",),
-    },
-}
-
-#: Per-site traffic annotations for :mod:`repro.analysis.costcheck` (see
-#: repro/sat/naive_2r2w.py for the convention).  ``cs_tiles`` (strip, panel)
-#: pairs of ``cs_tile_elems = cs_panel_rows x cs_C`` elements each; the
-#: panel copy is modelled as one whole-tile access (its per-pass row
-#: segments are 32-byte aligned, so requests and transactions agree), the
-#: output walk stores one ``cs_C``-wide row per panel row.  The look-back
-#: executes at least ``cs_tiles - cs_strips`` steps (every non-first panel
-#: terminates at its immediate predecessor).
-COST_HINTS = {
-    "col_scan_kernel": {
-        "ctx.atomic_add(counter, 0, 1)": {
-            "count": lambda g: g.cs_atomics},
+        "ctx.atomic_add(counter, 0, 1)": {"count": lambda g: g.cs_atomics},
         "ctx.gload(src, gidx)": {
             "count": lambda g: g.cs_tiles, "width": lambda g: g.cs_tile_elems,
             "pattern": "coalesced"},
+        "col_sums += values.reshape(nrows, C).sum(axis=0)": {
+            "depth": lambda g: g.cs_panel_rows},
         "publish(ctx, [(aggregates, vec_idx, col_sums)], status, sidx, "
         "STATUS_AGGREGATE)": {
             "count": lambda g: g.cs_tiles, "width": lambda g: g.cs_C,
@@ -265,37 +253,16 @@ COST_HINTS = {
         "global_threshold=STATUS_PREFIX, read_local=_vec(aggregates), "
         "read_global=_vec(prefixes), zero=np.zeros(C))": {
             "steps_lo": lambda g: g.cs_walk_lo,
-            "steps_hi": lambda g: g.cs_walk_hi,
-            "width": lambda g: g.cs_C, "pattern": "coalesced"},
+            "steps_hi": lambda g: g.cs_walk_hi, "width": lambda g: g.cs_C,
+            "pattern": "coalesced", "depth": lambda g: g.cs_panels},
         "publish(ctx, [(prefixes, vec_idx, exclusive + col_sums)], status, "
         "sidx, STATUS_PREFIX)": {
             "count": lambda g: g.cs_tiles, "width": lambda g: g.cs_C,
-            "pattern": "coalesced"},
+            "pattern": "coalesced", "depth": 1},
+        "running = running + ctx.sload('panel', soff)": {
+            "depth": lambda g: g.cs_panel_rows},
         "ctx.gstore(dst, gidx, running)": {
             "count": lambda g: g.cs_tiles * g.cs_panel_rows,
             "width": lambda g: g.cs_C, "pattern": "coalesced"},
-    },
-}
-
-
-#: Worst-path serial float additions per error site
-#: (:mod:`repro.analysis.numcheck`).  A column element passes through one
-#: panel's strip accumulation (<= panel_rows serial adds), the look-back
-#: chain over earlier panels (one add per walked panel), the single
-#: exclusive+aggregate carry add, and the in-panel running replay.
-ERR_HINTS = {
-    "col_scan_kernel": {
-        "col_sums += values.reshape(nrows, C).sum(axis=0)": {
-            "depth": lambda g: g.cs_panel_rows},
-        "lookback_walk(ctx, steps=range(panel - 1, -1, -1), "
-        "status_buf=status, status_index=lambda p: "
-        "layout.status_index(strip, p), local_threshold=STATUS_AGGREGATE, "
-        "global_threshold=STATUS_PREFIX, read_local=_vec(aggregates), "
-        "read_global=_vec(prefixes), zero=np.zeros(C))": {
-            "depth": lambda g: g.cs_panels},
-        "publish(ctx, [(prefixes, vec_idx, exclusive + col_sums)], "
-        "status, sidx, STATUS_PREFIX)": {"depth": 1},
-        "running = running + ctx.sload('panel', soff)": {
-            "depth": lambda g: g.cs_panel_rows},
     },
 }

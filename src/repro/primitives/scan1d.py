@@ -149,76 +149,39 @@ def run_row_scan(gpu: GPU, src: GlobalBuffer, dst: GlobalBuffer, *,
     return stats
 
 
-#: Declared protocol shape, cross-checked against the kernel AST by
-#: :func:`repro.analysis.protomodel.extract_kernel` — update BOTH when the
-#: synchronization structure changes, or model checking refuses to run.
-MODEL_HINTS = {
+#: Per-site annotations (see repro/sat/naive_2r2w.py for the convention).
+#: ``rs_parts`` partitions of ``rs_P`` contiguous elements each;
+#: aggregates/prefixes are per-partition scalars.  The walk executes at
+#: least ``rs_parts - rs_rows`` steps (one per non-first partition) and its
+#: payload reads are scalar.  The block scan's depth is bounded by the
+#: partition size (its actual warp-tree depth is ~2 log W + P/W, but P is
+#: the sound static bound); the look-back walks one add per earlier
+#: partition in the row; the two carry applications are one add each.
+KERNEL_HINTS = {
     "row_scan_kernel": {
-        "ticket": True,
-        "publishes": (("aggregates", "status", STATUS_AGGREGATE),
-                      ("prefixes", "status", STATUS_PREFIX)),
-        "walks": (("status", STATUS_AGGREGATE, STATUS_PREFIX,
-                   "aggregates", "prefixes"),),
-        "waits": (),
-        "stores": ("dst",),
-        "loads": ("src",),
-    },
-}
-
-#: Per-site traffic annotations for :mod:`repro.analysis.costcheck` (see
-#: repro/sat/naive_2r2w.py for the convention).  ``rs_parts`` partitions of
-#: ``rs_P`` contiguous elements each; aggregates/prefixes are per-partition
-#: scalars.  The walk executes at least ``rs_parts - rs_rows`` steps (one
-#: per non-first partition) and its payload reads are scalar.
-COST_HINTS = {
-    "row_scan_kernel": {
-        "ctx.atomic_add(counter, 0, 1)": {
-            "count": lambda g: g.rs_atomics},
+        "ctx.atomic_add(counter, 0, 1)": {"count": lambda g: g.rs_atomics},
         "ctx.gload(src, idx)": {
             "count": lambda g: g.rs_parts, "width": lambda g: g.rs_P,
             "pattern": "coalesced"},
+        "block_inclusive_scan(ctx, lane_vals)": {"depth": lambda g: g.rs_P},
         "publish(ctx, [(aggregates, np.asarray([sidx]), "
         "np.asarray([aggregate]))], status, sidx, STATUS_AGGREGATE)": {
             "count": lambda g: g.rs_parts},
         "lookback_walk(ctx, steps=range(part - 1, -1, -1), "
-        "status_buf=status, status_index=lambda p: "
-        "layout.status_index(row, p), local_threshold=STATUS_AGGREGATE, "
+        "status_buf=status, status_index=lambda p: layout.status_index(row, "
+        "p), local_threshold=STATUS_AGGREGATE, "
         "global_threshold=STATUS_PREFIX, read_local=lambda p: "
         "ctx.gload_scalar(aggregates, layout.status_index(row, p)), "
         "read_global=lambda p: ctx.gload_scalar(prefixes, "
         "layout.status_index(row, p)), zero=0.0)": {
             "steps_lo": lambda g: g.rs_walk_lo,
-            "steps_hi": lambda g: g.rs_walk_hi,
-            "width": 1, "pattern": "scalar"},
+            "steps_hi": lambda g: g.rs_walk_hi, "width": 1,
+            "pattern": "scalar", "depth": lambda g: g.rs_parts_per_row},
         "publish(ctx, [(prefixes, np.asarray([sidx]), np.asarray([exclusive "
         "+ aggregate]))], status, sidx, STATUS_PREFIX)": {
-            "count": lambda g: g.rs_parts},
+            "count": lambda g: g.rs_parts, "depth": 1},
         "ctx.gstore(dst, idx, scanned[:width] + exclusive)": {
             "count": lambda g: g.rs_parts, "width": lambda g: g.rs_P,
-            "pattern": "coalesced"},
-    },
-}
-
-
-#: Worst-path serial float additions per error site
-#: (:mod:`repro.analysis.numcheck`).  The block scan is bounded by the
-#: partition size (its actual warp-tree depth is ~2 log W + P/W, but P is
-#: the sound static bound); the look-back walks one add per earlier
-#: partition in the row; the two carry applications are one add each.
-ERR_HINTS = {
-    "row_scan_kernel": {
-        "block_inclusive_scan(ctx, lane_vals)": {"depth": lambda g: g.rs_P},
-        "lookback_walk(ctx, steps=range(part - 1, -1, -1), "
-        "status_buf=status, status_index=lambda p: "
-        "layout.status_index(row, p), local_threshold=STATUS_AGGREGATE, "
-        "global_threshold=STATUS_PREFIX, read_local=lambda p: "
-        "ctx.gload_scalar(aggregates, layout.status_index(row, p)), "
-        "read_global=lambda p: ctx.gload_scalar(prefixes, "
-        "layout.status_index(row, p)), zero=0.0)": {
-            "depth": lambda g: g.rs_parts_per_row},
-        "publish(ctx, [(prefixes, np.asarray([sidx]), "
-        "np.asarray([exclusive + aggregate]))], status, sidx, "
-        "STATUS_PREFIX)": {"depth": 1},
-        "ctx.gstore(dst, idx, scanned[:width] + exclusive)": {"depth": 1},
+            "pattern": "coalesced", "depth": 1},
     },
 }

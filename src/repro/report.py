@@ -24,10 +24,9 @@ def generate_report(*, measure_size: int = 128, fuzz_runs: int = 25,
     simulator pays ~10³x wall-clock); ``fuzz_runs`` bounds the differential
     fuzzing pass.
     """
-    from repro.analysis import (MODEL_ALGORITHMS, TABLE1_ORDER, check,
-                                check_counts, fuzz, precision_report,
-                                prove_table1, render_profile, render_table1,
-                                table1_sym)
+    from repro.analysis import (TABLE1_ORDER, check, check_counts, fuzz,
+                                precision_report, prove_table1,
+                                render_profile, render_table1, table1_sym)
     from repro.analysis.waves import PROFILES
     from repro.gpusim import GPU
     from repro.perfmodel import TitanVModel, render_table3
@@ -110,7 +109,7 @@ def generate_report(*, measure_size: int = 128, fuzz_runs: int = 25,
               "synchronization protocol, over resident-block pools 1-4 "
               "(deadlock freedom is proved, not sampled; see "
               "`python -m repro modelcheck`):\n\n```\n")
-    for name in MODEL_ALGORITHMS:
+    for name in TABLE1_ORDER:
         res = check(name, 2)
         verdict = "VERIFIED" if res.ok else "VIOLATIONS FOUND"
         out.write(f"{name:<14} {verdict:<16} {res.states:>6} states, "

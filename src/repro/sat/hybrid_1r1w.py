@@ -267,41 +267,31 @@ class Hybrid1R1W(SATAlgorithm):
         return out
 
 
-#: Declared protocol shape, cross-checked against the kernel AST by
-#: :func:`repro.analysis.protomodel.extract_kernel` — update BOTH when the
-#: memory-access structure changes, or model checking refuses to run.
-MODEL_HINTS = {
-    "band_local_sums_kernel": {"stores": ("lcs", "lrs", "ls"),
-                               "loads": ("a",)},
-    "band_global_sums_kernel": {"stores": ("gcs", "grs", "gs"),
-                                "loads": ("gcs", "grs", "gs",
-                                          "lcs", "lrs", "ls")},
-    "band_gsat_kernel": {"stores": ("b",),
-                         "loads": ("a", "gcs", "grs", "gs")},
-}
-
-#: Per-site traffic annotations for :mod:`repro.analysis.costcheck` (see
-#: naive_2r2w.py for the convention).  Counts are totals over BOTH band
-#: launches (A and C): ``band`` tiles overall, ``band_left``/``band_up``/
-#: ``band_corner`` of them with a left/up/corner neighbour, and
-#: ``band_seed_row``/``band_seed_col`` rows/columns whose band-C segment is
-#: seeded from an already-committed prefix.  The middle-band wavefront's
-#: hints live with the shared kernel in kasagi_1r1w.py.
-COST_HINTS = {
+#: Per-site annotations (see naive_2r2w.py for the convention).  Counts are
+#: totals over BOTH band launches (A and C): ``band`` tiles overall,
+#: ``band_left``/``band_up``/``band_corner`` of them with a left/up/corner
+#: neighbour, and ``band_seed_row``/``band_seed_col`` rows/columns whose
+#: band-C segment is seeded from an already-committed prefix.  Band locals
+#: round like 2R1W's; the band global pass's four-corner GS recurrence
+#: chains over <= 2t diagonal hops at 3 adds per hop.  The middle-band
+#: wavefront's entries live with the shared kernel in kasagi_1r1w.py
+#: (its assembly re-scans make the hybrid O(t*W) deep overall).
+KERNEL_HINTS = {
     "band_local_sums_kernel": {
         "smem.load_tile_with_col_sums(ctx, a, stride, W, I, J, 'tile', "
         "layout)": {
             "count": lambda g: g.band, "width": lambda g: g.W2,
-            "pattern": "coalesced"},
+            "pattern": "coalesced", "depth": lambda g: g.W},
+        "smem.tile_row_sums(ctx, 'tile', W, layout)": {"depth": lambda g: g.W},
         "ctx.gstore(sb.lrs, sb.vec_idx(I, J), lrs)": {
             "count": lambda g: g.band, "width": lambda g: g.W,
             "pattern": "coalesced"},
         "ctx.gstore(sb.lcs, sb.vec_idx(I, J), lcs)": {
             "count": lambda g: g.band, "width": lambda g: g.W,
             "pattern": "coalesced"},
+        "lane_vector_sum(ctx, lcs)": {"depth": lambda g: g.W},
         "ctx.gstore_scalar(sb.ls, sb.scalar_idx(I, J), lane_vector_sum(ctx, "
-        "lcs))": {
-            "count": lambda g: g.band},
+        "lcs))": {"count": lambda g: g.band},
     },
     "band_global_sums_kernel": {
         "ctx.gload(sb.grs, (I * tc + (Js.start - 1)) * W + i)": {
@@ -310,6 +300,7 @@ COST_HINTS = {
         "ctx.gload(sb.lrs, idx)": {
             "count": lambda g: g.band, "width": lambda g: g.W,
             "pattern": "coalesced"},
+        "acc = acc + ctx.gload(sb.lrs, idx)": {"depth": lambda g: g.t},
         "ctx.gstore(sb.grs, idx, acc)": {
             "count": lambda g: g.band, "width": lambda g: g.W,
             "pattern": "coalesced"},
@@ -319,6 +310,7 @@ COST_HINTS = {
         "ctx.gload(sb.lcs, idx)": {
             "count": lambda g: g.band, "width": lambda g: g.W,
             "pattern": "coalesced"},
+        "acc = acc + ctx.gload(sb.lcs, idx)": {"depth": lambda g: g.t},
         "ctx.gstore(sb.gcs, idx, acc)": {
             "count": lambda g: g.band, "width": lambda g: g.W,
             "pattern": "coalesced"},
@@ -331,8 +323,7 @@ COST_HINTS = {
         "ctx.gload_scalar(sb.ls, sb.scalar_idx(I, J))": {
             "count": lambda g: g.band},
         "ctx.gstore_scalar(sb.gs, sb.scalar_idx(I, J), up + left - corner + "
-        "ls)": {
-            "count": lambda g: g.band},
+        "ls)": {"count": lambda g: g.band, "depth": lambda g: 6 * g.t},
     },
     "band_gsat_kernel": {
         "smem.load_tile(ctx, a, stride, W, I, J, 'tile', layout)": {
@@ -346,34 +337,10 @@ COST_HINTS = {
             "pattern": "coalesced"},
         "ctx.gload_scalar(sb.gs, sb.scalar_idx(I - 1, J - 1))": {
             "count": lambda g: g.band_corner},
+        "assemble_gsat_in_shared(ctx, W, 'tile', grs_left, gcs_above, "
+        "gs_corner, layout)": {"depth": lambda g: 2 * g.W + 1},
         "smem.store_tile(ctx, b, stride, W, I, J, 'tile', layout)": {
             "count": lambda g: g.band, "width": lambda g: g.W2,
             "pattern": "coalesced"},
-    },
-}
-
-
-#: Worst-path serial float additions per error site
-#: (:mod:`repro.analysis.numcheck`).  Band locals mirror 2R1W's; the band
-#: global pass's four-corner GS recurrence chains over <= 2t diagonal hops
-#: at 3 adds per hop; the wavefront band inherits the kasagi kernel's
-#: hints (assembly re-scans make the hybrid O(t*W) deep overall).
-ERR_HINTS = {
-    "band_local_sums_kernel": {
-        "smem.load_tile_with_col_sums(ctx, a, stride, W, I, J, 'tile', "
-        "layout)": {"depth": lambda g: g.W},
-        "smem.tile_row_sums(ctx, 'tile', W, layout)": {
-            "depth": lambda g: g.W},
-        "lane_vector_sum(ctx, lcs)": {"depth": lambda g: g.W},
-    },
-    "band_global_sums_kernel": {
-        "acc = acc + ctx.gload(sb.lrs, idx)": {"depth": lambda g: g.t},
-        "acc = acc + ctx.gload(sb.lcs, idx)": {"depth": lambda g: g.t},
-        "ctx.gstore_scalar(sb.gs, sb.scalar_idx(I, J), up + left - "
-        "corner + ls)": {"depth": lambda g: 6 * g.t},
-    },
-    "band_gsat_kernel": {
-        "assemble_gsat_in_shared(ctx, W, 'tile', grs_left, gcs_above, "
-        "gs_corner, layout)": {"depth": lambda g: 2 * g.W + 1},
     },
 }

@@ -120,21 +120,17 @@ class Kasagi1R1W(SATAlgorithm):
         return out
 
 
-#: Declared protocol shape, cross-checked against the kernel AST by
-#: :func:`repro.analysis.protomodel.extract_kernel` — update BOTH when the
-#: memory-access structure changes, or model checking refuses to run.
-MODEL_HINTS = {
-    "wavefront_kernel": {"stores": ("b", "gcs", "grs", "gs"),
-                         "loads": ("a", "gcs", "grs", "gs")},
-}
-
-#: Per-site traffic annotations for :mod:`repro.analysis.costcheck` (see
-#: naive_2r2w.py for the convention).  The wavefront kernel is shared with
-#: the hybrid's middle band, so its counts are phrased in the ``wave_*``
-#: geometry: over the full grid (this algorithm) ``wave = t²`` and
-#: ``wave_left = wave_above = t² - t``; over the hybrid's middle diagonals
-#: they count only the tiles the wavefront actually visits.
-COST_HINTS = {
+#: Per-site annotations (see naive_2r2w.py for the convention).  The
+#: wavefront kernel is shared with the hybrid's middle band, so its counts
+#: are phrased in the ``wave_*`` geometry: over the full grid (this
+#: algorithm) ``wave = t²`` and ``wave_left = wave_above = t² - t``; over
+#: the hybrid's middle diagonals they count only the tiles the wavefront
+#: actually visits.  The GSAT corners feed the next diagonal's carries, so
+#: a value's rounding path runs through up to t *assemblies* — each
+#: re-scanning it through the tile prefix passes (2W + 1 adds).  That makes
+#: 1R1W O(t*W) = O(n) deep, unlike 2R1W or SKSS-LB whose carries chain with
+#: one add per hop.
+KERNEL_HINTS = {
     "wavefront_kernel": {
         "smem.load_tile(ctx, a, stride, W, I, J, 'tile', layout)": {
             "count": lambda g: g.wave, "width": lambda g: g.W2,
@@ -147,38 +143,20 @@ COST_HINTS = {
             "pattern": "coalesced"},
         "ctx.gload_scalar(sb.gs, sb.scalar_idx(I - 1, J - 1))": {
             "count": lambda g: g.wave_corner},
+        "smem.tile_row_sums(ctx, 'tile', W, layout)": {"depth": lambda g: g.W},
+        "smem.tile_col_sums(ctx, 'tile', W, layout)": {"depth": lambda g: g.W},
         "ctx.gstore(sb.grs, sb.vec_idx(I, J), grs_left + lrs)": {
             "count": lambda g: g.wave, "width": lambda g: g.W,
-            "pattern": "coalesced"},
+            "pattern": "coalesced", "depth": lambda g: g.t},
         "ctx.gstore(sb.gcs, sb.vec_idx(I, J), gcs_above + lcs)": {
             "count": lambda g: g.wave, "width": lambda g: g.W,
-            "pattern": "coalesced"},
+            "pattern": "coalesced", "depth": lambda g: g.t},
+        "assemble_gsat_in_shared(ctx, W, 'tile', grs_left, gcs_above, "
+        "gs_corner, layout)": {"depth": lambda g: g.t * (2 * g.W + 1)},
         "ctx.gstore_scalar(sb.gs, sb.scalar_idx(I, J), gs_now)": {
             "count": lambda g: g.wave},
         "smem.store_tile(ctx, b, stride, W, I, J, 'tile', layout)": {
             "count": lambda g: g.wave, "width": lambda g: g.W2,
             "pattern": "coalesced"},
-    },
-}
-
-
-#: Worst-path serial float additions per error site
-#: (:mod:`repro.analysis.numcheck`).  The wavefront's GSAT corners feed the
-#: next diagonal's carries, so a value's path runs through up to t
-#: *assemblies* — each re-scanning it through the tile prefix passes
-#: (2W + 1 adds).  That makes 1R1W O(t*W) = O(n) deep, unlike 2R1W or
-#: SKSS-LB whose carries chain with one add per hop.
-ERR_HINTS = {
-    "wavefront_kernel": {
-        "smem.tile_row_sums(ctx, 'tile', W, layout)": {
-            "depth": lambda g: g.W},
-        "smem.tile_col_sums(ctx, 'tile', W, layout)": {
-            "depth": lambda g: g.W},
-        "ctx.gstore(sb.grs, sb.vec_idx(I, J), grs_left + lrs)": {
-            "depth": lambda g: g.t},
-        "ctx.gstore(sb.gcs, sb.vec_idx(I, J), gcs_above + lcs)": {
-            "depth": lambda g: g.t},
-        "assemble_gsat_in_shared(ctx, W, 'tile', grs_left, gcs_above, "
-        "gs_corner, layout)": {"depth": lambda g: g.t * (2 * g.W + 1)},
     },
 }

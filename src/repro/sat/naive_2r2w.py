@@ -76,25 +76,22 @@ class Naive2R2W(SATAlgorithm):
         return a.cumsum(axis=0).cumsum(axis=1)
 
 
-#: Declared protocol shape, cross-checked against the kernel AST by
-#: :func:`repro.analysis.protomodel.extract_kernel` — update BOTH when the
-#: memory-access structure changes, or model checking refuses to run.
-MODEL_HINTS = {
-    "column_scan_kernel": {"stores": ("dst",), "loads": ("src",)},
-    "row_scan_kernel": {"stores": ("buf",), "loads": ("buf",)},
-}
-
-#: Per-site traffic annotations for :mod:`repro.analysis.costcheck`: each
-#: counted global access, keyed by its exact source expression, with its
-#: per-run execution count, access width and coalescing pattern as functions
-#: of the counting geometry.  ``repro costcheck`` re-extracts the sites from
-#: the AST and fails on any drift between this table and the code.
-COST_HINTS = {
+#: Per-site annotations, one entry per site of each kernel in source order
+#: (:mod:`repro.analysis.kernelir` parses the kernels and refuses any drift
+#: between this table and the code).  A counted global access carries its
+#: per-run execution count, access width and coalescing pattern as
+#: functions of the counting geometry (:mod:`repro.analysis.costcheck`); a
+#: rounding site carries ``depth``, its worst-path serial float additions
+#: over the whole run (:mod:`repro.analysis.numcheck`).  Each scan folds one
+#: element at a time into ``running`` across the full n-length axis.
+KERNEL_HINTS = {
     # n rows x an n-wide thread front, touching one row at a time: coalesced.
     "column_scan_kernel": {
         "ctx.gload(src, i * n_cols + cols)": {
             "count": lambda g: g.n, "width": lambda g: g.n,
             "pattern": "coalesced"},
+        "running = running + ctx.gload(src, i * n_cols + cols)": {
+            "depth": lambda g: g.n},
         "ctx.gstore(dst, i * n_cols + cols, running)": {
             "count": lambda g: g.n, "width": lambda g: g.n,
             "pattern": "coalesced"},
@@ -105,23 +102,10 @@ COST_HINTS = {
         "ctx.gload(buf, rows * n_cols + j)": {
             "count": lambda g: g.n, "width": lambda g: g.n,
             "pattern": "strided"},
+        "running = running + ctx.gload(buf, rows * n_cols + j)": {
+            "depth": lambda g: g.n},
         "ctx.gstore(buf, rows * n_cols + j, running)": {
             "count": lambda g: g.n, "width": lambda g: g.n,
             "pattern": "strided"},
-    },
-}
-
-
-#: Worst-path serial float additions per error site over the whole run
-#: (:mod:`repro.analysis.numcheck`).  Each scan folds one element at a time
-#: into ``running`` across the full n-length axis.
-ERR_HINTS = {
-    "column_scan_kernel": {
-        "running = running + ctx.gload(src, i * n_cols + cols)": {
-            "depth": lambda g: g.n},
-    },
-    "row_scan_kernel": {
-        "running = running + ctx.gload(buf, rows * n_cols + j)": {
-            "depth": lambda g: g.n},
     },
 }

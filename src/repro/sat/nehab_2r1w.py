@@ -176,25 +176,21 @@ class Nehab2R1W(SATAlgorithm):
         return out
 
 
-#: Declared protocol shape, cross-checked against the kernel AST by
-#: :func:`repro.analysis.protomodel.extract_kernel` — update BOTH when the
-#: memory-access structure changes, or model checking refuses to run.
-MODEL_HINTS = {
-    "local_sums_kernel": {"stores": ("lcs", "lrs", "ls"), "loads": ("a",)},
-    "global_sums_kernel": {"stores": ("gcs", "grs", "gs"),
-                           "loads": ("lcs", "lrs", "ls")},
-    "gsat_kernel": {"stores": ("b",), "loads": ("a", "gcs", "grs", "gs")},
-}
-
-#: Per-site traffic annotations for :mod:`repro.analysis.costcheck` (see
-#: naive_2r2w.py for the convention).  Geometry: ``t`` tiles per side,
-#: ``tiles = t²``, tile width ``W``, ``W2 = W²``, ``n = tW``.
-COST_HINTS = {
+#: Per-site annotations (see naive_2r2w.py for the convention).  Geometry:
+#: ``t`` tiles per side, ``tiles = t²``, tile width ``W``, ``W2 = W²``,
+#: ``n = tW``.  Tile-local sums are bounded by W roundings per value; the
+#: global pass folds t tile sums per axis and double-scans the t x t grid;
+#: the final assembly adds the carries through one tile's prefix passes
+#: (2W + 1).  Carries are applied with direct adds — never re-scanned
+#: through tiles — so the whole algorithm is O(t + W) deep.
+KERNEL_HINTS = {
     "local_sums_kernel": {
         "smem.load_tile_with_col_sums(ctx, a, stride, W, I, J, 'tile', "
         "layout)": {
             "count": lambda g: g.tiles, "width": lambda g: g.W2,
-            "pattern": "coalesced"},
+            "pattern": "coalesced", "depth": lambda g: g.W},
+        "smem.tile_row_sums(ctx, 'tile', W, layout)": {"depth": lambda g: g.W},
+        "lane_vector_sum(ctx, lcs)": {"depth": lambda g: g.W},
         "ctx.gstore(sb.lrs, sb.vec_idx(I, J), lrs)": {
             "count": lambda g: g.tiles, "width": lambda g: g.W,
             "pattern": "coalesced"},
@@ -210,17 +206,21 @@ COST_HINTS = {
         "ctx.gload(sb.lrs, idx)": {
             "count": lambda g: g.t, "width": lambda g: g.n,
             "pattern": "coalesced"},
+        "acc = acc + ctx.gload(sb.lrs, idx)": {"depth": lambda g: g.t},
         "ctx.gstore(sb.grs, idx, acc)": {
             "count": lambda g: g.t, "width": lambda g: g.n,
             "pattern": "coalesced"},
         "ctx.gload(sb.lcs, idx)": {
             "count": lambda g: g.t, "width": lambda g: g.n,
             "pattern": "coalesced"},
+        "acc = acc + ctx.gload(sb.lcs, idx)": {"depth": lambda g: g.t},
         "ctx.gstore(sb.gcs, idx, acc)": {
             "count": lambda g: g.t, "width": lambda g: g.n,
             "pattern": "coalesced"},
         "ctx.gload(sb.ls, np.arange(tr * tc))": {
             "count": 1, "width": lambda g: g.tiles, "pattern": "coalesced"},
+        "ls.cumsum(axis=0)": {"depth": lambda g: g.t - 1},
+        "ls.cumsum(axis=0).cumsum(axis=1)": {"depth": lambda g: g.t - 1},
         "ctx.gstore(sb.gs, np.arange(tr * tc), gs.ravel())": {
             "count": 1, "width": lambda g: g.tiles, "pattern": "coalesced"},
     },
@@ -238,35 +238,10 @@ COST_HINTS = {
             "pattern": "coalesced"},
         "ctx.gload_scalar(sb.gs, sb.scalar_idx(I - 1, J - 1))": {
             "count": lambda g: (g.t - 1) * (g.t - 1)},
+        "assemble_gsat_in_shared(ctx, W, 'tile', grs_left, gcs_above, "
+        "gs_corner, layout)": {"depth": lambda g: 2 * g.W + 1},
         "smem.store_tile(ctx, b, stride, W, I, J, 'tile', layout)": {
             "count": lambda g: g.tiles, "width": lambda g: g.W2,
             "pattern": "coalesced"},
-    },
-}
-
-
-#: Worst-path serial float additions per error site
-#: (:mod:`repro.analysis.numcheck`).  Tile-local sums are bounded by W per
-#: value; the global pass folds t tile sums per axis and double-scans the
-#: t x t grid; the final assembly adds the carries through one tile's
-#: prefix passes (2W + 1).  Carries are applied with direct adds — never
-#: re-scanned through tiles — so the whole algorithm is O(t + W) deep.
-ERR_HINTS = {
-    "local_sums_kernel": {
-        "smem.load_tile_with_col_sums(ctx, a, stride, W, I, J, 'tile', "
-        "layout)": {"depth": lambda g: g.W},
-        "smem.tile_row_sums(ctx, 'tile', W, layout)": {
-            "depth": lambda g: g.W},
-        "lane_vector_sum(ctx, lcs)": {"depth": lambda g: g.W},
-    },
-    "global_sums_kernel": {
-        "acc = acc + ctx.gload(sb.lrs, idx)": {"depth": lambda g: g.t},
-        "acc = acc + ctx.gload(sb.lcs, idx)": {"depth": lambda g: g.t},
-        "ls.cumsum(axis=0)": {"depth": lambda g: g.t - 1},
-        "ls.cumsum(axis=0).cumsum(axis=1)": {"depth": lambda g: g.t - 1},
-    },
-    "gsat_kernel": {
-        "assemble_gsat_in_shared(ctx, W, 'tile', grs_left, gcs_above, "
-        "gs_corner, layout)": {"depth": lambda g: 2 * g.W + 1},
     },
 }

@@ -119,26 +119,16 @@ class SKSS1R1W(SATAlgorithm):
         return out
 
 
-#: Declared protocol shape, cross-checked against the kernel AST by
-#: :func:`repro.analysis.protomodel.extract_kernel` — update BOTH when the
-#: synchronization structure changes, or model checking refuses to run.
-MODEL_HINTS = {
-    "skss_kernel": {
-        "ticket": True,
-        "publishes": (("grs", "R", GRS_READY),),
-        "walks": (),
-        "waits": (("R", GRS_READY),),
-        "stores": ("b",),
-        "loads": ("a", "grs"),
-    },
-}
-
-#: Per-site traffic annotations for :mod:`repro.analysis.costcheck` (see
-#: naive_2r2w.py for the convention).  Every wait/GRS read is guarded by
-#: ``J > 0``, hence the ``tiles - t`` counts; the ticket counter absorbs one
-#: successful ``atomic_add`` per column plus one failing one per block
-#: (``2t`` total at the default one-block-per-column launch).
-COST_HINTS = {
+#: Per-site annotations (see naive_2r2w.py for the convention).  Every
+#: wait/GRS read is guarded by ``J > 0``, hence the ``tiles - t`` counts;
+#: the ticket counter absorbs one successful ``atomic_add`` per column plus
+#: one failing one per block (``2t`` total at the default
+#: one-block-per-column launch).  SKSS pushes each carry *through* the tile
+#: prefix passes: a row's running prefix re-scans every tile it crosses
+#: (W - 1 adds per tile plus the carry seed add), and likewise down each
+#: column — O(t*W) = O(n) deep, the price of the elegant add-then-rescan
+#: formulation.
+KERNEL_HINTS = {
     "skss_kernel": {
         "ctx.atomic_add(sb.counter, 0, 1)": {
             "count": lambda g: g.skss_atomics},
@@ -146,37 +136,24 @@ COST_HINTS = {
             "count": lambda g: g.tiles, "width": lambda g: g.W2,
             "pattern": "coalesced"},
         "ctx.wait_until(sb.R, sb.scalar_idx(I, J - 1), lambda v: v >= "
-        "GRS_READY)": {
-            "count": lambda g: g.skss_waits},
+        "GRS_READY)": {"count": lambda g: g.skss_waits},
         "ctx.gload(sb.grs, sb.vec_idx(I, J - 1))": {
             "count": lambda g: g.tiles - g.t, "width": lambda g: g.W,
             "pattern": "coalesced"},
-        "publish(ctx, [(sb.grs, sb.vec_idx(I, J), grs_now)], sb.R, "
-        "sb.scalar_idx(I, J), GRS_READY)": {
-            "count": lambda g: g.tiles, "width": lambda g: g.W,
-            "pattern": "coalesced"},
-        "smem.store_tile(ctx, b, stride, W, I, J, 'tile', layout)": {
-            "count": lambda g: g.tiles, "width": lambda g: g.W2,
-            "pattern": "coalesced"},
-    },
-}
-
-
-#: Worst-path serial float additions per error site
-#: (:mod:`repro.analysis.numcheck`).  SKSS pushes each carry *through* the
-#: tile prefix passes: a row's running prefix re-scans every tile it
-#: crosses (W - 1 adds per tile plus the carry seed add), and likewise down
-#: each column — O(t*W) = O(n) deep, the price of the elegant
-#: add-then-rescan formulation.
-ERR_HINTS = {
-    "skss_kernel": {
         "smem.add_to_col(ctx, 'tile', W, 0, grs_left, layout)": {
             "depth": lambda g: g.t},
         "smem.tile_row_prefix_sums(ctx, 'tile', W, layout)": {
             "depth": lambda g: g.t * (g.W - 1)},
+        "publish(ctx, [(sb.grs, sb.vec_idx(I, J), grs_now)], sb.R, "
+        "sb.scalar_idx(I, J), GRS_READY)": {
+            "count": lambda g: g.tiles, "width": lambda g: g.W,
+            "pattern": "coalesced"},
         "smem.add_to_row(ctx, 'tile', W, 0, gcp, layout)": {
             "depth": lambda g: g.t},
         "smem.tile_col_prefix_sums(ctx, 'tile', W, layout)": {
             "depth": lambda g: g.t * (g.W - 1)},
+        "smem.store_tile(ctx, b, stride, W, I, J, 'tile', layout)": {
+            "count": lambda g: g.tiles, "width": lambda g: g.W2,
+            "pattern": "coalesced"},
     },
 }

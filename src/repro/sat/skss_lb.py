@@ -214,38 +214,26 @@ class SKSSLB1R1W(SATAlgorithm):
         return out
 
 
-#: Declared protocol shape, cross-checked against the kernel AST by
-#: :func:`repro.analysis.protomodel.extract_kernel` — update BOTH when the
-#: synchronization structure changes, or model checking refuses to run.
-MODEL_HINTS = {
+#: Per-site annotations (see naive_2r2w.py for the convention).  The
+#: look-back walks are the only schedule-dependent traffic in the whole
+#: suite: each walk executes at least one step per tile with a non-trivial
+#: predecessor (every walk terminates at its immediate neighbour) and at
+#: most the full distance back to the matrix edge, hence the ``[lo, hi]``
+#: step windows; ``walk=`` declares the status byte, thresholds and buffers
+#: of the tilecommon walker each call runs.  Look-back chains cost one add
+#: per walked tile and each publish applies its carry with a single add, so
+#: — like 2R1W and unlike plain SKSS — the depth is O(t + W): carries chain
+#: shallowly instead of re-scanning through every downstream tile.  The
+#: lane_vector_sum depth covers the two un-extracted adds forming its
+#: ``pairwise`` operand (grs_left + gcs_above + lrs).
+KERNEL_HINTS = {
     "skss_lb_kernel": {
-        "ticket": True,
-        "publishes": (("lrs", "R", R_LRS), ("lcs", "C", C_LCS),
-                      ("grs", "R", R_GRS), ("gcs", "C", C_GCS),
-                      ("gls", "R", R_GLS), ("gs", "R", R_GS)),
-        "walks": (("R", R_LRS, R_GRS, "lrs", "grs"),
-                  ("C", C_LCS, C_GCS, "lcs", "gcs"),
-                  ("R", R_GLS, R_GS, "gls", "gs")),
-        "waits": (),
-        "stores": ("b",),
-        "loads": ("a",),
-    },
-}
-
-#: Per-site traffic annotations for :mod:`repro.analysis.costcheck` (see
-#: naive_2r2w.py for the convention).  The look-back walks are the only
-#: schedule-dependent traffic in the whole suite: each walk executes at
-#: least one step per tile with a non-trivial predecessor (every walk
-#: terminates at its immediate neighbour) and at most the full distance back
-#: to the matrix edge, hence the ``[lo, hi]`` step windows.
-COST_HINTS = {
-    "skss_lb_kernel": {
-        "ctx.atomic_add(sb.counter, 0, 1)": {
-            "count": lambda g: g.lb_atomics},
+        "ctx.atomic_add(sb.counter, 0, 1)": {"count": lambda g: g.lb_atomics},
         "smem.load_tile_with_col_sums(ctx, a, stride, W, I, J, 'tile', "
         "layout)": {
             "count": lambda g: g.tiles, "width": lambda g: g.W2,
-            "pattern": "coalesced"},
+            "pattern": "coalesced", "depth": lambda g: g.W},
+        "smem.tile_row_sums(ctx, 'tile', W, layout)": {"depth": lambda g: g.W},
         "publish_vector(ctx, sb.lrs, vec, lrs, sb.R, flag, R_LRS)": {
             "count": lambda g: g.tiles, "width": lambda g: g.W,
             "pattern": "coalesced"},
@@ -254,63 +242,40 @@ COST_HINTS = {
             "pattern": "coalesced"},
         "row_lookback(ctx, sb, I, J)": {
             "steps_lo": lambda g: g.lb_row_lo,
-            "steps_hi": lambda g: g.lb_row_hi,
-            "width": lambda g: g.W, "pattern": "coalesced"},
+            "steps_hi": lambda g: g.lb_row_hi, "width": lambda g: g.W,
+            "pattern": "coalesced", "depth": lambda g: g.t,
+            "walk": ("R", R_LRS, R_GRS, "lrs", "grs")},
         "publish_vector(ctx, sb.grs, vec, grs_left + lrs, sb.R, flag, "
         "R_GRS)": {
             "count": lambda g: g.tiles, "width": lambda g: g.W,
-            "pattern": "coalesced"},
+            "pattern": "coalesced", "depth": lambda g: g.t},
         "col_lookback(ctx, sb, I, J)": {
             "steps_lo": lambda g: g.lb_col_lo,
-            "steps_hi": lambda g: g.lb_col_hi,
-            "width": lambda g: g.W, "pattern": "coalesced"},
+            "steps_hi": lambda g: g.lb_col_hi, "width": lambda g: g.W,
+            "pattern": "coalesced", "depth": lambda g: g.t,
+            "walk": ("C", C_LCS, C_GCS, "lcs", "gcs")},
         "publish_vector(ctx, sb.gcs, vec, gcs_above + lcs, sb.C, flag, "
         "C_GCS)": {
             "count": lambda g: g.tiles, "width": lambda g: g.W,
-            "pattern": "coalesced"},
+            "pattern": "coalesced", "depth": lambda g: g.t},
+        "lane_vector_sum(ctx, pairwise)": {"depth": lambda g: g.W + 2},
         "publish_scalar(ctx, sb.gls, flag, gls, sb.R, flag, R_GLS)": {
             "count": lambda g: g.tiles},
         "diag_lookback(ctx, sb, I, J)": {
             "steps_lo": lambda g: g.lb_diag_lo,
-            "steps_hi": lambda g: g.lb_diag_hi,
-            "width": 1, "pattern": "scalar"},
+            "steps_hi": lambda g: g.lb_diag_hi, "width": 1,
+            "pattern": "scalar", "depth": lambda g: g.t,
+            "walk": ("R", R_GLS, R_GS, "gls", "gs")},
         "publish_scalar(ctx, sb.gs, flag, gs_corner + gls, sb.R, flag, "
-        "R_GS)": {
-            "count": lambda g: g.tiles},
+        "R_GS)": {"count": lambda g: g.tiles, "depth": lambda g: g.t},
+        "assemble_gsat_in_shared(ctx, W, 'tile', grs_left, gcs_above, "
+        "gs_corner, layout)": {"depth": lambda g: 2 * g.W + 1},
         "smem.store_tile(ctx, b, stride, W, I, J, 'tile', layout)": {
             "count": lambda g: g.tiles, "width": lambda g: g.W2,
             "pattern": "coalesced"},
     },
 }
 
-#: Worst-path serial float additions per error site
-#: (:mod:`repro.analysis.numcheck`).  Look-back chains cost one add per
-#: walked tile and each publish applies its carry with a single add, so —
-#: like 2R1W and unlike plain SKSS — the depth is O(t + W): carries chain
-#: shallowly instead of re-scanning through every downstream tile.  The
-#: lane_vector_sum depth covers the two un-extracted adds forming its
-#: ``pairwise`` operand (grs_left + gcs_above + lrs).
-ERR_HINTS = {
-    "skss_lb_kernel": {
-        "smem.load_tile_with_col_sums(ctx, a, stride, W, I, J, 'tile', "
-        "layout)": {"depth": lambda g: g.W},
-        "smem.tile_row_sums(ctx, 'tile', W, layout)": {
-            "depth": lambda g: g.W},
-        "row_lookback(ctx, sb, I, J)": {"depth": lambda g: g.t},
-        "publish_vector(ctx, sb.grs, vec, grs_left + lrs, sb.R, flag, "
-        "R_GRS)": {"depth": lambda g: g.t},
-        "col_lookback(ctx, sb, I, J)": {"depth": lambda g: g.t},
-        "publish_vector(ctx, sb.gcs, vec, gcs_above + lcs, sb.C, flag, "
-        "C_GCS)": {"depth": lambda g: g.t},
-        "lane_vector_sum(ctx, pairwise)": {"depth": lambda g: g.W + 2},
-        "diag_lookback(ctx, sb, I, J)": {"depth": lambda g: g.t},
-        "publish_scalar(ctx, sb.gs, flag, gs_corner + gls, sb.R, flag, "
-        "R_GS)": {"depth": lambda g: g.t},
-        "assemble_gsat_in_shared(ctx, W, 'tile', grs_left, gcs_above, "
-        "gs_corner, layout)": {"depth": lambda g: 2 * g.W + 1},
-    },
-}
-
 __all__ = ["SKSSLB1R1W", "skss_lb_kernel", "tile_serial_number",
            "serial_to_tile", "lane_vector_sum", "ACQUISITION_ORDERS",
-           "acquisition_tile", "MODEL_HINTS", "COST_HINTS", "ERR_HINTS"]
+           "acquisition_tile", "KERNEL_HINTS"]

@@ -1,76 +1,20 @@
-"""Static numerical-accuracy verifier: extraction, drift gate, proofs."""
+"""Static numerical-accuracy verifier: proven depths, bounds, corpus.
+
+The error-site parse and the KERNEL_HINTS drift gate are pinned in
+test_kernelir.py."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.numcheck import (GENERATORS, TIGHTNESS_PROBES,
-                                     build_error_geometry, check_numeric_corpus,
-                                     concrete_depth, dump_error_keys,
-                                     error_bound_strings, extract_error_sites,
-                                     find_numeric_bugs, gamma,
-                                     integer_exactness, kernel_error_depth,
-                                     run_numcheck, symbolic_depth,
-                                     symbolic_host_depth, validate_bounds)
+                                     check_numeric_corpus, concrete_depth,
+                                     error_bound_strings, find_numeric_bugs,
+                                     gamma, integer_exactness, run_numcheck,
+                                     symbolic_depth, symbolic_host_depth,
+                                     validate_bounds)
 from repro.analysis.table1 import TABLE1_ORDER
 from repro.errors import ConfigurationError, NumericModelError
-from repro.sat.naive_2r2w import ERR_HINTS as NAIVE_HINTS
 from repro.sat.naive_2r2w import column_scan_kernel
-
-
-class TestExtraction:
-    def test_naive_scan_has_one_accumulation_site(self):
-        sites = extract_error_sites(column_scan_kernel)
-        assert [s.role for s in sites] == ["accumulate"]
-        assert sites[0].kernel == "column_scan_kernel"
-        assert sites[0].file == "naive_2r2w.py"
-        assert sites[0].line > 0
-
-    def test_keys_are_unparsed_source(self):
-        keys = dump_error_keys(column_scan_kernel)
-        assert keys == list(NAIVE_HINTS["column_scan_kernel"])
-
-    def test_duplicate_sites_rejected(self):
-        def twin_kernel(ctx, data):
-            acc = acc + ctx.gload_scalar(data, 0)
-            acc = acc + ctx.gload_scalar(data, 0)
-
-        with pytest.raises(NumericModelError, match="lexically unique"):
-            extract_error_sites(twin_kernel)
-
-    def test_carry_sites_need_a_float_binop(self):
-        """A store of a plain value is data movement, not a rounding site."""
-        def mover(ctx, data, out):
-            value = ctx.gload_scalar(data, 0)
-            ctx.gstore_scalar(out, 0, value)
-
-        assert extract_error_sites(mover) == []
-
-        def carrier(ctx, data, out):
-            ctx.gstore_scalar(out, 0, left + ctx.gload_scalar(data, 0))
-
-        sites = extract_error_sites(carrier)
-        assert [s.role for s in sites] == ["carry"]
-
-
-class TestDriftGate:
-    def test_missing_hint_raises_with_location(self):
-        g = build_error_geometry("2R2W", sym=False, n=128)
-        with pytest.raises(NumericModelError, match=r"naive_2r2w\.py:\d+"):
-            kernel_error_depth(column_scan_kernel, {}, g)
-
-    def test_stale_hint_raises(self):
-        g = build_error_geometry("2R2W", sym=False, n=128)
-        hints = dict(NAIVE_HINTS["column_scan_kernel"])
-        hints["acc = acc + nothing_like_this"] = {"depth": 1}
-        with pytest.raises(NumericModelError, match="stale"):
-            kernel_error_depth(column_scan_kernel, hints, g)
-
-    def test_malformed_hint_raises(self):
-        g = build_error_geometry("2R2W", sym=False, n=128)
-        key = next(iter(NAIVE_HINTS["column_scan_kernel"]))
-        with pytest.raises(NumericModelError, match="depth"):
-            kernel_error_depth(column_scan_kernel,
-                               {key: {"weight": 3}}, g)
 
 
 class TestProvenDepths:
@@ -204,3 +148,11 @@ class TestValidation:
             concrete_depth("1R1W-SKSS-LB", 128, 32)
         assert all(r["ok"] for r in result["validation"])
         assert all(c["ok"] for c in result["corpus"])
+
+    def test_algorithm_alias_resolves(self):
+        result = run_numcheck(["skss-lb"], sizes=(64,), dtypes=("float64",),
+                              device=False, corpus=False)
+        assert result["ok"]
+        assert result["algorithms"][0]["algorithm"] == "1R1W-SKSS-LB"
+        assert {r["algorithm"] for r in result["validation"]} == \
+            {"1R1W-SKSS-LB"}

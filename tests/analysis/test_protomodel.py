@@ -1,21 +1,20 @@
-"""Protocol extraction: AST skeletons, hint cross-checks, model builders.
+"""Protocol extraction: AST skeletons and model builders.
 
 The model checker is only as honest as its models; these tests pin the two
 guarantees that keep the models tied to the kernels: (1) extraction recovers
-the declared ``MODEL_HINTS`` shape for every kernel, and refuses on drift;
-(2) the builders' walk geometry is re-derived from the kernels' own
+each kernel's protocol skeleton from its sites (the KERNEL_HINTS drift gate
+that refuses a drifted kernel is pinned in test_kernelir.py); (2) the
+builders' walk geometry is re-derived from the kernels' own
 ``status_index`` lambdas, not re-invented.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.analysis.protomodel import (MODEL_ALGORITHMS, build_corpus_model,
-                                       build_model, col_mass, extract_kernel,
-                                       rect_mass, row_mass, unit,
-                                       validate_hints, walker_status_indexer)
-from repro.errors import ConfigurationError, ExtractionError
+from repro.analysis.protomodel import (build_corpus_model, build_model,
+                                       col_mass, extract_kernel, rect_mass,
+                                       row_mass, unit, walker_status_indexer)
+from repro.analysis.table1 import TABLE1_ORDER
+from repro.errors import ConfigurationError
 
 
 class TestMassHelpers:
@@ -60,7 +59,6 @@ class TestExtraction:
         assert [w[4] for w in proto.walks] == ["grs", "gcs", "gs"]
         assert proto.waits == ()
         assert proto.stores == ("b",) and proto.loads == ("a",)
-        assert proto.flag_stores == 0
 
     def test_skss_wait_threshold_is_resolved(self):
         from repro.sat import skss
@@ -76,76 +74,6 @@ class TestExtraction:
         (walk,) = proto.walks
         assert walk == ("status", scan1d.STATUS_AGGREGATE,
                         scan1d.STATUS_PREFIX, "aggregates", "prefixes")
-
-    def test_every_hinted_kernel_validates(self):
-        """The full 13-kernel sweep: extraction matches each module's
-        MODEL_HINTS (this is what build_model runs before any exploration)."""
-        import repro.primitives.colscan
-        import repro.primitives.scan1d
-        import repro.sat.hybrid_1r1w
-        import repro.sat.kasagi_1r1w
-        import repro.sat.naive_2r2w
-        import repro.sat.nehab_2r1w
-        import repro.sat.skss
-        import repro.sat.skss_lb
-        modules = [repro.primitives.scan1d, repro.primitives.colscan,
-                   repro.sat.naive_2r2w, repro.sat.nehab_2r1w,
-                   repro.sat.kasagi_1r1w, repro.sat.hybrid_1r1w,
-                   repro.sat.skss, repro.sat.skss_lb]
-        checked = 0
-        for module in modules:
-            for name, hints in module.MODEL_HINTS.items():
-                proto = extract_kernel(getattr(module, name))
-                validate_hints(proto, hints)  # raises on drift
-                checked += 1
-        assert checked == 13
-
-
-class TestHintDrift:
-    """A kernel edit that changes synchronization structure without updating
-    MODEL_HINTS must refuse to build a model, loudly."""
-
-    def _proto(self):
-        from repro.sat import skss_lb
-        return (extract_kernel(skss_lb.skss_lb_kernel),
-                dict(skss_lb.MODEL_HINTS["skss_lb_kernel"]))
-
-    def test_matching_hints_pass(self):
-        proto, hints = self._proto()
-        assert validate_hints(proto, hints) is proto
-
-    def test_missing_publish_is_drift(self):
-        proto, hints = self._proto()
-        hints["publishes"] = hints["publishes"][:-1]
-        with pytest.raises(ExtractionError, match="drifted"):
-            validate_hints(proto, hints)
-
-    def test_wrong_ticket_is_drift(self):
-        proto, hints = self._proto()
-        hints["ticket"] = False
-        with pytest.raises(ExtractionError, match="drifted"):
-            validate_hints(proto, hints)
-
-    def test_wrong_stores_are_drift(self):
-        proto, hints = self._proto()
-        hints["stores"] = ("b", "extra")
-        with pytest.raises(ExtractionError, match="drifted"):
-            validate_hints(proto, hints)
-
-    def test_undeclared_flag_store_refuses(self):
-        proto, hints = self._proto()
-        tampered = dataclasses.replace(
-            proto, events=proto.events + (("flag-store", "R"),))
-        with pytest.raises(ExtractionError, match="flag store"):
-            validate_hints(tampered, hints)
-
-    def test_unhinted_kernel_refuses(self):
-        from repro.analysis.protomodel import _extract_validated
-
-        def rogue_kernel(ctx, a):
-            pass
-        with pytest.raises(ExtractionError, match="MODEL_HINTS"):
-            _extract_validated(rogue_kernel)
 
 
 class TestWalkerGeometry:
@@ -189,7 +117,7 @@ class TestCorpusModels:
 
 
 class TestBuildModel:
-    @pytest.mark.parametrize("name", MODEL_ALGORITHMS)
+    @pytest.mark.parametrize("name", TABLE1_ORDER)
     def test_all_algorithms_build(self, name):
         model = build_model(name, 2)
         assert model.algorithm == name
@@ -197,10 +125,6 @@ class TestBuildModel:
         assert model.launches
         for launch in model.launches:
             assert launch.programs
-
-    def test_algorithms_match_table1_order(self):
-        from repro.analysis.complexity import TABLE1_ORDER
-        assert MODEL_ALGORITHMS == TABLE1_ORDER
 
     def test_aliases_resolve(self):
         assert build_model("skss-lb", 2).algorithm == "1R1W-SKSS-LB"
@@ -226,7 +150,7 @@ class TestBuildModel:
         assert labels != labels_s
 
     def test_final_launch_covers_full_mass(self):
-        for name in MODEL_ALGORITHMS:
+        for name in TABLE1_ORDER:
             model = build_model(name, 2)
             spec = model.launches[-1].out_spec
             assert spec[("b", 1, 1)] == rect_mass(1, 1, 2)

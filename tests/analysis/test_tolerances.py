@@ -1,6 +1,7 @@
 """Derived tolerances: the single source of every SAT comparison budget."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,12 @@ class TestDerivedTolerance:
     def test_bad_shape_rejected(self):
         with pytest.raises(ConfigurationError):
             derived_tolerance("2R2W", 0, np.float64)
+
+    def test_algorithm_alias_resolves(self):
+        tol = derived_tolerance("skss-lb", 256, "float32")
+        assert tol.algorithm == "1R1W-SKSS-LB"
+        assert tol.depth == derived_tolerance("1R1W-SKSS-LB", 256,
+                                              "float32").depth
 
     def test_describe_names_the_budget(self):
         text = derived_tolerance("2R1W", 256, np.float32).describe()
@@ -154,6 +161,62 @@ class TestAssertSatClose:
         tol = derived_tolerance(None, 8, np.float64)
         with pytest.raises(AssertionError, match="shape"):
             assert_sat_close(np.zeros((2, 2)), np.zeros((3, 3)), tol)
+
+
+class TestNonFinite:
+    """A non-finite entry matches only the same value at the same position;
+    finite entries keep the proven budget, and no comparison warns."""
+
+    tol = derived_tolerance(None, 8, np.float64)
+
+    @staticmethod
+    def _sat():
+        return np.arange(1.0, 17.0).reshape(4, 4).cumsum(0).cumsum(1)
+
+    def test_nan_against_finite_raises(self):
+        want = self._sat()
+        got = want.copy()
+        got[2, 3] = np.nan
+        with pytest.raises(AssertionError, match=r"\(2, 3\) is nan"):
+            assert_sat_close(got, want, self.tol)
+        assert not sat_close(got, want, self.tol)
+
+    def test_identical_nan_and_inf_sats_match(self):
+        sat = self._sat()
+        sat[1, 1], sat[3, 2], sat[0, 3] = np.nan, np.inf, -np.inf
+        assert sat_close(sat, sat.copy(), self.tol)
+        assert_sat_close(sat, sat.copy(), self.tol)
+
+    def test_inf_sign_must_match(self):
+        want = self._sat()
+        want[3, 3] = np.inf
+        got = want.copy()
+        got[3, 3] = -np.inf
+        assert not sat_close(got, want, self.tol)
+        with pytest.raises(AssertionError, match="non-finite"):
+            assert_sat_close(got, want, self.tol)
+
+    def test_oracle_inf_keeps_the_finite_budget(self):
+        """An inf in the oracle must not loosen the fallback scale."""
+        want = self._sat()
+        want[3, 3] = np.inf
+        got = want.copy()
+        got[0, 0] += 1.0
+        assert not sat_close(got, want, self.tol)
+
+    def test_no_runtime_warning(self):
+        sat = self._sat()
+        sat[1, 1], sat[3, 2] = np.nan, np.inf
+        other = sat.copy()
+        other[0, 0] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sat_close(sat, sat.copy(), self.tol)
+            assert not sat_close(other, sat, self.tol)
+            assert not sat_close(sat, other, self.tol,
+                                 abs_input=np.full((4, 4), np.inf))
+            with pytest.raises(AssertionError):
+                assert_sat_close(other, sat, self.tol)
 
 
 class TestSingleSourceInvariant:

@@ -223,6 +223,12 @@ class TestCostcheck:
         assert "planted-bug corpus" in out
         assert "1R1W-SKSS-LB" in out
 
+    def test_algorithm_alias(self, capsys):
+        code, out = run_cli(capsys, "costcheck", "-a", "skss-lb",
+                            "--no-crossval")
+        assert code == 0
+        assert "[ok] 1R1W-SKSS-LB:" in out
+
     def test_crossval_single_algorithm(self, capsys):
         code, out = run_cli(capsys, "costcheck", "-a", "2R2W", "-n", "64",
                             "--no-corpus", "--no-overflow")
@@ -253,6 +259,12 @@ class TestNumcheck:
         assert "PASS" in out
         assert "D = 6*t + 5*W + 3" in out
         assert "rounding-roundtrip" in out   # the planted corpus ran
+
+    def test_algorithm_alias(self, capsys):
+        code, out = run_cli(capsys, "numcheck", "-a", "skss-lb", "-n", "64",
+                            "--no-device")
+        assert code == 0
+        assert "1R1W-SKSS-LB: D = 6*t + 5*W + 3" in out
 
     def test_json_export(self, capsys, tmp_path):
         import json
