@@ -96,11 +96,11 @@ bench-incremental-smoke:
 distsat-smoke:
 	PYTHONPATH=src $(PY) benchmarks/bench_distsat.py --smoke
 
-# Layered-benchmark gate: one-second traced runs of two satbench workloads
+# Layered-benchmark gate: one-second traced runs of three satbench workloads
 # (every layer probe installed) must end on a result line that is correct
 # and has no failed operation.
 satbench-smoke:
-	@for w in small video; do \
+	@for w in small video sharded; do \
 		echo "satbench $$w"; \
 		$(PY) satbench/run.py --workload $$w --seed 1 --seconds 1 \
 			--trace 1 | tail -n 1 | $(PY) -c 'import json, sys; \

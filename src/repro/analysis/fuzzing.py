@@ -32,12 +32,12 @@ The modes share one harness (``repro fuzz --mode``, :data:`FUZZ_MODES`):
     shape, workers) configuration runs through a randomly chosen non-serial
     backend from the unified registry (:mod:`repro.backend.registry` —
     wavefront / parallel, plus the gpusim simulator at small warp-aligned
-    shapes and the banded outofcore and distributed streamers) and is
-    compared against the serial oracle.  Backends whose spec declares
-    ``bit_identical=True`` are held to ``np.array_equal``; every backend is
-    held to exact equality on integer accumulators; the rest (banded
-    reductions, simulator-side float64 accumulation) are held to the proven
-    rounding budget from :mod:`repro.analysis.tolerances`.  The pool is
+    shapes and the banded distributed streamer) and is compared against
+    the serial oracle.  Backends whose spec declares ``bit_identical=True``
+    are held to ``np.array_equal``; every backend is held to exact
+    equality on integer accumulators; the rest (banded reductions,
+    simulator-side float64 accumulation) are held to the proven rounding
+    budget from :mod:`repro.analysis.tolerances`.  The pool is
     resolved from the registry at sampling time, so registering a new
     backend automatically puts it under differential fire.
 
@@ -161,7 +161,7 @@ class FuzzConfig:
     spin_bound: int | None = None   # DeadlockSuspectedError after this many spins
     # Engine-mode fields (defaults keep pre-existing replay JSON valid).
     engine: str = "wavefront"       # backend differenced vs the serial oracle
-    band_rows: int | None = None    # outofcore backend's band height
+    band_rows: int | None = None    # distributed backend's band height
     # Distsat-mode fields (defaults keep pre-existing replay JSON valid).
     shards: int | None = None       # distributed executor's band-shard count
     fault: dict | None = None       # FaultPlan.to_dict() payload to inject
@@ -297,10 +297,10 @@ def sample_engine_config(rng: np.random.Generator) -> FuzzConfig:
     Ragged rectangular shapes, all four differential dtypes, 1 or 4 workers,
     and a backend drawn from the unified registry (everything but the serial
     oracle).  Each backend's algorithm pool comes from its spec — wavefront
-    only executes the five tile algorithms; parallel, gpusim, outofcore and
+    only executes the five tile algorithms; parallel, gpusim and
     distributed cover all seven.  The gpusim backend gets small warp-aligned
     shapes (its collectives need ``tile_width`` to be a whole number of
-    32-lane warps, and the simulator pays per instruction); the outofcore
+    32-lane warps, and the simulator pays per instruction); the distributed
     backend gets a random band height.
     """
     from repro.backend.registry import get_spec
@@ -476,10 +476,11 @@ def _run_engine(config: FuzzConfig) -> str | None:
     Bit-identical backends (``bit_identical=True`` in the registry — the
     wavefront engine) must satisfy ``np.array_equal``, as must every backend
     on integer accumulators.  Float results from the rest (parallel's
-    banding, gpusim's simulator-side float64 accumulation, outofcore's band
-    stitching) reorder reductions, so they are held to the proven rounding
-    budget — the worst case over Table I for the algorithm-agnostic parallel
-    backend, whose banded dataflow is shallower than any tiled algorithm.
+    banding, gpusim's simulator-side float64 accumulation, distributed's
+    band stitching) reorder reductions, so they are held to the proven
+    rounding budget — the worst case over Table I for the
+    algorithm-agnostic parallel backend, whose banded dataflow is
+    shallower than any tiled algorithm.
     """
     from repro.backend.registry import get_backend
 

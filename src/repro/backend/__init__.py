@@ -11,10 +11,10 @@ contract for it, with three explicit stages:
 * ``execute_with_carries(plan, image) -> (sat, CarrySet)`` — the inter-unit
   carry state, typed by its Table II role.
 
-All six executors (serial, wavefront, parallel, gpusim, outofcore,
-distributed) register through :mod:`repro.backend.registry`, and the
-conformance suite (``tests/backend/``) holds every registered backend to the
-same contract.  See docs/ARCHITECTURE.md, "The backend protocol".
+All five executors (serial, wavefront, parallel, gpusim, distributed)
+register through :mod:`repro.backend.registry`, and the conformance suite
+(``tests/backend/``) holds every registered backend to the same contract.
+See docs/ARCHITECTURE.md, "The backend protocol".
 
 This package imports neither :mod:`repro.sat` nor :mod:`repro.hostexec` at
 module level; executor modules load lazily on first :func:`get_backend`.

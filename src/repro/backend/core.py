@@ -58,8 +58,8 @@ class BackendSpec:
     ``None`` when any accumulator dtype works.
 
     ``engine`` marks the backends selectable through the classic
-    ``engine=`` / ``--engine`` routing (the host executors); the others
-    (gpusim, outofcore) are reached through their own entry points or
+    ``engine=`` / ``--engine`` routing (the host executors); the other
+    (gpusim) is reached through its own entry point or
     :func:`repro.backend.get_backend`.  ``retains_state`` marks backends
     whose ``execute_with_carries`` returns a typed
     :class:`~repro.backend.carries.CarrySet`.  ``algorithm_agnostic`` marks
@@ -203,11 +203,11 @@ class Backend(ABC):
 
     def _check_band_rows(self, band_rows: int | None, rows: int,
                          tile_width: int) -> int | None:
-        """Hook: only the streaming backends accept/derive ``band_rows``."""
+        """Hook: only the distributed backend accepts/derives ``band_rows``."""
         if band_rows is not None:
             raise ConfigurationError(
                 f"band_rows is not meaningful for the {self.spec.name} "
-                "backend (use the outofcore backend)")
+                "backend (use the distributed backend)")
         return None
 
     def _check_shards(self, shards: int | None, rows: int) -> int | None:

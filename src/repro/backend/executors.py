@@ -1,12 +1,12 @@
-"""The six registered backends: every executor in the repo, one protocol.
+"""The five registered backends: every executor in the repo, one protocol.
 
 Each class here is a thin adapter from the :class:`~repro.backend.Backend`
 plan/execute/carry contract onto an existing executor — the algorithms' own
 serial host loops, the wavefront engine, the fork/join banded scan, the
-functional GPU simulator, the out-of-core band streamer and the sharded
-distributed executor.  The adapters contain *no* tile-layout or dtype glue
-of their own: all of that lives in the shared plan layer
-(:mod:`repro.backend.plan`) and in the engines themselves.
+functional GPU simulator and the sharded distributed executor.  The
+adapters contain *no* tile-layout or dtype glue of their own: all of that
+lives in the shared plan layer (:mod:`repro.backend.plan`) and in the
+engines themselves.
 
 This module is imported lazily by the registry (``get_backend``), so the
 CLI and other registry consumers never pay for engine imports they don't
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.carries import BandCarrySet, CarrySet, TileCarrySet
+from repro.backend.carries import CarrySet, TileCarrySet
 from repro.backend.core import Backend, positive_int
 from repro.backend.plan import ExecutionPlan
 from repro.errors import ConfigurationError
@@ -141,43 +141,7 @@ class GpusimBackend(Backend):
         return alg.run(a, GPU(), dtype_policy=plan.acc_dtype).sat
 
 
-class _BandBackend(Backend):
-    """A streaming backend: rows are processed in bands of ``band_rows``
-    (default: one tile height, capped at the matrix height)."""
-
-    def _check_band_rows(self, band_rows: int | None, rows: int,
-                         tile_width: int) -> int | None:
-        if band_rows is None:
-            return min(rows, tile_width)
-        return positive_int(band_rows, "band_rows")
-
-
-class OutOfCoreBackend(_BandBackend):
-    """Banded streaming SAT: the tile carry algebra one level up.
-
-    Each band's SAT is stitched to the global one through a vector of
-    accumulated column sums (the GCP identity at band granularity) —
-    exposed as the :class:`~repro.backend.carries.BandCarrySet`.
-    """
-
-    def __init__(self) -> None:
-        from repro.backend.registry import get_spec
-        self.spec = get_spec("outofcore")
-
-    def _execute(self, plan: ExecutionPlan, a: np.ndarray,
-                 out: np.ndarray | None) -> np.ndarray:
-        return self._execute_with_carries(plan, a)[0]
-
-    def _execute_with_carries(self, plan: ExecutionPlan,
-                              a: np.ndarray) -> tuple[np.ndarray, CarrySet]:
-        from repro.sat.outofcore import stitch_bands
-        sat, column_sums = stitch_bands(
-            a, band_rows=plan.band_rows, algorithm=plan.algorithm,
-            tile_width=plan.tile_width, acc=plan.acc_dtype)
-        return sat, BandCarrySet(column_sums=column_sums)
-
-
-class DistributedBackend(_BandBackend):
+class DistributedBackend(Backend):
     """Sharded band workers behind the work-queue protocol.
 
     The image is split into ``shards`` contiguous band shards, fanned out
@@ -185,12 +149,21 @@ class DistributedBackend(_BandBackend):
     asks for ``workers > 1``) and stitched with persisted
     :class:`~repro.backend.carries.BandCarrySet` column sums — see
     :mod:`repro.distsat`.  ``band_rows`` bounds each worker's chunk size
-    within its shard.
+    within its shard (default: one tile height, capped at the matrix
+    height).  With one shard it runs the out-of-core band loop, and its
+    table matches :func:`~repro.sat.outofcore.out_of_core_sat` bit for
+    bit.
     """
 
     def __init__(self) -> None:
         from repro.backend.registry import get_spec
         self.spec = get_spec("distributed")
+
+    def _check_band_rows(self, band_rows: int | None, rows: int,
+                         tile_width: int) -> int | None:
+        if band_rows is None:
+            return min(rows, tile_width)
+        return positive_int(band_rows, "band_rows")
 
     def _check_shards(self, shards: int | None, rows: int) -> int | None:
         if shards is None:
@@ -224,7 +197,6 @@ BACKEND_CLASSES: dict[str, type[Backend]] = {
     "wavefront": WavefrontBackend,
     "parallel": ParallelBackend,
     "gpusim": GpusimBackend,
-    "outofcore": OutOfCoreBackend,
     "distributed": DistributedBackend,
 }
 

@@ -2,12 +2,12 @@
 
 Every executor in the repo registers exactly one :class:`BackendSpec` here —
 the host engines (serial / wavefront / parallel), the functional GPU
-simulator, the out-of-core band streamer and the sharded distributed
-executor.  The CLI ``--engine`` choices, ``repro list`` (text and
-``--json``), the fuzzer's engine pool, the one host entry point
-(:func:`repro.sat.registry.compute_sat`) and every "unknown engine" error
-message all read from this one table, so none of them can drift from the
-registered set (the conformance suite pins this).
+simulator and the sharded distributed executor (the one streaming backend;
+with one shard it is the out-of-core band loop).  The CLI ``--engine``
+choices, ``repro list`` (text and ``--json``), the fuzzer's engine pool,
+the one host entry point (:func:`repro.sat.registry.compute_sat`) and every
+"unknown engine" error message all read from this one table, so none of
+them can drift from the registered set (the conformance suite pins this).
 
 Specs are built lazily on first access and backend *instances* lazier still
 (:func:`get_backend` imports the executor modules on demand), keeping the
@@ -56,12 +56,6 @@ def _make_specs() -> dict[str, BackendSpec]:
                     "traffic)",
             algorithms=None, dtypes=None, bit_identical=False,
             kind="device", default_algorithm="1R1W-SKSS-LB"),
-        "outofcore": BackendSpec(
-            name="outofcore",
-            summary="banded streaming SAT (column-carry stitching; the tile "
-                    "algebra one level up)",
-            algorithms=None, dtypes=None, bit_identical=False,
-            kind="streaming", retains_state=True),
         "distributed": BackendSpec(
             name="distributed",
             summary="sharded out-of-core bands on a worker pool (persisted "
@@ -143,8 +137,8 @@ def resolve_backend(engine=None) -> Backend:
     """Resolve a classic ``engine=`` argument to a backend instance.
 
     ``None`` means the serial oracle; a string selects an engine-routable
-    backend by name (``spec.engine``; the gpusim/outofcore backends are
-    reached via :func:`get_backend` instead); a :class:`WavefrontEngine`
+    backend by name (``spec.engine``; the gpusim backend is reached via
+    :func:`get_backend` instead); a :class:`WavefrontEngine`
     instance is wrapped in its adapter (preserving caller-managed pools and
     caches).
     """

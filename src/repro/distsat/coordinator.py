@@ -52,6 +52,7 @@ from repro.distsat.sources import BandSource, MatrixSource, source_to_spec
 from repro.distsat.transport import make_transport
 from repro.errors import ConfigurationError, CoordinatorAborted, \
     DistributedError, ShardFailedError
+from repro.sat.outofcore import rect_sum_from_rows
 
 
 @dataclass
@@ -81,21 +82,13 @@ class DistributedResult:
         rectangles whose ``top - 1`` and ``bottom`` rows are shard bottom
         edges (or ``top == 0``) are answerable — the rows the run kept.
         """
-        if not (0 <= top <= bottom and 0 <= left <= right):
-            raise ConfigurationError(
-                f"invalid rectangle ({top},{left})..({bottom},{right})")
-        if self.sat is not None:
-            s = self.sat
-            total = s[bottom, right]
-            if top > 0:
-                total = total - s[top - 1, right]
-            if left > 0:
-                total = total - s[bottom, left - 1]
-            if top > 0 and left > 0:
-                total = total + s[top - 1, left - 1]
-            return total
-
         def row(i: int) -> np.ndarray:
+            if self.sat is not None:
+                if i >= len(self.sat):
+                    raise ConfigurationError(
+                        f"row {i} is outside the table's {len(self.sat)} "
+                        "rows")
+                return self.sat[i]
             if i not in self.edge_rows:
                 raise ConfigurationError(
                     f"row {i} is not a retained shard edge; digest-mode "
@@ -103,12 +96,7 @@ class DistributedResult:
                     f"(have {sorted(self.edge_rows)})")
             return self.edge_rows[i]
 
-        lo = row(bottom)
-        total = lo[right] - (lo[left - 1] if left > 0 else 0)
-        if top > 0:
-            hi = row(top - 1)
-            total = total - hi[right] + (hi[left - 1] if left > 0 else 0)
-        return total
+        return rect_sum_from_rows(row, top, left, bottom, right)
 
 
 def distributed_sat(a, *, shards: int = 2, algorithm: str | None = None,

@@ -19,10 +19,12 @@ Two phases (see :mod:`repro.distsat.protocol`):
     The shard's rows of the *global* SAT: the band's local SAT (computed
     through any registered backend — the ``engine`` task field) stitched
     with the coordinator-supplied carry-in by the band identity
-    ``sat[i][j] = band_sat[i][j] + cumsum(carry)[j]`` — the SKSS look-back
-    algebra one level up.  In ``collect`` mode the stitched rows travel
-    back in the result; in digest mode (the gigapixel demo) only a CRC32
-    of the stitched bytes and the shard's bottom SAT row do.
+    ``sat[i][j] = band_sat[i][j] + cumsum(carry)[j]``
+    (:func:`~repro.sat.outofcore.stitch_band`, the step the out-of-core
+    streamer runs between its bands) — the SKSS look-back algebra one
+    level up.  In ``collect`` mode the stitched rows travel back in the
+    result; in digest mode (the gigapixel demo) only a CRC32 of the
+    stitched bytes and the shard's bottom SAT row do.
 
 The fault seam lives here and only here: :func:`handle_task` consults the
 task's fault plan once, before doing any work for ``kill``/``delay`` and
@@ -38,24 +40,17 @@ from typing import Callable
 
 import numpy as np
 
+from repro.backend.registry import resolve_backend
 from repro.distsat.protocol import FaultPlan, checksum, decode_message, \
     encode_message
 from repro.distsat.sources import source_from_spec
 from repro.errors import ConfigurationError
+from repro.sat.outofcore import stitch_band
 
 
 class InjectedKill(Exception):
     """Raised by the in-process transport's kill seam in place of a real
     worker death (the process transport calls ``os._exit`` instead)."""
-
-
-def compute_band_sat(band: np.ndarray, *, algorithm: str | None,
-                     tile_width: int, acc_dtype, engine: str) -> np.ndarray:
-    """The band's local SAT through a registered backend."""
-    from repro.backend.registry import resolve_backend
-    return resolve_backend(engine).compute(
-        band, algorithm=algorithm, tile_width=tile_width,
-        dtype_policy=acc_dtype)
 
 
 def _iter_chunks(task: dict):
@@ -122,22 +117,21 @@ def handle_task(task: dict, *,
             raise ConfigurationError(
                 f"carry-in for shard {shard} failed its checksum in flight")
         collect = task.get("collect", True)
+        inner = resolve_backend(task["engine"])
         pieces: list[np.ndarray] = []
         digest = 0
         bottom = None
         for chunk in _iter_chunks(task):
-            local = compute_band_sat(chunk, algorithm=task["algorithm"],
-                                     tile_width=task["tile_width"],
-                                     acc_dtype=acc, engine=task["engine"])
-            stitched = local + np.cumsum(carry, dtype=acc)[None, :]
+            local = inner.compute(chunk, algorithm=task["algorithm"],
+                                  tile_width=task["tile_width"],
+                                  dtype_policy=acc)
             peak = max(peak, chunk.nbytes + local.nbytes)
-            carry = carry + chunk.sum(axis=0, dtype=acc)
+            stitched, carry = stitch_band(local, chunk, carry)
             bottom = stitched[-1].copy()
             if collect:
                 pieces.append(stitched)
             else:
-                digest = zlib.crc32(
-                    np.ascontiguousarray(stitched).tobytes(), digest)
+                digest = zlib.crc32(stitched, digest)
         assert bottom is not None
         result["bottom_row"] = bottom
         result["checksum"] = checksum(bottom)

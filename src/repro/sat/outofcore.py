@@ -12,14 +12,17 @@ and a carry vector of accumulated column sums stitches bands together:
 which is exactly the tile algebra's GCP identity lifted to band granularity.
 Only one band plus two length-``n`` vectors is ever resident.
 
-``OutOfCoreSAT`` also exposes streaming rectangle queries: the per-band
-bottom rows (``band_gcp``) are retained, so any rectangle sum can be answered
-from at most two retained rows plus at most two recomputed bands — or, with
-``keep_sat=True``, directly from the assembled result.
+The identity is written once, as :func:`stitch_band`; the whole-matrix
+helper, the streaming :class:`OutOfCoreSAT` and the sharded workers of
+:mod:`repro.distsat` all call it.  Likewise the four-corner query over
+retained SAT rows is written once, as :func:`rect_sum_from_rows`, which
+answers :meth:`OutOfCoreSAT.rect_sum` and
+:meth:`repro.distsat.DistributedResult.rect_sum` alike.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +40,51 @@ def band_bounds(n_rows: int, band_rows: int) -> list[tuple[int, int]]:
             for lo in range(0, n_rows, band_rows)]
 
 
+def stitch_band(band_sat: np.ndarray, band: np.ndarray,
+                carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The band identity: one band's rows of the global SAT.
+
+    ``band_sat`` is the band's local SAT and ``carry`` the column sums of
+    every row above the band, in the accumulator dtype.  Returns
+    ``(rows, carry)``: ``rows = band_sat + cumsum(carry)``, a fresh
+    C-contiguous array (its buffer can be checksummed as is), and the carry
+    advanced past ``band``.  Neither input is modified.
+    """
+    acc = carry.dtype
+    rows = np.add(band_sat, np.cumsum(carry, dtype=acc), order="C")
+    return rows, carry + band.sum(axis=0, dtype=acc)
+
+
+def rect_sum_from_rows(row, top: int, left: int, bottom: int, right: int):
+    """Inclusive rectangle sum by the four-corner formula over SAT rows.
+
+    ``row(i)`` returns global SAT row ``i`` or raises
+    :class:`~repro.errors.ConfigurationError` when that row is not held;
+    at most two rows are looked up.  Unordered or out-of-range corners raise
+    ``ConfigurationError`` too.  The sum is in the rows' own dtype, so
+    integer tables stay exact.
+    """
+    if not (0 <= top <= bottom and 0 <= left <= right):
+        raise ConfigurationError(
+            f"invalid rectangle ({top},{left})..({bottom},{right}): "
+            "corners must be ordered and non-negative")
+    lo = row(bottom)
+    if right >= lo.shape[0]:
+        raise ConfigurationError(
+            f"invalid rectangle ({top},{left})..({bottom},{right}): "
+            f"the table has {lo.shape[0]} columns")
+
+    def strip(r: np.ndarray):
+        # Columns left..right of one SAT row; taking each row's strip
+        # first keeps unsigned partial sums from dropping below zero.
+        return r[right] - r[left - 1] if left > 0 else r[right]
+
+    total = strip(lo)
+    if top > 0:
+        total = total - strip(row(top - 1))
+    return total
+
+
 def out_of_core_sat(a: np.ndarray, *, band_rows: int,
                     algorithm: str | None = None, tile_width: int = 32,
                     gpu_factory=None, dtype_policy=None) -> np.ndarray:
@@ -47,8 +95,8 @@ def out_of_core_sat(a: np.ndarray, *, band_rows: int,
     algorithm's serial host loop, or on fresh simulator instances produced
     by ``gpu_factory()`` when given.  Bands may be any rectangle — ragged
     tile edges follow the zero-padding convention of :mod:`repro.sat.base`.
-    The ``outofcore`` backend runs the same band loop (:func:`stitch_bands`)
-    behind the plan/execute protocol.
+    The ``distributed`` backend with one shard and ``band_rows`` chunks
+    produces the same table behind the plan/execute protocol.
 
     ``dtype_policy`` resolves the accumulator dtype (:mod:`repro.sat.dtypes`;
     exact by default) — the carry vectors accumulate in that dtype too, so
@@ -58,29 +106,15 @@ def out_of_core_sat(a: np.ndarray, *, band_rows: int,
     if a.ndim != 2:
         raise ConfigurationError("out_of_core_sat expects a 2-D matrix")
     acc = resolve_policy(dtype_policy).accumulator(a.dtype)
-    return stitch_bands(a, band_rows=band_rows, algorithm=algorithm,
-                        tile_width=tile_width, gpu_factory=gpu_factory,
-                        acc=acc)[0]
-
-
-def stitch_bands(a: np.ndarray, *, band_rows: int, algorithm: str | None,
-                 tile_width: int, acc: np.dtype, gpu_factory=None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The band loop: each band's SAT plus the carry of the bands above.
-
-    Returns ``(sat, column_sums)``, the column sums over all rows being the
-    final carry vector (the band-level GCP state).
-    """
-    n_rows, n_cols = a.shape
-    out = np.empty((n_rows, n_cols), dtype=acc)
-    carry_cols = np.zeros(n_cols, dtype=acc)
-    for lo, hi in band_bounds(n_rows, band_rows):
+    bounds = band_bounds(a.shape[0], band_rows)
+    out = np.empty(a.shape, dtype=acc)
+    carry = np.zeros(a.shape[1], dtype=acc)
+    for lo, hi in bounds:
         band = a[lo:hi]
         band_sat = _band_engine(band, algorithm, tile_width, gpu_factory,
                                 acc)
-        out[lo:hi] = band_sat + np.cumsum(carry_cols)[None, :]
-        carry_cols = carry_cols + band.sum(axis=0, dtype=acc)
-    return out, carry_cols
+        out[lo:hi], carry = stitch_band(band_sat, band, carry)
+    return out
 
 
 def _band_engine(band: np.ndarray, algorithm: str | None, tile_width: int,
@@ -114,15 +148,19 @@ class OutOfCoreSAT:
     dtype: np.dtype = np.dtype(np.float64)
     _rows_done: int = 0
     _carry: np.ndarray = field(default=None)  # type: ignore[assignment]
-    _sat_rows: list[np.ndarray] = field(default_factory=list)
-    _band_edges: list[int] = field(default_factory=list)
-    _edge_rows: list[np.ndarray] = field(default_factory=list)
+    #: Retained SAT rows of each band, keyed by the band's bottom row: the
+    #: whole band with ``keep_sat``, else that bottom row alone.
+    _rows: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n_cols <= 0:
             raise ConfigurationError("n_cols must be positive")
         self.dtype = np.dtype(self.dtype)
-        self._carry = np.zeros(self.n_cols, dtype=self.dtype)
+        # The carry accumulates in the dtype of the bands' cumsum SAT (the
+        # platform integer for narrower integers and bool), so column sums
+        # past the input dtype's range stay exact.
+        acc = np.zeros(1, dtype=self.dtype).cumsum().dtype
+        self._carry = np.zeros(self.n_cols, dtype=acc)
 
     @property
     def rows_done(self) -> int:
@@ -158,50 +196,36 @@ class OutOfCoreSAT:
                 f"{self._rows_done}..{row_start - 1} have not been pushed "
                 "yet; bands must be pushed top to bottom with no gap")
         band = band.astype(self.dtype, copy=False)
-        band_sat = band.cumsum(axis=0).cumsum(axis=1)
-        full = band_sat + np.cumsum(self._carry)[None, :]
-        self._carry = self._carry + band.sum(axis=0)
+        full, self._carry = stitch_band(band.cumsum(axis=0).cumsum(axis=1),
+                                        band, self._carry)
         self._rows_done += band.shape[0]
-        self._band_edges.append(self._rows_done - 1)
-        self._edge_rows.append(full[-1].copy())
-        if self.keep_sat:
-            self._sat_rows.append(full)
+        self._rows[self._rows_done - 1] = full if self.keep_sat \
+            else full[-1:].copy()
         return full
 
     def sat(self) -> np.ndarray:
         """The assembled SAT so far (requires ``keep_sat=True``)."""
         if not self.keep_sat:
             raise ConfigurationError("sat() requires keep_sat=True")
-        if not self._sat_rows:
+        if not self._rows:
             return np.zeros((0, self.n_cols), dtype=self.dtype)
-        return np.vstack(self._sat_rows)
+        return np.vstack(list(self._rows.values()))
 
     def _sat_row(self, i: int) -> np.ndarray:
-        if i < 0 or i >= self._rows_done:
-            raise ConfigurationError(f"row {i} not pushed yet")
-        if self.keep_sat:
-            return self.sat()[i]
-        if i not in self._band_edges:
+        if i >= self._rows_done:
             raise ConfigurationError(
-                f"keep_sat=False retains only band-edge rows {self._band_edges}; "
-                f"row {i} is unavailable")
-        return self._edge_rows[self._band_edges.index(i)]
-
-    def rect_sum(self, top: int, left: int, bottom: int, right: int) -> float:
-        """Four-corner rectangle sum over pushed rows."""
-        if not (0 <= top <= bottom and 0 <= left <= right < self.n_cols):
-            raise ConfigurationError(
-                f"invalid rectangle ({top},{left})..({bottom},{right}): "
-                f"corners must be ordered and within {self.n_cols} columns")
-        if bottom >= self._rows_done:
-            raise ConfigurationError(
-                f"rectangle bottom row {bottom} has not been pushed yet "
+                f"row {i} has not been pushed yet "
                 f"(rows pushed so far: {self._rows_done})")
-        total = self._sat_row(bottom)[right]
-        if left > 0:
-            total -= self._sat_row(bottom)[left - 1]
-        if top > 0:
-            total -= self._sat_row(top - 1)[right]
-            if left > 0:
-                total += self._sat_row(top - 1)[left - 1]
-        return float(total)
+        edges = list(self._rows)
+        bottom = edges[bisect.bisect_left(edges, i)]   # the band holding i
+        rows = self._rows[bottom]
+        if bottom - i >= len(rows):
+            raise ConfigurationError(
+                f"keep_sat=False retains only band-edge rows {edges}; "
+                f"row {i} is unavailable")
+        return rows[len(rows) - 1 - (bottom - i)]
+
+    def rect_sum(self, top: int, left: int, bottom: int, right: int):
+        """Four-corner rectangle sum over pushed rows, in the table's
+        dtype."""
+        return rect_sum_from_rows(self._sat_row, top, left, bottom, right)

@@ -283,7 +283,7 @@ class TestEngineMode:
                 assert cfg.band_rows is None
             seen.add(cfg.engine)
         assert seen == set(known_backends()) - {"serial"}
-        assert {"gpusim", "outofcore"} <= seen
+        assert {"gpusim", "distributed"} <= seen
 
     def test_short_session_clean(self):
         report = fuzz(15, seed=6, mode="engine")

@@ -6,9 +6,10 @@ Backends declaring ``retains_state`` return a typed
 * the wavefront backend's :class:`TileCarrySet` holds the Table II planes,
   checked here against the region-sum oracle definitions in
   :mod:`repro.primitives.tile` (exact — integer accumulators);
-* the outofcore backend's :class:`BandCarrySet` holds the accumulated column
-  sums whose prefix scan stitches bands — after a full pass they equal the
-  total per-column sums (the same algebra one level up);
+* the distributed backend's :class:`BandCarrySet` holds the accumulated
+  column sums whose prefix scan stitches bands — after a full pass they
+  equal the total per-column sums (the same algebra one level up), whether
+  one shard streams every band or several shards share them;
 * every other backend refuses with the canonical ConfigurationError.
 """
 
@@ -75,10 +76,13 @@ class TestWavefrontCarries:
 
 
 class TestBandCarries:
+    """One shard: the out-of-core band loop behind the backend protocol."""
+
     def test_column_sums_after_full_pass(self):
-        backend = get_backend("outofcore")
+        backend = get_backend("distributed")
         a = matrix((53, 38))
-        plan = backend.plan(a.shape, a.dtype, band_rows=7, tile_width=16)
+        plan = backend.plan(a.shape, a.dtype, band_rows=7, tile_width=16,
+                            shards=1)
         sat, carries = backend.execute_with_carries(plan, a)
         np.testing.assert_array_equal(sat, backend.execute(plan, a))
         assert isinstance(carries, BandCarrySet)
@@ -89,10 +93,10 @@ class TestBandCarries:
             a.sum(axis=0, dtype=plan.acc_dtype))
 
     def test_with_tile_algorithm_per_band(self):
-        backend = get_backend("outofcore")
+        backend = get_backend("distributed")
         a = matrix((40, 24), seed=3)
         plan = backend.plan(a.shape, a.dtype, algorithm="1R1W-SKSS",
-                            tile_width=16, band_rows=18)
+                            tile_width=16, band_rows=18, shards=1)
         sat, carries = backend.execute_with_carries(plan, a)
         ref = a.astype(plan.acc_dtype).cumsum(axis=0).cumsum(axis=1)
         np.testing.assert_array_equal(sat, ref)
@@ -102,9 +106,9 @@ class TestBandCarries:
 
 class TestDistributedCarries:
     def test_column_sums_after_sharded_pass(self):
-        """The distributed backend speaks the same band-carry algebra as the
-        outofcore one: after a full sharded pass the BandCarrySet holds the
-        total per-column sums."""
+        """Several shards speak the same band-carry algebra as one: after a
+        full sharded pass the BandCarrySet holds the total per-column
+        sums."""
         backend = get_backend("distributed")
         a = matrix((53, 38), seed=5)
         plan = backend.plan(a.shape, a.dtype, algorithm="1R1W-SKSS-LB",

@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError
 
 def test_known_backends_exactly():
     assert known_backends() == ("serial", "wavefront", "parallel",
-                                "gpusim", "outofcore", "distributed")
+                                "gpusim", "distributed")
     assert engine_backends() == ("serial", "wavefront", "parallel",
                                  "distributed")
 
@@ -112,6 +112,14 @@ def test_unknown_backend_error_lists_the_registry():
         assert name in message
 
 
+def test_outofcore_is_not_a_backend():
+    """The banded streamer is the distributed backend with one shard, so
+    ``outofcore`` gets the canonical unknown-backend error."""
+    with pytest.raises(ConfigurationError) as exc:
+        get_backend("outofcore")
+    assert str(exc.value) == str(unknown_backend_error("outofcore"))
+
+
 def test_get_spec_unknown_lists_all():
     with pytest.raises(ConfigurationError) as exc:
         get_spec("turbo")
@@ -147,11 +155,11 @@ def test_backend_table_is_stable_json():
 def test_capability_flags_pinned():
     specs = backend_specs()
     assert [s.kind for s in specs.values()] \
-        == ["host", "host", "host", "device", "streaming", "streaming"]
+        == ["host", "host", "host", "device", "streaming"]
     assert {n for n, s in specs.items() if s.bit_identical} \
         == {"serial", "wavefront"}
     assert {n for n, s in specs.items() if s.retains_state} \
-        == {"wavefront", "outofcore", "distributed"}
+        == {"wavefront", "distributed"}
     assert {n for n, s in specs.items() if s.algorithm_agnostic} \
         == {"parallel"}
 

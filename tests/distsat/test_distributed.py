@@ -1,5 +1,7 @@
 """distributed_sat happy paths: bit-identity, shards, chunks, digest mode."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,30 @@ class TestDigestMode:
         full = sat_reference(a)
         for edge, row in result.edge_rows.items():
             np.testing.assert_array_equal(row, full[edge])
+
+    def test_digests_are_crc32_of_the_stitched_rows(self):
+        a = matrix((50, 21), seed=23)
+        result = distributed_sat(a, shards=3, chunk_rows=7, collect=False)
+        full = sat_reference(a)
+        for k, (lo, hi) in enumerate(result.bounds):
+            assert result.digests[k] == zlib.crc32(full[lo:hi].tobytes())
+
+
+class TestRectSumErrors:
+    """Out-of-range corners raise the typed error in both result modes."""
+
+    @pytest.mark.parametrize("corners", [(0, 0, 23, 18), (0, 0, 24, 17)])
+    def test_collect_mode(self, corners):
+        result = distributed_sat(matrix((24, 18), seed=13), shards=3)
+        with pytest.raises(ConfigurationError):
+            result.rect_sum(*corners)
+
+    def test_digest_mode_column_beyond_the_table(self):
+        result = distributed_sat(matrix((24, 18), seed=13), shards=3,
+                                 collect=False)
+        assert 7 in result.edge_rows
+        with pytest.raises(ConfigurationError, match="invalid rectangle"):
+            result.rect_sum(0, 0, 7, 18)
 
 
 class TestValidation:

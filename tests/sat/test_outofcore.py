@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.gpusim import GPU
 from repro.sat import sat_reference
-from repro.sat.outofcore import OutOfCoreSAT, band_bounds, out_of_core_sat
+from repro.sat.outofcore import (OutOfCoreSAT, band_bounds, out_of_core_sat,
+                                 stitch_band)
 
 
 class TestBandBounds:
@@ -246,3 +247,100 @@ class TestPushOrdering:
         with pytest.raises(ConfigurationError,
                            match="has not been pushed yet"):
             oos.rect_sum(0, 0, 7, 2)            # well-formed, too early
+
+
+class TestStitchBand:
+    """The band identity, written once for every band loop."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_two_bands_equal_one_shot_sat(self, rng, dtype):
+        a = rng.integers(-9, 9, size=(23, 17)).astype(dtype)
+        carry = np.zeros(17, dtype=dtype)
+        top, carry = stitch_band(sat_reference(a[:10]), a[:10], carry)
+        bottom, carry = stitch_band(sat_reference(a[10:]), a[10:], carry)
+        assert np.array_equal(np.vstack([top, bottom]), sat_reference(a))
+        assert np.array_equal(carry, a.sum(axis=0))
+        assert top.dtype == bottom.dtype == carry.dtype == dtype
+
+    def test_rows_are_fresh_c_contiguous_and_inputs_untouched(self, rng):
+        a = rng.integers(0, 9, size=(6, 5)).astype(np.float64)
+        band_sat = np.asfortranarray(sat_reference(a))
+        carry = np.arange(5, dtype=np.float64)
+        rows, new_carry = stitch_band(band_sat, a, carry)
+        assert rows.flags.c_contiguous
+        assert np.array_equal(carry, np.arange(5))
+        assert np.array_equal(band_sat, sat_reference(a))
+        assert np.array_equal(new_carry, carry + a.sum(axis=0))
+
+
+class TestRectSumExactness:
+    """Queries answer in the table's dtype, from the band holding the row."""
+
+    def _streamed(self, keep_sat):
+        a = np.ones((4, 4), dtype=np.int64)
+        a[0, 0] = 2**53
+        oos = OutOfCoreSAT(n_cols=4, keep_sat=keep_sat, dtype=np.int64)
+        oos.push_band(a[:2])
+        oos.push_band(a[2:])
+        return oos
+
+    @pytest.mark.parametrize("keep_sat", [True, False])
+    def test_int64_sum_beyond_float_precision_is_exact(self, keep_sat):
+        total = self._streamed(keep_sat).rect_sum(0, 0, 3, 3)
+        assert total == 2**53 + 15
+        assert total.dtype == np.int64
+
+    def test_keep_sat_query_does_not_assemble_the_table(self, rng,
+                                                        monkeypatch):
+        a = rng.integers(0, 9, size=(40, 12)).astype(float)
+        oos = OutOfCoreSAT(n_cols=12)
+        for lo, hi in band_bounds(40, 8):
+            oos.push_band(a[lo:hi])
+
+        def refuse(self):
+            raise AssertionError("rect_sum assembled the whole table")
+        monkeypatch.setattr(OutOfCoreSAT, "sat", refuse)
+        assert oos.rect_sum(3, 2, 36, 9) == a[3:37, 2:10].sum()
+        assert oos.rect_sum(0, 0, 39, 11) == a.sum()
+
+    @pytest.mark.parametrize("dtype,value", [(np.uint8, 200),
+                                             (np.int32, 2**30),
+                                             (np.bool_, True)])
+    @pytest.mark.parametrize("keep_sat", [True, False])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_narrow_dtype_carry_does_not_wrap(self, dtype, value, keep_sat):
+        # Column sums pass the input dtype's range after the first band.
+        a = np.full((6, 3), value, dtype=dtype)
+        want = sat_reference(a)
+        oos = OutOfCoreSAT(n_cols=3, keep_sat=keep_sat, dtype=dtype)
+        bands = [oos.push_band(a[lo:hi]) for lo, hi in band_bounds(6, 2)]
+        assert np.array_equal(np.vstack(bands), want)
+        if keep_sat:
+            assert np.array_equal(oos.sat(), want)
+        assert oos.rect_sum(0, 0, 5, 2) == want[5, 2]
+        assert oos.rect_sum(2, 1, 5, 2) == a[2:6, 1:3].sum(dtype=np.int64)
+        # Row 3's prefix to column 2 exceeds row 5's strip at column 2: an
+        # unsigned table must not subtract it first.
+        assert oos.rect_sum(4, 2, 5, 2) == a[4:6, 2:3].sum(dtype=np.int64)
+
+    def test_column_beyond_the_table_rejected(self, rng):
+        oos = OutOfCoreSAT(n_cols=6)
+        oos.push_band(rng.integers(0, 9, size=(5, 6)).astype(float))
+        with pytest.raises(ConfigurationError, match="invalid rectangle"):
+            oos.rect_sum(0, 0, 4, 6)
+
+
+class TestDistributedBackendBandLoop:
+    """One shard of the distributed backend is the out-of-core band loop."""
+
+    @pytest.mark.parametrize("algorithm", [None, "1R1W-SKSS-LB"])
+    def test_one_shard_bit_identical_to_out_of_core_sat(self, rng,
+                                                        algorithm):
+        from repro.backend.registry import get_backend
+        a = rng.normal(size=(256, 257)) * 1e3
+        got = get_backend("distributed").compute(
+            a, algorithm=algorithm, tile_width=16, band_rows=48, shards=1)
+        want = out_of_core_sat(a, band_rows=48, algorithm=algorithm,
+                               tile_width=16)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
