@@ -48,7 +48,7 @@ from repro.analysis.protomodel import (CounterRead, CounterStore, Fence,
                                        Publish, RaiseFlag, Read, Store, Wait,
                                        Walk, build_corpus_model, build_model,
                                        describe_loc, eval_expr)
-from repro.errors import ModelCheckError
+from repro.errors import ConfigurationError, ModelCheckError
 
 #: Default state budget per (launch, pool) exploration.
 DEFAULT_MAX_STATES = 500_000
@@ -587,10 +587,12 @@ def check_launch(launch: LaunchModel, pool: int, *, por: bool = True,
 
 def _pool_range(launch: LaunchModel,
                 pools: tuple[int, ...] | None) -> tuple[int, ...]:
-    cap = max(1, min(MAX_POOL, len(launch.programs)))
-    if pools is None:
+    """The sweep by default; requested pools above the program count clamp
+    to it (full residency)."""
+    if not pools:
+        cap = max(1, min(MAX_POOL, len(launch.programs)))
         return tuple(range(1, cap + 1))
-    return tuple(p for p in pools if 1 <= p <= len(launch.programs)) or (1,)
+    return tuple(dict.fromkeys(min(p, len(launch.programs)) for p in pools))
 
 
 def check_model(model: ProtocolModel, *, pools: tuple[int, ...] | None = None,
@@ -603,6 +605,12 @@ def check_model(model: ProtocolModel, *, pools: tuple[int, ...] | None = None,
     and barrier sufficiency is itself checked — a cross-launch read of a cell
     no earlier launch was specified to write is a ``stale-read``).
     """
+    if pools and min(pools) < 1:
+        raise ConfigurationError(
+            f"residency pools must be >= 1, got {list(pools)}")
+    if max_states < 1:
+        raise ConfigurationError(
+            f"state budget must be >= 1, got {max_states}")
     _assert_dispatch_assumptions()
     result = CheckResult(algorithm=model.algorithm, t=model.t,
                          acquisition="-", por=por)

@@ -5,27 +5,33 @@ schedules a run happens to explore; the model checker
 (:mod:`repro.analysis.modelcheck`) needs the *complete* behaviour instead.
 This module builds that bridge: it statically extracts each kernel's
 synchronization skeleton — publish/fence/wait edges, look-back walks, ticket
-acquisition — from the kernel's AST and compiles it, together with the host
-side's real geometry functions, into a finite :class:`ProtocolModel` that the
+acquisition — from the kernel's AST and replays it, over the host side's
+real geometry functions, into a finite :class:`ProtocolModel` that the
 checker can exhaust.
 
 The split of trust is deliberate and narrow:
 
-* the **protocol shape** (which buffers are published under which status
-  values, in which order; which walks run with which thresholds; whether the
-  kernel loops on an ``atomicAdd`` ticket) is *extracted* by
-  :func:`extract_kernel` from the kernel's sites, read through the
-  :mod:`~repro.analysis.kernelir` drift gate: every publish, wait, walk,
-  load, store and ticket is pinned by its exact-source ``KERNEL_HINTS`` key,
-  the tilecommon walkers' walks by their ``walk=`` entries, and any drift
-  between source and table raises :class:`~repro.errors.ExtractionError`;
-* the **index geometry** (which tile a serial maps to, which predecessors a
-  walk visits) comes from the same host functions the kernels themselves
-  call at run time (``acquisition_tile``, ``serial_to_tile``,
+* the **op sequence** is *extracted*: :func:`extract_kernel` reads each
+  kernel's publishes, waits, walks, loads, stores and ticket from its sites
+  through the :mod:`~repro.analysis.kernelir` drift gate (every one pinned
+  by its exact-source ``KERNEL_HINTS`` key, the tilecommon walkers' walks by
+  their ``walk=`` entries; drift between source and table raises
+  :class:`~repro.errors.ExtractionError`), and one interpreter replays those
+  events once per cell a program visits — load -> :class:`Read`, wait ->
+  :class:`Wait`, walk -> :class:`Walk`, publish -> :class:`Publish`, store
+  -> :class:`Out` — dispatching by ticket exactly when the kernel takes an
+  ``atomicAdd`` ticket;
+* each launch's **table** declares only what the events leave open: the
+  cells each program visits (from the host functions the kernels call at
+  run time: ``acquisition_tile``, ``serial_to_tile``,
   ``RowScanLayout``/``ColScanLayout``, ``band_limits``/``band_tiles``,
-  ``tiles_on_diagonal``); the per-step ``status_index`` lambdas of the
-  tile walkers are additionally re-evaluated from their extracted ASTs
-  against the builder's step lists;
+  ``tiles_on_diagonal``) and which buffers each chain program runs; the
+  neighbour (left, up or corner) each load, wait or walk indexes; kernel to
+  model buffer names and status domains; and one Table II mass rule per
+  store or publish.  A rule that needs a value the kernel has not loaded,
+  walked or written by then, or a store or publish without a rule, raises
+  :class:`~repro.errors.ExtractionError`; the tile walkers' extracted
+  ``status_index`` lambdas are re-evaluated against each walk's steps;
 * the **value algebra** is abstracted to integer *masses*: input cell
   ``(i, j)`` of a ``t x t`` tile grid carries ``2**(i*t + j)``, so every
   region sum is a distinct bitmask and the refinement check
@@ -44,6 +50,7 @@ Stores that *are* read within a launch must go through :class:`Publish`
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -304,8 +311,9 @@ class _ScratchGeometry:
 def walker_status_indexer(walker_fn: Callable) -> Callable:
     """Compile a walker's ``status_index`` lambda from its AST.
 
-    Returns ``indexer(t, I, J, step) -> flat status index`` so builders can
-    verify their step geometry against the kernel's own index arithmetic.
+    Returns ``indexer(t, I, J, step) -> flat status index`` so the
+    interpreter can verify its step geometry against the kernel's own index
+    arithmetic.
     """
     where = walker_fn.__name__
     lam = keyword_arg(walker_call(walker_fn), "status_index", where)
@@ -488,20 +496,71 @@ def build_corpus_model(name: str) -> ProtocolModel:
 
 
 # ---------------------------------------------------------------------------
-# Per-algorithm model builders
+# Launch tables and the event interpreter
 # ---------------------------------------------------------------------------
 
-def _status_domains_tile() -> dict[str, tuple[int, ...]]:
-    from repro.sat import tilecommon as tc
-    return {"R": (0, tc.R_LRS, tc.R_GRS, tc.R_GLS, tc.R_GS),
-            "C": (0, tc.C_LCS, tc.C_GCS)}
+Cell = tuple[int, int]
+
+#: The cell offset ``(di, dj)`` each neighbour name steps back by.
+_OFFSETS = {"self": (0, 0), "left": (0, 1), "up": (1, 0), "corner": (1, 1)}
+
+#: One mass-rule term: optional sign, buffer, optional ``@neighbour``.
+_TERM = re.compile(r"([+-]?)\s*(\w+)(?:@(\w+))?")
+
+#: The mass each output buffer holds at ``(i, j)``.
+_OUT_SPECS: dict[str, Callable[[int, int, int], int]] = {
+    "b": rect_mass, "gs": rect_mass,
+    "grs": lambda i, j, t: row_mass(i, 0, j, t),
+    "gcs": lambda i, j, t: col_mass(0, i, j, t),
+    "lrs": unit, "lcs": unit, "ls": unit,
+}
+
+#: Where a tile's look-back values live, and GSAT from them (Table II).
+_TILE_AT = {"grs": "left", "gcs": "up", "gs": "corner"}
+_GSAT = "gs@corner + grs@left + gcs@up + a"
+
+
+@dataclass(frozen=True)
+class _LaunchTable:
+    """What one launch's kernel events leave open.
+
+    * ``programs`` — per program: its label, the cells it visits in order,
+      and the kernel buffers whose events it runs (``None``: all);
+    * ``at`` — the neighbour each load or wait of a kernel buffer indexes
+      (``self`` when absent; a tuple is consumed in event order within a
+      cell), and each walk, keyed by the global buffer it computes;
+    * ``names`` — kernel -> model buffer names (identity when absent), and
+      ``transposed`` the model buffers cell ``(i, j)`` indexes at ``(j, i)``;
+    * ``rules`` — per stored or published kernel buffer, its mass rule:
+      ``buf@neighbour`` terms joined by ``+``/``-``;
+    * ``domains`` — the legal values of each status buffer;
+    * ``spec`` — output specs overriding :data:`_OUT_SPECS`.
+    """
+    name: str
+    kernel: Callable
+    programs: tuple[tuple[str, tuple[Cell, ...], frozenset[str] | None], ...]
+    rules: Mapping[str, str]
+    at: Mapping[str, str | tuple[str, ...]] = field(default_factory=dict)
+    names: Mapping[str, str] = field(default_factory=dict)
+    transposed: frozenset[str] = frozenset()
+    domains: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
+    spec: Mapping[str, Callable[[int, int, int], int]] = field(
+        default_factory=dict)
+
+
+def _hop(cell: Cell, neighbour: str, k: int = 1) -> Cell | None:
+    """The cell ``k`` steps towards ``neighbour``; ``None`` past the top or
+    left edge, where the kernel's zero guard applies."""
+    di, dj = _OFFSETS[neighbour]
+    i, j = cell[0] - k * di, cell[1] - k * dj
+    return (i, j) if i >= 0 and j >= 0 else None
 
 
 def _check_walk_geometry(walker: str, steps: tuple[WalkStep, ...],
                          step_args: tuple[int, ...], t: int, I: int,
                          J: int) -> None:
     """Re-evaluate the walker's extracted ``status_index`` lambda against the
-    builder's step list; any disagreement means the geometry drifted."""
+    model's step list; any disagreement means the geometry drifted."""
     from repro.sat import tilecommon as tc
     indexer = walker_status_indexer(getattr(tc, walker))
     for step, arg in zip(steps, step_args):
@@ -514,507 +573,300 @@ def _check_walk_geometry(walker: str, steps: tuple[WalkStep, ...],
                 f"walk geometry drifted")
 
 
-def _skss_lb_tile_ops(proto: KernelProtocol, I: int, J: int,
-                      t: int) -> tuple[Op, ...]:
-    """Ops for one SKSS-LB tile, ordered by the kernel's extracted events."""
-    gls_expr: Expr = ("+", ("+", "row", "col"), "x")
-    exprs: dict[str, Expr] = {
-        "lrs": "x", "lcs": "x",
-        "grs": ("+", "row", "x"), "gcs": ("+", "col", "x"),
-        "gls": gls_expr, "gs": ("+", "diag", gls_expr),
-    }
-    walk_regs = {"lrs": "row", "lcs": "col", "gls": "diag"}
-    ops: list[Op] = []
-    for ev in proto.events:
-        kind = ev[0]
-        if kind == "load":
-            ops.append(Read(("a", I, J), "x"))
-        elif kind == "publish":
-            data, status, value = ev[1], ev[2], ev[3]
-            ops.append(Publish((((data, I, J), exprs[data]),),
-                               (status, I, J), value))
-        elif kind == "walk":
-            status, lo, hi, lbuf, gbuf, walker = ev[1:]
-            if lbuf == "lrs":
-                args = tuple(range(J - 1, -1, -1))
-                locs = [(I, jp) for jp in args]
-            elif lbuf == "lcs":
-                args = tuple(range(I - 1, -1, -1))
-                locs = [(ip, J) for ip in args]
-            else:  # gls: diagonal walk
-                args = tuple(range(1, min(I, J) + 1))
-                locs = [(I - k, J - k) for k in args]
-            steps = tuple(
-                WalkStep((status, i, j), lo, hi, (lbuf, i, j), (gbuf, i, j))
-                for i, j in locs)
-            if walker:
-                _check_walk_geometry(walker, steps, args, t, I, J)
-            ops.append(Walk(steps, walk_regs[lbuf]))
-        elif kind == "store":
-            ops.append(Out(("b", I, J), exprs["gs"]))
-    return tuple(ops)
+def _interpret(table: _LaunchTable, t: int,
+               initial: Mapping[Loc, int]) -> LaunchModel:
+    """Replay the kernel's events once per cell each program visits.
 
-
-def _build_skss_lb(t: int, acquisition: str = "diagonal") -> ProtocolModel:
-    from repro.sat.skss_lb import acquisition_tile, skss_lb_kernel
-    proto = extract_kernel(skss_lb_kernel)
-    initial = {("a", i, j): unit(i, j, t)
-               for i in range(t) for j in range(t)}
-    programs, out_spec = [], {}
-    for serial in range(t * t):
-        I, J = acquisition_tile(serial, t, acquisition, t)
-        programs.append(Program(label=f"tile({I},{J})",
-                                ops=_skss_lb_tile_ops(proto, I, J, t)))
-        out_spec[("b", I, J)] = rect_mass(I, J, t)
-    launch = LaunchModel(
-        name=f"skss_lb[{acquisition}]", dispatch="ticket",
-        programs=tuple(programs), initial=initial, out_spec=out_spec,
-        status_domains=_status_domains_tile())
-    return ProtocolModel(algorithm="1R1W-SKSS-LB", t=t, launches=(launch,))
-
-
-def _build_skss(t: int) -> ProtocolModel:
-    from repro.sat.skss import GRS_READY, skss_kernel
-    proto = extract_kernel(skss_kernel)
-    assert proto.publishes == (("grs", "R", GRS_READY),)
-    initial = {("a", i, j): unit(i, j, t)
-               for i in range(t) for j in range(t)}
-    programs, out_spec = [], {}
-    for J in range(t):
-        ops: list[Op] = []
-        acc: Expr | None = None
-        for i in range(t):
-            ops.append(Read(("a", i, J), f"x{i}"))
-            if J > 0:
-                ops.append(Wait(("R", i, J - 1), GRS_READY))
-                ops.append(Read(("grs", i, J - 1), f"g{i}"))
-                grs_expr: Expr = ("+", f"g{i}", f"x{i}")
-            else:
-                grs_expr = f"x{i}"
-            ops.append(Publish(((("grs", i, J), grs_expr),),
-                               ("R", i, J), GRS_READY))
-            acc = grs_expr if acc is None else ("+", acc, grs_expr)
-            ops.append(Out(("b", i, J), acc))
-            out_spec[("b", i, J)] = rect_mass(i, J, t)
-        programs.append(Program(label=f"column {J}", ops=tuple(ops)))
-    launch = LaunchModel(
-        name="skss", dispatch="ticket", programs=tuple(programs),
-        initial=initial, out_spec=out_spec,
-        status_domains={"R": (0, GRS_READY)})
-    return ProtocolModel(algorithm="1R1W-SKSS", t=t, launches=(launch,))
-
-
-def _build_naive(t: int) -> ProtocolModel:
-    from repro.sat.naive_2r2w import column_scan_kernel, row_scan_kernel
-    extract_kernel(column_scan_kernel)
-    extract_kernel(row_scan_kernel)
-    initial = {("a", i, j): unit(i, j, t)
-               for i in range(t) for j in range(t)}
-    col_programs, col_spec = [], {}
-    for j in range(t):
-        ops: list[Op] = []
-        acc: Expr | None = None
-        for i in range(t):
-            ops.append(Read(("a", i, j), f"x{i}"))
-            acc = f"x{i}" if acc is None else ("+", acc, f"x{i}")
-            ops.append(Out(("b", i, j), acc))
-            col_spec[("b", i, j)] = col_mass(0, i, j, t)
-        col_programs.append(Program(label=f"column {j}", ops=tuple(ops)))
-    launch1 = LaunchModel(name="column_scan", dispatch="static",
-                          programs=tuple(col_programs), initial=initial,
-                          out_spec=col_spec)
-    initial2 = dict(initial)
-    initial2.update(col_spec)
-    row_programs, row_spec = [], {}
-    for i in range(t):
-        ops = []
-        acc = None
-        for j in range(t):
-            ops.append(Read(("b", i, j), f"y{j}"))
-            acc = f"y{j}" if acc is None else ("+", acc, f"y{j}")
-            ops.append(Out(("b", i, j), acc))
-            row_spec[("b", i, j)] = rect_mass(i, j, t)
-        row_programs.append(Program(label=f"row {i}", ops=tuple(ops)))
-    launch2 = LaunchModel(name="row_scan", dispatch="static",
-                          programs=tuple(row_programs), initial=initial2,
-                          out_spec=row_spec)
-    return ProtocolModel(algorithm="2R2W", t=t, launches=(launch1, launch2))
-
-
-def _scan_launch(name: str, t: int, serial_to_tile: Callable,
-                 cell_of: Callable, initial: Mapping[Loc, int],
-                 spec_of: Callable, thresholds: tuple[int, int]) -> LaunchModel:
-    """A decoupled look-back scan launch (colscan panels / scan1d parts).
-
-    ``serial_to_tile(serial) -> (line, step)`` where ``line`` is the
-    independent scan line (strip/row) and ``step`` the position along it;
-    ``cell_of(line, step)`` / ``spec_of(line, step)`` give the data cell read
-    and the required inclusive prefix mass.
+    load -> :class:`Read` (or, for a slot the program already wrote, the
+    value it wrote), wait -> :class:`Wait`, walk -> :class:`Walk`, publish
+    -> :class:`Publish`, store -> :class:`Out`; ops follow cell order, then
+    event order.
     """
-    lo, hi = thresholds
-    agg, pref, status = f"{name}.agg", f"{name}.pref", f"{name}.status"
-    programs, out_spec = [], {}
-    for serial in range(t * t):
-        line, step = serial_to_tile(serial)
-        cell = cell_of(line, step)
-        walk = tuple(
-            WalkStep((status, line, p), lo, hi,
-                     (agg, line, p), (pref, line, p))
-            for p in range(step - 1, -1, -1))
-        incl: Expr = ("+", "ex", "x")
-        ops = (
-            Read(cell, "x"),
-            Publish((((agg, line, step), "x"),), (status, line, step), lo),
-            Walk(walk, "ex"),
-            Publish((((pref, line, step), incl),), (status, line, step), hi),
-            Out(cell, incl),
-        )
-        programs.append(Program(label=f"{name}({line},{step})", ops=ops))
-        out_spec[cell] = spec_of(line, step)
-    return LaunchModel(name=name, dispatch="ticket", programs=tuple(programs),
-                       initial=initial, out_spec=out_spec,
-                       status_domains={status: (0, lo, hi)})
+    proto = extract_kernel(table.kernel)
+    specs = {**_OUT_SPECS, **table.spec}
+    out_spec: dict[Loc, int] = {}
+
+    def loc(buf: str, cell: Cell) -> Loc:
+        name = table.names.get(buf, buf)
+        i, j = cell[::-1] if name in table.transposed else cell
+        return (name, i, j)
+
+    def mass(kind: str, buf: str, cell: Cell, bound: Mapping[Loc, Expr]
+             ) -> Expr:
+        """The stored value by the buffer's rule, from ``bound`` slots."""
+        rule = table.rules.get(buf)
+        if rule is None:
+            raise ExtractionError(
+                f"{proto.kernel}: `{kind} {buf}` has no mass rule in launch "
+                f"{table.name}")
+        expr: Expr = 0
+        for sign, term, neighbour in _TERM.findall(rule):
+            near = _hop(cell, neighbour or "self")
+            if near is None:
+                continue
+            src = loc(term, near)
+            if src not in bound:
+                raise ExtractionError(
+                    f"{proto.kernel}: the mass rule of `{kind} {buf}` at cell "
+                    f"{cell} needs {describe_loc(src)}, which the kernel has "
+                    f"not loaded, walked or written by then")
+            expr = (sign or "+", expr, bound[src])
+        return expr
+
+    programs = []
+    for label, cells, runs in table.programs:
+        ops: list[Op] = []
+        bound: dict[Loc, Expr] = {}  # slot -> the value this program holds
+        wrote: set[Loc] = set()
+        for cell in cells:
+            nth: dict[str, int] = {}
+            for kind, *args in proto.events:
+                buf = args[0] if args else ""
+                # A bare fence has nothing to drain: stores become Outs,
+                # committed at once, and Publish carries its own fence.
+                if kind == "fence" or (runs is not None and buf not in runs):
+                    continue
+                if kind in ("publish", "store"):
+                    dst = loc(buf, cell)
+                    bound[dst] = mass(kind, buf, cell, bound)
+                    wrote.add(dst)
+                    if kind == "publish":
+                        ops.append(Publish(((dst, bound[dst]),),
+                                           loc(args[1], cell), args[2]))
+                    else:
+                        ops.append(Out(dst, bound[dst]))
+                        out_spec[dst] = specs[dst[0]](dst[1], dst[2], t)
+                    continue
+                # A walk is keyed by the global buffer whose value it yields.
+                at = table.at.get(args[4] if kind == "walk" else buf, "self")
+                if not isinstance(at, str):
+                    nth[buf] = nth.get(buf, -1) + 1
+                    at = at[nth[buf]]
+                if kind == "walk":
+                    status, lo, hi, local, glob, walker = args
+                    hops = [c for k in range(1, t + 1)
+                            if (c := _hop(cell, at, k)) is not None]
+                    if not hops:
+                        continue  # the kernel's zero guard
+                    steps = tuple(WalkStep(loc(status, c), lo, hi,
+                                           loc(local, c), loc(glob, c))
+                                  for c in hops)
+                    if walker:
+                        # Its status_index takes the coordinate that moves,
+                        # or the step count on a diagonal.
+                        _check_walk_geometry(
+                            walker, steps,
+                            tuple(k + 1 if at == "corner" else
+                                  c[0] if at == "up" else c[1]
+                                  for k, c in enumerate(hops)), t, *cell)
+                    reg = bound[loc(glob, hops[0])] = f"r{len(ops)}"
+                    ops.append(Walk(steps, reg))
+                    continue
+                near = _hop(cell, at)
+                if near is None:
+                    continue  # the kernel's zero guard
+                src = loc(buf, near)
+                if kind == "wait":
+                    ops.append(Wait(src, args[1]))
+                elif src not in wrote:
+                    reg = bound[src] = f"r{len(ops)}"
+                    ops.append(Read(src, reg))
+        programs.append(Program(label=label, ops=tuple(ops)))
+    return LaunchModel(
+        name=table.name, dispatch="ticket" if proto.ticket else "static",
+        programs=tuple(programs), initial=dict(initial), out_spec=out_spec,
+        status_domains=dict(table.domains))
 
 
-def _build_optimal(t: int) -> ProtocolModel:
+# ---------------------------------------------------------------------------
+# Per-algorithm launch tables
+# ---------------------------------------------------------------------------
+
+def _tiles(prefix: str, cells: Iterable[Cell]) -> tuple:
+    """One program per cell, labelled ``prefix(i,j)``."""
+    return tuple((f"{prefix}({i},{j})", ((i, j),), None) for i, j in cells)
+
+
+def _columns(t: int) -> tuple:
+    """One program per column, walking it top to bottom."""
+    return tuple((f"column {j}", tuple((i, j) for i in range(t)), None)
+                 for j in range(t))
+
+
+def _wavefront(K: int, tiles: Iterable[Cell]) -> _LaunchTable:
+    """One 1R1W anti-diagonal launch."""
+    from repro.sat.kasagi_1r1w import wavefront_kernel
+    return _LaunchTable(
+        f"wavefront K={K}", wavefront_kernel, _tiles("tile", tiles),
+        at=_TILE_AT, rules={"grs": "grs@left + a", "gcs": "gcs@up + a",
+                            "gs": _GSAT, "b": _GSAT})
+
+
+def _two_pass(names: tuple[str, str, str], tiles: list[Cell],
+              kernels: tuple[Callable, Callable, Callable]
+              ) -> list[_LaunchTable]:
+    """2R1W's local-sums, chain-sums and GSAT launches over ``tiles``."""
+    if not tiles:
+        return []
+    local, chains, gsat = kernels
+    rows = tuple(sorted(tiles))
+    cols = tuple(sorted(tiles, key=lambda cell: cell[::-1]))
+    return [
+        _LaunchTable(names[0], local, _tiles("local", tiles),
+                     rules={"lrs": "a", "lcs": "a", "ls": "a"}),
+        _LaunchTable(
+            names[1], chains,
+            (("row chains", rows, frozenset({"lrs", "grs"})),
+             ("column chains", cols, frozenset({"lcs", "gcs"})),
+             ("GS block", rows, frozenset({"ls", "gs"}))),
+            at={"grs": "left", "gcs": "up", "gs": ("up", "left", "corner")},
+            rules={"grs": "grs@left + lrs", "gcs": "gcs@up + lcs",
+                   "gs": "gs@up + gs@left - gs@corner + ls"}),
+        _LaunchTable(names[2], gsat, _tiles("gsat", tiles), at=_TILE_AT,
+                     rules={"b": _GSAT}),
+    ]
+
+
+def _naive_tables(t: int) -> list[_LaunchTable]:
+    from repro.sat.naive_2r2w import column_scan_kernel, row_scan_kernel
+    rows = tuple((f"row {i}", tuple((i, j) for j in range(t)), None)
+                 for i in range(t))
+    return [
+        _LaunchTable("column_scan", column_scan_kernel, _columns(t),
+                     names={"src": "a", "dst": "b"},
+                     rules={"dst": "dst@up + src"},
+                     spec={"b": _OUT_SPECS["gcs"]}),
+        _LaunchTable("row_scan", row_scan_kernel, rows, names={"buf": "b"},
+                     rules={"buf": "buf@left + buf"}),
+    ]
+
+
+def _optimal_tables(t: int) -> list[_LaunchTable]:
+    """Decoupled look-back column then row scan; a cell is a scan's
+    ``(line, step)``, so the column scan indexes ``a``/``b`` transposed."""
     from repro.primitives.colscan import ColScanLayout, col_scan_kernel
     from repro.primitives.scan1d import (STATUS_AGGREGATE, STATUS_PREFIX,
                                          RowScanLayout, row_scan_kernel)
-    extract_kernel(col_scan_kernel)
-    extract_kernel(row_scan_kernel)
-    thresholds = (STATUS_AGGREGATE, STATUS_PREFIX)
-    initial = {("a", i, j): unit(i, j, t)
-               for i in range(t) for j in range(t)}
-    # Launch 1: column scan — one model cell per (strip=column, panel=row),
-    # serials in the real layout's panel-major acquisition order.
-    col_layout = ColScanLayout(rows=t, cols=t, panel_rows=1, strip_width=1)
-    launch1 = _scan_launch(
-        "colscan", t, col_layout.serial_to_tile,
-        cell_of=lambda strip, panel: ("b", panel, strip),
-        initial=initial,
-        spec_of=lambda strip, panel: col_mass(0, panel, strip, t),
-        thresholds=thresholds)
-    # Column scan reads a, writes b: rewire the read cell via op surgery is
-    # avoided by modeling the copy as Read(a)/Out(b) of the same (row, col).
-    launch1 = LaunchModel(
-        name=launch1.name, dispatch=launch1.dispatch,
-        programs=tuple(
-            Program(p.label, tuple(
-                Read(("a",) + op.loc[1:], op.reg)
-                if isinstance(op, Read) and op.loc[0] == "b" else op
-                for op in p.ops))
-            for p in launch1.programs),
-        initial=launch1.initial, out_spec=launch1.out_spec,
-        status_domains=launch1.status_domains)
-    initial2 = dict(initial)
-    initial2.update(launch1.out_spec)
-    # Launch 2: row scan over b in place, partition-major serials.
-    row_layout = RowScanLayout(rows=t, n=t, partition_size=1)
-    launch2 = _scan_launch(
-        "rowscan", t, row_layout.serial_to_tile,
-        cell_of=lambda row, part: ("b", row, part),
-        initial=initial2,
-        spec_of=lambda row, part: rect_mass(row, part, t),
-        thresholds=thresholds)
-    return ProtocolModel(algorithm="2R2W-optimal", t=t,
-                         launches=(launch1, launch2))
+    rules = {"aggregates": "src", "prefixes": "prefixes@left + aggregates",
+             "dst": "prefixes"}
+
+    def scan(name: str, kernel: Callable, layout, src: str,
+             **extra) -> _LaunchTable:
+        return _LaunchTable(
+            name, kernel, _tiles(name, map(layout.serial_to_tile,
+                                           range(t * t))),
+            at={"prefixes": "left"}, rules=rules,
+            names={"src": src, "dst": "b", "status": f"{name}.status",
+                   "aggregates": f"{name}.agg", "prefixes": f"{name}.pref"},
+            domains={f"{name}.status": (0, STATUS_AGGREGATE, STATUS_PREFIX)},
+            **extra)
+
+    return [
+        scan("colscan", col_scan_kernel,
+             ColScanLayout(rows=t, cols=t, panel_rows=1, strip_width=1), "a",
+             transposed=frozenset({"a", "b"}),
+             spec={"b": _OUT_SPECS["gcs"]}),
+        scan("rowscan", row_scan_kernel,
+             RowScanLayout(rows=t, n=t, partition_size=1), "b"),
+    ]
 
 
-def _guarded_read(ops: list[Op], loc: Loc, reg: str,
-                  condition: bool) -> Expr:
-    """Append a Read when in range; out-of-range regions have mass 0."""
-    if not condition:
-        return 0
-    ops.append(Read(loc, reg))
-    return reg
-
-
-def _gsat_tile_ops(I: int, J: int) -> tuple[Op, ...]:
-    """The L3 assemble: b(I,J) = gs(I-1,J-1) + grs(I,J-1) + gcs(I-1,J) + x."""
-    ops: list[Op] = [Read(("a", I, J), "x")]
-    gl = _guarded_read(ops, ("grs", I, J - 1), "gl", J > 0)
-    ga = _guarded_read(ops, ("gcs", I - 1, J), "ga", I > 0)
-    gc = _guarded_read(ops, ("gs", I - 1, J - 1), "gc", I > 0 and J > 0)
-    ops.append(Out(("b", I, J), ("+", ("+", ("+", gc, gl), ga), "x")))
-    return tuple(ops)
-
-
-def _build_nehab(t: int) -> ProtocolModel:
+def _nehab_tables(t: int) -> list[_LaunchTable]:
     from repro.sat.nehab_2r1w import (global_sums_kernel, gsat_kernel,
                                       local_sums_kernel)
-    extract_kernel(local_sums_kernel)
-    extract_kernel(global_sums_kernel)
-    extract_kernel(gsat_kernel)
-    initial = {("a", i, j): unit(i, j, t)
-               for i in range(t) for j in range(t)}
-    # L1: per-tile local sums (block_id row-major, one tile per block).
-    l1_programs, l1_spec = [], {}
-    for I in range(t):
-        for J in range(t):
-            ops = (Read(("a", I, J), "x"),
-                   Out(("lrs", I, J), "x"), Out(("lcs", I, J), "x"),
-                   Out(("ls", I, J), "x"))
-            l1_programs.append(Program(label=f"local({I},{J})", ops=ops))
-            for buf in ("lrs", "lcs", "ls"):
-                l1_spec[(buf, I, J)] = unit(I, J, t)
-    launch1 = LaunchModel(name="local_sums", dispatch="static",
-                          programs=tuple(l1_programs), initial=initial,
-                          out_spec=l1_spec)
-    cumulative = dict(initial)
-    cumulative.update(l1_spec)
-    # L2: three chain workers (row chains, column chains, the GS block).
-    l2_spec: dict[Loc, int] = {}
-    grs_ops: list[Op] = []
-    for I in range(t):
-        acc: Expr | None = None
-        for J in range(t):
-            reg = f"r{I}_{J}"
-            grs_ops.append(Read(("lrs", I, J), reg))
-            acc = reg if acc is None else ("+", acc, reg)
-            grs_ops.append(Out(("grs", I, J), acc))
-            l2_spec[("grs", I, J)] = row_mass(I, 0, J, t)
-    gcs_ops: list[Op] = []
-    for J in range(t):
-        acc = None
-        for I in range(t):
-            reg = f"c{I}_{J}"
-            gcs_ops.append(Read(("lcs", I, J), reg))
-            acc = reg if acc is None else ("+", acc, reg)
-            gcs_ops.append(Out(("gcs", I, J), acc))
-            l2_spec[("gcs", I, J)] = col_mass(0, I, J, t)
-    gs_ops: list[Op] = []
-    for I in range(t):
-        for J in range(t):
-            gs_ops.append(Read(("ls", I, J), f"s{I}_{J}"))
-    for I in range(t):
-        for J in range(t):
-            acc = None
-            for i in range(I + 1):
-                for j in range(J + 1):
-                    reg = f"s{i}_{j}"
-                    acc = reg if acc is None else ("+", acc, reg)
-            gs_ops.append(Out(("gs", I, J), acc))
-            l2_spec[("gs", I, J)] = rect_mass(I, J, t)
-    launch2 = LaunchModel(
-        name="global_sums", dispatch="static",
-        programs=(Program("row chains", tuple(grs_ops)),
-                  Program("column chains", tuple(gcs_ops)),
-                  Program("GS block", tuple(gs_ops))),
-        initial=dict(cumulative), out_spec=l2_spec)
-    cumulative.update(l2_spec)
-    # L3: per-tile GSAT assembly.
-    l3_programs, l3_spec = [], {}
-    for I in range(t):
-        for J in range(t):
-            l3_programs.append(Program(label=f"gsat({I},{J})",
-                                       ops=_gsat_tile_ops(I, J)))
-            l3_spec[("b", I, J)] = rect_mass(I, J, t)
-    launch3 = LaunchModel(name="gsat", dispatch="static",
-                          programs=tuple(l3_programs),
-                          initial=dict(cumulative), out_spec=l3_spec)
-    return ProtocolModel(algorithm="2R1W", t=t,
-                         launches=(launch1, launch2, launch3))
+    return _two_pass(("local_sums", "global_sums", "gsat"),
+                     [(i, j) for i in range(t) for j in range(t)],
+                     (local_sums_kernel, global_sums_kernel, gsat_kernel))
 
 
-def _wavefront_tile_ops(I: int, J: int) -> tuple[Op, ...]:
-    """One 1R1W wavefront tile: read the frontier, write all four results."""
-    ops: list[Op] = [Read(("a", I, J), "x")]
-    gl = _guarded_read(ops, ("grs", I, J - 1), "gl", J > 0)
-    ga = _guarded_read(ops, ("gcs", I - 1, J), "ga", I > 0)
-    gc = _guarded_read(ops, ("gs", I - 1, J - 1), "gc", I > 0 and J > 0)
-    rect: Expr = ("+", ("+", ("+", gc, gl), ga), "x")
-    ops.append(Out(("grs", I, J), ("+", gl, "x")))
-    ops.append(Out(("gcs", I, J), ("+", ga, "x")))
-    ops.append(Out(("gs", I, J), rect))
-    ops.append(Out(("b", I, J), rect))
-    return tuple(ops)
-
-
-def _wavefront_spec(I: int, J: int, t: int) -> dict[Loc, int]:
-    return {("grs", I, J): row_mass(I, 0, J, t),
-            ("gcs", I, J): col_mass(0, I, J, t),
-            ("gs", I, J): rect_mass(I, J, t),
-            ("b", I, J): rect_mass(I, J, t)}
-
-
-def _wavefront_launch(name: str, tiles: Iterable[tuple[int, int]], t: int,
-                      cumulative: dict[Loc, int]) -> LaunchModel:
-    programs, spec = [], {}
-    for I, J in tiles:
-        programs.append(Program(label=f"tile({I},{J})",
-                                ops=_wavefront_tile_ops(I, J)))
-        spec.update(_wavefront_spec(I, J, t))
-    launch = LaunchModel(name=name, dispatch="static",
-                         programs=tuple(programs),
-                         initial=dict(cumulative), out_spec=spec)
-    cumulative.update(spec)
-    return launch
-
-
-def _build_kasagi(t: int) -> ProtocolModel:
+def _kasagi_tables(t: int) -> list[_LaunchTable]:
     from repro.primitives.tile import TileGrid
-    from repro.sat.kasagi_1r1w import wavefront_kernel
-    extract_kernel(wavefront_kernel)
     grid = TileGrid(n=32 * t, W=32)
-    cumulative = {("a", i, j): unit(i, j, t)
-                  for i in range(t) for j in range(t)}
-    launches = tuple(
-        _wavefront_launch(f"wavefront K={K}", grid.tiles_on_diagonal(K), t,
-                          cumulative)
-        for K in range(grid.num_diagonals))
-    return ProtocolModel(algorithm="1R1W", t=t, launches=launches)
+    return [_wavefront(K, grid.tiles_on_diagonal(K))
+            for K in range(grid.num_diagonals)]
 
 
-def _band_row_range(band: str, I: int, t: int, Ka: int,
-                    Kc: int) -> range:
-    """Tile columns the band-A/C chain kernels cover in row ``I`` (mirrors
-    ``band_global_sums_kernel``; validated end-to-end by the refinement
-    check against the mass spec)."""
-    if band == "A":
-        return range(0, min(t, Ka - I))
-    return range(max(0, Kc - I + 1), t)
-
-
-def _band_launches(band: str, tiles: list[tuple[int, int]], t: int, Ka: int,
-                   Kc: int, cumulative: dict[Loc, int]) -> list[LaunchModel]:
-    """The local-sums / chain-sums / gsat launch triple over one band."""
-    if not tiles:
-        return []
-    launches = []
-    local_programs, local_spec = [], {}
-    for I, J in tiles:
-        ops = (Read(("a", I, J), "x"),
-               Out(("lrs", I, J), "x"), Out(("lcs", I, J), "x"),
-               Out(("ls", I, J), "x"))
-        local_programs.append(Program(label=f"local({I},{J})", ops=ops))
-        for buf in ("lrs", "lcs", "ls"):
-            local_spec[(buf, I, J)] = unit(I, J, t)
-    launches.append(LaunchModel(
-        name=f"band-{band} local", dispatch="static",
-        programs=tuple(local_programs), initial=dict(cumulative),
-        out_spec=local_spec))
-    cumulative.update(local_spec)
-
-    spec: dict[Loc, int] = {}
-    grs_ops: list[Op] = []
-    for I in range(t):
-        cols = _band_row_range(band, I, t, Ka, Kc)
-        if not cols:
-            continue
-        acc: Expr = 0
-        if cols.start:
-            grs_ops.append(Read(("grs", I, cols.start - 1), f"gr{I}"))
-            acc = f"gr{I}"
-        for J in cols:
-            reg = f"r{I}_{J}"
-            grs_ops.append(Read(("lrs", I, J), reg))
-            acc = reg if acc == 0 else ("+", acc, reg)
-            grs_ops.append(Out(("grs", I, J), acc))
-            spec[("grs", I, J)] = row_mass(I, 0, J, t)
-    gcs_ops: list[Op] = []
-    for J in range(t):
-        rows = _band_row_range(band, J, t, Ka, Kc)
-        if not rows:
-            continue
-        acc = 0
-        if rows.start:
-            gcs_ops.append(Read(("gcs", rows.start - 1, J), f"gc{J}"))
-            acc = f"gc{J}"
-        for I in rows:
-            reg = f"c{I}_{J}"
-            gcs_ops.append(Read(("lcs", I, J), reg))
-            acc = reg if acc == 0 else ("+", acc, reg)
-            gcs_ops.append(Out(("gcs", I, J), acc))
-            spec[("gcs", I, J)] = col_mass(0, I, J, t)
-    gs_ops: list[Op] = []
-    in_band: dict[tuple[int, int], str] = {}
-    for I in range(t):
-        for J in _band_row_range(band, I, t, Ka, Kc):
-            def term(i: int, j: int, reg: str) -> Expr:
-                if i < 0 or j < 0:
-                    return 0
-                if (i, j) in in_band:
-                    return in_band[(i, j)]
-                gs_ops.append(Read(("gs", i, j), reg))
-                return reg
-            up = term(I - 1, J, f"u{I}_{J}")
-            left = term(I, J - 1, f"l{I}_{J}")
-            corner = term(I - 1, J - 1, f"k{I}_{J}")
-            gs_ops.append(Read(("ls", I, J), f"s{I}_{J}"))
-            # Four-corner recurrence: GS = up + left - corner + LS.
-            expr: Expr = ("+", ("-", ("+", up, left), corner), f"s{I}_{J}")
-            reg = f"g{I}_{J}"
-            gs_ops.append(Out(("gs", I, J), expr, reg=reg))
-            in_band[(I, J)] = reg
-            spec[("gs", I, J)] = rect_mass(I, J, t)
-    launches.append(LaunchModel(
-        name=f"band-{band} chains", dispatch="static",
-        programs=(Program("row chains", tuple(grs_ops)),
-                  Program("column chains", tuple(gcs_ops)),
-                  Program("GS block", tuple(gs_ops))),
-        initial=dict(cumulative), out_spec=spec))
-    cumulative.update(spec)
-
-    gsat_programs, gsat_spec = [], {}
-    for I, J in tiles:
-        gsat_programs.append(Program(label=f"gsat({I},{J})",
-                                     ops=_gsat_tile_ops(I, J)))
-        gsat_spec[("b", I, J)] = rect_mass(I, J, t)
-    launches.append(LaunchModel(
-        name=f"band-{band} gsat", dispatch="static",
-        programs=tuple(gsat_programs), initial=dict(cumulative),
-        out_spec=gsat_spec))
-    cumulative.update(gsat_spec)
-    return launches
-
-
-def _build_hybrid(t: int, r: float = 0.25) -> ProtocolModel:
+def _hybrid_tables(t: int, r: float) -> list[_LaunchTable]:
     from repro.primitives.tile import TileGrid
     from repro.sat.hybrid_1r1w import (band_gsat_kernel,
                                        band_global_sums_kernel,
                                        band_limits, band_local_sums_kernel,
                                        band_tiles)
-    extract_kernel(band_local_sums_kernel)
-    extract_kernel(band_global_sums_kernel)
-    extract_kernel(band_gsat_kernel)
     grid = TileGrid(n=32 * t, W=32)
     Ka, Kc = band_limits(r, t)
-    a_tiles, b_tiles, c_tiles = band_tiles(grid, Ka, Kc)
-    cumulative = {("a", i, j): unit(i, j, t)
-                  for i in range(t) for j in range(t)}
-    launches = _band_launches("A", a_tiles, t, Ka, Kc, cumulative)
-    for K in range(Ka, min(Kc, grid.num_diagonals - 1) + 1):
-        launches.append(_wavefront_launch(
-            f"wavefront K={K}", grid.tiles_on_diagonal(K), t, cumulative))
-    launches.extend(_band_launches("C", c_tiles, t, Ka, Kc, cumulative))
-    return ProtocolModel(algorithm="(1+r)R1W", t=t, launches=tuple(launches))
+    a_tiles, _, c_tiles = band_tiles(grid, Ka, Kc)
+    kernels = (band_local_sums_kernel, band_global_sums_kernel,
+               band_gsat_kernel)
+
+    def band(name: str, tiles: list[Cell]) -> list[_LaunchTable]:
+        return _two_pass((f"band-{name} local", f"band-{name} chains",
+                          f"band-{name} gsat"), tiles, kernels)
+
+    return (band("A", a_tiles)
+            + [_wavefront(K, grid.tiles_on_diagonal(K))
+               for K in range(Ka, min(Kc, grid.num_diagonals - 1) + 1)]
+            + band("C", c_tiles))
+
+
+def _skss_tables(t: int) -> list[_LaunchTable]:
+    from repro.sat.skss import GRS_READY, skss_kernel
+    return [_LaunchTable(
+        "skss", skss_kernel, _columns(t), at={"R": "left", "grs": "left"},
+        rules={"grs": "grs@left + a", "b": "b@up + grs"},
+        domains={"R": (0, GRS_READY)})]
+
+
+def _skss_lb_tables(t: int, acquisition: str) -> list[_LaunchTable]:
+    from repro.sat import tilecommon as tc
+    from repro.sat.skss_lb import acquisition_tile, skss_lb_kernel
+    return [_LaunchTable(
+        f"skss_lb[{acquisition}]", skss_lb_kernel,
+        _tiles("tile", (acquisition_tile(serial, t, acquisition, t)
+                        for serial in range(t * t))),
+        at=_TILE_AT,
+        rules={"lrs": "a", "lcs": "a", "grs": "grs@left + lrs",
+               "gcs": "gcs@up + lcs", "gls": "grs@left + gcs@up + a",
+               "gs": "gs@corner + gls", "b": "gs"},
+        domains={"R": (0, tc.R_LRS, tc.R_GRS, tc.R_GLS, tc.R_GS),
+                 "C": (0, tc.C_LCS, tc.C_GCS)})]
 
 
 def build_model(algorithm: str, t: int = 2, *, acquisition: str = "diagonal",
                 r: float = 0.25) -> ProtocolModel:
     """Build the protocol model of one algorithm over a ``t x t`` tile grid.
 
-    The final launch's output spec always covers the complete SAT; the
-    builder asserts the bottom-right cell's spec is the full input mass.
+    ``acquisition`` (the tile order of 1R1W-SKSS-LB's tickets) must stay
+    ``diagonal`` for every other algorithm; ``r`` sizes the (1+r)R1W bands.
+    The final launch's output spec always covers the complete SAT: the
+    bottom-right cell's spec must be the full input mass.
     """
     if t < 1 or t > 6:
         raise ConfigurationError(f"model grid size t={t} out of range 1..6")
     from repro.sat.registry import get_algorithm
     name = get_algorithm(algorithm, tile_width=32).name
-    builders: dict[str, Callable[[], ProtocolModel]] = {
-        "2R2W": lambda: _build_naive(t),
-        "2R2W-optimal": lambda: _build_optimal(t),
-        "2R1W": lambda: _build_nehab(t),
-        "1R1W": lambda: _build_kasagi(t),
-        "(1+r)R1W": lambda: _build_hybrid(t, r),
-        "1R1W-SKSS": lambda: _build_skss(t),
-        "1R1W-SKSS-LB": lambda: _build_skss_lb(t, acquisition),
+    if acquisition != "diagonal" and name != "1R1W-SKSS-LB":
+        raise ConfigurationError(
+            f"{name} acquires no tiles; acquisition={acquisition!r} applies "
+            f"to 1R1W-SKSS-LB only")
+    tables: dict[str, Callable[[], list[_LaunchTable]]] = {
+        "2R2W": lambda: _naive_tables(t),
+        "2R2W-optimal": lambda: _optimal_tables(t),
+        "2R1W": lambda: _nehab_tables(t),
+        "1R1W": lambda: _kasagi_tables(t),
+        "(1+r)R1W": lambda: _hybrid_tables(t, r),
+        "1R1W-SKSS": lambda: _skss_tables(t),
+        "1R1W-SKSS-LB": lambda: _skss_lb_tables(t, acquisition),
     }
-    model = builders[name]()
+    cumulative = {("a", i, j): unit(i, j, t)
+                  for i in range(t) for j in range(t)}
+    launches = []
+    for table in tables[name]():
+        launches.append(_interpret(table, t, cumulative))
+        cumulative = {**cumulative, **launches[-1].out_spec}
     full = rect_mass(t - 1, t - 1, t)
-    final = model.launches[-1].out_spec.get(("b", t - 1, t - 1))
+    final = launches[-1].out_spec.get(("b", t - 1, t - 1))
     if final != full:
         raise ExtractionError(
             f"{name}: final output spec {final!r} is not the full input "
-            f"mass {full}; the builder's launch sequence is incomplete")
-    return model
+            f"mass {full}; the launch tables are incomplete")
+    return ProtocolModel(algorithm=name, t=t, launches=tuple(launches))

@@ -196,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="tile-grid side: models a t x t grid (default 2)")
     mc.add_argument("--pool", type=int, action="append", default=None,
                     help="resident-block pool size to explore (repeatable; "
-                         "default: sweep 1..min(4, blocks))")
+                         "above a launch's block count means full "
+                         "residency; default: sweep 1..min(4, blocks))")
     mc.add_argument("--acquisition", default="diagonal",
                     help="tile acquisition order for 1R1W-SKSS-LB "
                          "(diagonal, rowmajor, reversed, swapped)")
@@ -558,7 +559,8 @@ def _cmd_sanitize(args) -> int:
 def _cmd_modelcheck(args) -> int:
     from repro.analysis import TABLE1_ORDER, check
     from repro.analysis.modelcheck import DEFAULT_MAX_STATES
-    max_states = args.max_states or DEFAULT_MAX_STATES
+    max_states = (DEFAULT_MAX_STATES if args.max_states is None
+                  else args.max_states)
     pools = tuple(args.pool) if args.pool else None
     rc = 0
     records = []

@@ -21,6 +21,11 @@ from repro.analysis.protomodel import build_model
 from repro.analysis.table1 import TABLE1_ORDER
 from repro.errors import ModelCheckError
 
+#: (states, transitions) of each algorithm's t=2 check.
+STATE_PINS = {"2R2W": (4, 0), "2R2W-optimal": (364, 832), "2R1W": (11, 0),
+              "1R1W": (4, 0), "(1+r)R1W": (8, 0), "1R1W-SKSS": (11, 10),
+              "1R1W-SKSS-LB": (2947, 8962)}
+
 
 class TestCleanVerification:
     @pytest.mark.parametrize("name", TABLE1_ORDER)
@@ -36,12 +41,12 @@ class TestCleanVerification:
         (launch,) = result.launches
         assert [p.pool for p in launch.pools] == [1, 2, 3, 4]
 
-    def test_skss_lb_state_count_pinned(self):
+    @pytest.mark.parametrize("name", TABLE1_ORDER)
+    def test_state_count_pinned(self, name):
         """The reduced t=2 state space; a change here means the model or the
         reduction changed — intentional changes update the pin."""
-        result = check_algorithm("1R1W-SKSS-LB", 2)
-        assert result.states == 2947
-        assert result.transitions == 8962
+        result = check_algorithm(name, 2)
+        assert (result.states, result.transitions) == STATE_PINS[name]
 
     def test_skss_at_t3(self):
         result = check_algorithm("1R1W-SKSS", 3)

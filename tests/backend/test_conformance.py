@@ -129,3 +129,30 @@ class TestPlans:
                                                tile_width=W)
         with pytest.raises(ConfigurationError, match="plan was made for"):
             backend.execute(foreign, make_matrix(shape, "int32"))
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+LAYOUTS = {
+    "big-endian": lambda a: a.astype(">i4"),
+    "fortran": np.asfortranarray,
+    "strided": lambda a: a[::2, ::3],
+    "read-only": _read_only,
+    "bool": lambda a: a % 3 == 0,
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_input_layouts_give_the_exact_int64_table(backend, W, make_matrix,
+                                                  layout):
+    """Byte order, memory order, strides, read-only buffers and ``bool``
+    are the input's business: every backend returns the exact int64
+    table."""
+    a = LAYOUTS[layout](make_matrix((70, 45), "int32"))
+    got = backend.compute(a, tile_width=W)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got,
+                                  a.astype(np.int64).cumsum(0).cumsum(1))
