@@ -11,8 +11,10 @@ Run modes:
                                                    # overhead, writes
                                                    # BENCH_distsat.json
     python benchmarks/bench_distsat.py --smoke     # fast correctness +
-                                                   # recovery gate (CI),
-                                                   # writes distsat_smoke.json
+                                                   # recovery gate, inline
+                                                   # and process transports
+                                                   # (CI), writes
+                                                   # distsat_smoke.json
     python benchmarks/bench_distsat.py --gigapixel # 65536^2 uint8 (4 Gpx)
                                                    # on a memory-capped
                                                    # worker (slow tier)
@@ -140,16 +142,39 @@ def run_smoke() -> dict:
         attempts[phase][k] == plan.expected_attempts(k, phase)
         for phase in ("reduce", "apply") for k in range(shards))
 
+    # Real worker processes: shard 1's worker is killed when its carry
+    # arrives, while it holds its published band.  A hard death can lose
+    # more than the faulted request, so the ledger is a lower bound here.
+    kill = FaultPlan(actions=(
+        FaultAction(kind="kill", shard=1, attempt=1, phase="apply"),))
+    process_s, process = timed(source, shards=shards, transport="process",
+                               workers=2, fault_plan=kill, max_attempts=5)
+    ok_process = bool(np.array_equal(process.sat, want))
+    process_attempts = process.stats["attempts"]
+    ok_process_ledger = all(
+        process_attempts[phase][k] >= kill.expected_attempts(k, phase)
+        for phase in ("reduce", "apply") for k in range(shards))
+
     print(f"smoke n={n}: clean={ok_clean} recovered={ok_recovered} "
-          f"ledger={ok_ledger} ({seconds:.2f}s faulted run)")
-    if not (ok_clean and ok_recovered and ok_ledger):
+          f"ledger={ok_ledger} ({seconds:.2f}s faulted run); process: "
+          f"recovered={ok_process} ledger>={ok_process_ledger} "
+          f"({process_s:.2f}s)")
+    if not (ok_clean and ok_recovered and ok_ledger and ok_process
+            and ok_process_ledger):
         raise SystemExit("distsat smoke gate failed")
     return {"n": n, "shards": shards,
             "clean_bit_identical": ok_clean,
             "recovered_bit_identical": ok_recovered,
             "attempt_ledger_exact": ok_ledger,
             "faulted_seconds": round(seconds, 3),
-            "recovered_shards": faulted.stats["recovered_shards"]}
+            "recovered_shards": faulted.stats["recovered_shards"],
+            "process": {"workers": process.stats["workers"],
+                        "kill": "shard 1, apply, attempt 1",
+                        "recovered_bit_identical": ok_process,
+                        "attempt_ledger_at_least_expected":
+                            ok_process_ledger,
+                        "attempts": process_attempts,
+                        "seconds": round(process_s, 3)}}
 
 
 def run_gigapixel() -> dict:

@@ -1,57 +1,69 @@
-"""The distributed coordinator: shard, fan out, stitch, recover.
+"""The distributed coordinator: shard, fan out, look back, recover.
 
 :func:`distributed_sat` splits the image into contiguous band shards
-(:func:`~repro.distsat.protocol.shard_bounds`), fans them out to a worker
-pool over a transport, and stitches the results with the same carry algebra
-:class:`~repro.sat.outofcore.OutOfCoreSAT` threads between bands — the
-SKSS look-back carries, one level up.  Two phases:
+(:func:`~repro.distsat.protocol.shard_bounds`) and runs **one task per
+shard** on a worker pool over a transport — the source paper's
+single-pass look-back (1R1W-SKSS-LB), one level up:
 
-1. **reduce** — every shard's column sums, computed in parallel (each shard
-   only needs its own rows).  Each verified carry is committed to the
+1. **publish** — the worker reads its band once, computes the band's SAT
+   and column sums, holds both and publishes the sums (a ``reduce``
+   result).  Each verified sum is committed to the
    :class:`~repro.distsat.checkpoint.CheckpointStore` the moment it
    arrives, so the persisted frontier grows shard by shard.
-2. **apply** — every shard's rows of the global SAT, computed in parallel
-   once all carries are committed: the carry-in of shard *k* is the sum of
-   carries *0..k-1* and the stitch is
-   ``sat[i][j] = band_sat[i][j] + cumsum(carry_in)[j]``.
+2. **look back** — once every shard above a waiting shard has published,
+   the coordinator sends its worker a ``carry`` message: the prefix over
+   the committed sums, ``carry_in = sum(sums[0..k-1])``.
+3. **stitch** — the worker adds ``cumsum(carry_in)`` to the band SAT it
+   holds and returns the shard's rows of the global SAT (an ``apply``
+   result).
+
+Shards are dispatched in order and each worker has at most one unfinished
+shard, so no worker holds two bands, and every wait points at a lower shard
+that is already dispatched and will publish: dispatch cannot deadlock (the
+argument SKSS makes for serial tile acquisition).  On the inline transport
+the run is a chained scan.
 
 Failure handling (all deterministic under a
-:class:`~repro.distsat.protocol.FaultPlan`):
+:class:`~repro.distsat.protocol.FaultPlan`; attempts are counted per phase —
+``reduce`` each time a shard's sums are requested, ``apply`` each time its
+rows are):
 
-* a **dead worker** loses only its in-flight task; the coordinator
-  resubmits that shard with the next attempt number.  A resubmitted
-  *apply* takes its carry-in from
+* a **dead worker** loses only the shard it held; the coordinator
+  resubmits that shard with the next attempt number.  A shard whose sums
+  were already committed does not publish again: it is resubmitted as an
+  ``apply`` task carrying its carry-in from
   :meth:`~repro.distsat.checkpoint.CheckpointStore.load_carry_before` —
   re-read from the checkpoint files, not from any in-memory state — so
   recovery provably resumes from what was persisted;
-* a **corrupt result** (payload fails its own checksum) is rejected and
-  the shard retried, identically to a death;
+* a **corrupt result** (payload fails its own checksum), or a worker
+  answering a ``carry`` for a band it no longer holds, is treated like a
+  death: the shard is resubmitted;
 * a shard that exhausts ``max_attempts`` raises
   :class:`~repro.errors.ShardFailedError`;
 * ``fault_plan.abort_after_shard = k`` simulates a **coordinator crash**:
   :class:`~repro.errors.CoordinatorAborted` is raised right after shard
-  *k*'s carry is persisted.  A new call pointed at the same
-  ``checkpoint_dir`` resumes: committed shards skip their reduce entirely
-  (pinned by ``stats["resumed_shards"]`` and the persisted attempt
-  counters).
+  *k*'s sums are persisted.  A new call pointed at the same
+  ``checkpoint_dir`` resumes: committed shards never publish again (pinned
+  by ``stats["resumed_shards"]`` and the persisted attempt counters).
 """
 
 from __future__ import annotations
 
-import collections
+import bisect
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.backend.carries import BandCarrySet
+from repro.backend.core import positive_int
 from repro.distsat.checkpoint import CheckpointStore
 from repro.distsat.protocol import FaultPlan, checksum, decode_message, \
     encode_message, shard_bounds
 from repro.distsat.sources import BandSource, MatrixSource, source_to_spec
 from repro.distsat.transport import make_transport
 from repro.errors import ConfigurationError, CoordinatorAborted, \
-    DistributedError, ShardFailedError
+    ShardFailedError
 from repro.sat.outofcore import rect_sum_from_rows
 
 
@@ -113,25 +125,21 @@ def distributed_sat(a, *, shards: int = 2, algorithm: str | None = None,
     and the coordinator never holds the image).  ``inner_engine`` names the
     registered backend each worker runs its band through; ``chunk_rows``
     bounds worker memory by processing each shard that many rows at a
-    time.  ``collect=False`` switches to digest mode.  Faults are injected
-    via ``fault_plan`` (a :class:`~repro.distsat.protocol.FaultPlan` or its
-    dict form).
+    time.  ``transport`` and ``workers`` pick the pool (``workers=None``:
+    one inline worker, or two processes).  ``collect=False`` switches to
+    digest mode.  Faults are injected via ``fault_plan`` (a
+    :class:`~repro.distsat.protocol.FaultPlan` or its dict form).
     """
     if isinstance(a, BandSource):
         source = a
     else:
         source = MatrixSource(np.asarray(a))
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards <= 0:
-        raise ConfigurationError(
-            f"shards must be a positive integer, got {shards!r}")
-    if not isinstance(max_attempts, int) or isinstance(max_attempts, bool) \
-            or max_attempts <= 0:
-        raise ConfigurationError("max_attempts must be a positive integer")
-    if chunk_rows is not None and (not isinstance(chunk_rows, int)
-                                   or isinstance(chunk_rows, bool)
-                                   or chunk_rows <= 0):
-        raise ConfigurationError(
-            f"chunk_rows must be a positive integer, got {chunk_rows!r}")
+    shards = positive_int(shards, "shards")
+    max_attempts = positive_int(max_attempts, "max_attempts")
+    if chunk_rows is not None:
+        chunk_rows = positive_int(chunk_rows, "chunk_rows")
+    if workers is not None:  # None: the transport's default pool
+        workers = positive_int(workers, "workers")
     if fault_plan is None:
         plan = None
     elif isinstance(fault_plan, FaultPlan):
@@ -171,121 +179,110 @@ def distributed_sat(a, *, shards: int = 2, algorithm: str | None = None,
 
     t0 = time.perf_counter()
     tx = make_transport(transport, workers)
+    sat = np.empty((source.n_rows, source.n_cols), dtype=acc) \
+        if collect else None
+    edge_rows: dict[int, np.ndarray] = {}
+    digests: dict[int, int] = {}
     peak_bytes = 0
+    todo = list(range(n_shards))       # shards to (re)dispatch, ascending
+    busy: dict[int, int] = {}          # worker -> its unfinished shard
+    asked: dict[int, tuple] = {}       # worker -> (phase, shard, attempt)
     try:
-        unacked: dict[int, collections.deque] = \
-            {w: collections.deque() for w in range(tx.n_workers)}
-        tasks: dict[tuple[str, int], dict] = {}
-
-        def submit(phase: str, shard: int, *, recovery: bool = False) -> None:
+        def request(worker: int, msg: dict) -> None:
+            phase, shard = msg["phase"], msg["shard"]
             attempt = store.record_attempt(phase, shard)
             if attempt > max_attempts:
                 raise ShardFailedError(
                     f"shard {shard} ({phase}) failed {attempt - 1} attempts "
                     f"(budget {max_attempts})", shard=shard,
                     attempts=attempt - 1)
-            lo, hi = bounds[shard]
-            task = {"type": "task", "phase": phase, "shard": shard,
-                    "row_lo": lo, "row_hi": hi, "attempt": attempt,
-                    "algorithm": canonical, "tile_width": tile_width,
-                    "acc_dtype": acc.name, "engine": inner_engine,
-                    "chunk_rows": chunk_rows, "collect": collect}
-            if embed:
-                task["band"] = np.ascontiguousarray(source.band(lo, hi))
+            msg["attempt"] = attempt
+            if "carry_in" in msg:
+                msg["carry_checksum"] = checksum(msg["carry_in"])
+            asked[worker] = (phase, shard, attempt)
+            tx.send(worker, encode_message(msg))
+
+        def advance() -> None:
+            """Send every carry that is ready, then the next shards in order
+            to the free workers."""
+            committed = set(store.committed)
+            ready = 0        # shards 0..ready-1 have all published
+            while ready in committed:
+                ready += 1
+            for worker in range(tx.n_workers):
+                shard = busy.get(worker)
+                if shard is not None:
+                    if worker not in asked and shard <= ready:
+                        # The look-back: the prefix over the persisted sums.
+                        request(worker, {"type": "carry", "phase": "apply",
+                                         "shard": shard, "carry_in":
+                                         store.carry_before(shard)})
+                    continue
+                # A committed shard skips publishing, so it waits for its
+                # carry-in before it is dispatched.
+                if not todo or (todo[0] in committed and todo[0] > ready):
+                    continue
+                shard = busy[worker] = todo.pop(0)
+                lo, hi = bounds[shard]
+                task = {"type": "task", "phase": "reduce", "shard": shard,
+                        "row_lo": lo, "row_hi": hi, "algorithm": canonical,
+                        "tile_width": tile_width, "acc_dtype": acc.name,
+                        "engine": inner_engine, "chunk_rows": chunk_rows,
+                        "collect": collect}
+                if embed:
+                    task["band"] = np.ascontiguousarray(source.band(lo, hi))
+                else:
+                    task["source"] = spec
+                if plan is not None:
+                    task["fault"] = plan.to_dict()
+                if shard in committed:
+                    # The recovery seam: the carry-in is re-read from the
+                    # checkpoint files, never from in-memory state.
+                    task["phase"] = "apply"
+                    task["carry_in"] = store.load_carry_before(shard)
+                request(worker, task)
+
+        advance()
+        done = 0
+        while done < n_shards:
+            msg = decode_message(tx.recv())
+            worker = msg["worker"]
+            if "shard" in msg:
+                if asked.get(worker) != (msg["phase"], msg["shard"],
+                                         msg["attempt"]):
+                    continue  # a stale reply to a superseded request
+            elif worker not in busy:
+                continue  # a hard death while idle
+            shard = busy[worker]
+            payload = msg.get("rows", msg.get("col_sums",
+                                              msg.get("bottom_row")))
+            if payload is None or checksum(payload) != msg["checksum"]:
+                # Lost: a dead worker (a hard process death names no
+                # request), a corrupt payload or a band no longer held.
+                del busy[worker]
+                asked.pop(worker, None)
+                bisect.insort(todo, shard)
+            elif msg["phase"] == "reduce":
+                del asked[worker]
+                peak_bytes = max(peak_bytes, msg["peak_bytes"])
+                store.commit_carry(shard, msg["col_sums"])
+                if plan is not None and plan.abort_after_shard == shard:
+                    raise CoordinatorAborted(
+                        f"fault plan aborted the coordinator after shard "
+                        f"{shard}'s carry was persisted",
+                        committed_shards=len(store.committed))
             else:
-                task["source"] = spec
-            if plan is not None:
-                task["fault"] = plan.to_dict()
-            if phase == "apply":
-                # The recovery seam: a retried apply re-reads its carry-in
-                # from the checkpoint files, never from in-memory state.
-                carry = store.load_carry_before(shard) if recovery \
-                    else store.carry_before(shard)
-                task["carry_in"] = carry
-                task["carry_checksum"] = checksum(carry)
-            worker = shard % tx.n_workers
-            tasks[(phase, shard)] = task
-            unacked[worker].append((phase, shard))
-            tx.send(worker, encode_message(task))
-
-        def pump(want_phase: str, outstanding: set[int], on_result) -> None:
-            nonlocal peak_bytes
-            while outstanding:
-                msg = decode_message(tx.recv())
-                if msg["type"] == "died":
-                    worker = msg["worker"]
-                    if "shard" in msg:
-                        # Precise death (inline kill, reported exception):
-                        # exactly one named task was lost.
-                        lost = [(msg["phase"], msg["shard"])]
-                        try:
-                            unacked[worker].remove(lost[0])
-                        except ValueError:  # pragma: no cover - stale death
-                            continue
-                    else:
-                        # A hard process death can lose results that were
-                        # computed but never flushed to the queue, so every
-                        # unacked task of that worker is resubmitted (a
-                        # surviving duplicate result is simply ignored).
-                        lost = list(unacked[worker])
-                        unacked[worker].clear()
-                        if not lost:
-                            continue  # died while idle
-                    for phase, shard in lost:
-                        submit(phase, shard, recovery=True)
-                    continue
-                phase, shard = msg["phase"], msg["shard"]
-                try:
-                    unacked[msg["worker"]].remove((phase, shard))
-                except ValueError:  # pragma: no cover - duplicate result
-                    continue
-                payload = msg["rows"] if "rows" in msg else \
-                    msg["col_sums"] if "col_sums" in msg else msg["bottom_row"]
-                if checksum(payload) != msg["checksum"]:
-                    # Corrupt-then-detect: reject and retry the shard.
-                    submit(phase, shard, recovery=True)
-                    continue
-                if phase != want_phase:  # pragma: no cover - phase mixing
-                    raise DistributedError(
-                        f"unexpected {phase} result during {want_phase}")
-                peak_bytes = max(peak_bytes, msg.get("peak_bytes", 0))
-                on_result(shard, msg)
-                outstanding.discard(shard)
-
-        # -- phase 1: reduce (skip shards whose carry is already persisted) ----
-        todo = [k for k in range(n_shards) if k not in store.committed]
-        for k in todo:
-            submit("reduce", k)
-
-        def commit(shard: int, msg: dict) -> None:
-            store.commit_carry(shard, msg["col_sums"])
-            if plan is not None and plan.abort_after_shard == shard:
-                raise CoordinatorAborted(
-                    f"fault plan aborted the coordinator after shard "
-                    f"{shard}'s carry was persisted",
-                    committed_shards=len(store.committed))
-
-        pump("reduce", set(todo), commit)
-
-        # -- phase 2: apply ----------------------------------------------------
-        sat = np.empty((source.n_rows, source.n_cols), dtype=acc) \
-            if collect else None
-        edge_rows: dict[int, np.ndarray] = {}
-        digests: dict[int, int] = {}
-
-        for k in range(n_shards):
-            submit("apply", k)
-
-        def assemble(shard: int, msg: dict) -> None:
-            lo, hi = bounds[shard]
-            if sat is not None:
-                sat[lo:hi] = msg["rows"]
-            else:
-                digests[shard] = msg["digest"]
-            edge_rows[hi - 1] = msg["bottom_row"]
-            store.mark_applied(shard)
-
-        pump("apply", set(range(n_shards)), assemble)
+                del busy[worker], asked[worker]
+                peak_bytes = max(peak_bytes, msg["peak_bytes"])
+                lo, hi = bounds[shard]
+                if sat is not None:
+                    sat[lo:hi] = msg["rows"]
+                else:
+                    digests[shard] = msg["digest"]
+                edge_rows[hi - 1] = msg["bottom_row"]
+                store.mark_applied(shard)
+                done += 1
+            advance()
     finally:
         tx.close()
 

@@ -11,21 +11,31 @@ object from the other side.
 Message vocabulary (the full protocol):
 
 ``task``
-    Coordinator → worker.  One shard, one phase: ``"reduce"`` computes the
-    shard's column sums (the carry contribution), ``"apply"`` computes the
-    shard's globally stitched SAT rows from the carry the coordinator sends
-    with the task.  Carries the shard's row range, the per-band execution
+    Coordinator → worker.  One shard: its row range, the per-band execution
     configuration, the input (an embedded band or a band-source spec), the
-    attempt number and the fault plan.
+    attempt number and the fault plan.  A ``"reduce"`` task asks the worker
+    to read its band, compute the band's SAT, hold it and *publish* the
+    band's column sums; an ``"apply"`` task (a shard whose sums are already
+    committed) brings its carry-in along and asks for the stitched rows
+    straight away.
+``carry``
+    Coordinator → worker.  The look-back answer for a shard the worker
+    holds: the prefix over the committed column sums of every shard above
+    it, with its checksum.  The worker stitches the held band and replies
+    with its ``"apply"`` result.
 ``result``
     Worker → coordinator.  Phase payload (column sums, stitched rows or a
     digest) plus a checksum over the carry-bearing arrays — the coordinator
     rejects any result whose payload does not match its checksum and
-    retries the shard (the corrupt-then-detect seam).
+    retries the shard (the corrupt-then-detect seam).  A worker sent a
+    ``carry`` for a shard it does not hold (a replacement process) answers
+    with a payload-less result giving the ``reason``; the coordinator
+    retries that shard too.
 ``died``
     Synthesized by the transport when a worker is lost (an injected kill or
-    a real process death); names the worker so the coordinator can re-queue
-    everything it held.
+    a real process death); names the worker, and the request it was
+    serving when that is known, so the coordinator can resubmit the shard
+    it held.
 ``shutdown``
     Coordinator → worker: drain and exit.
 
@@ -42,6 +52,7 @@ from __future__ import annotations
 import base64
 import io
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -50,11 +61,12 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 #: Every message type the protocol admits.
-MESSAGE_TYPES = ("task", "result", "died", "shutdown")
+MESSAGE_TYPES = ("task", "carry", "result", "died", "shutdown")
 
-#: Phases of one shard's computation.  ``reduce`` produces the shard's
-#: column sums (its carry contribution); ``apply`` produces the stitched
-#: SAT rows once the carry from every shard above has been committed.
+#: Phases of one shard's computation, and the two fault points of its
+#: worker.  ``reduce`` publishes the shard's column sums (its carry
+#: contribution); ``apply`` returns the stitched SAT rows once the carry
+#: from every shard above has been committed.
 PHASES = ("reduce", "apply")
 
 #: Kinds of injectable faults.
@@ -88,6 +100,10 @@ def shard_bounds(n_rows: int, shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FaultAction:
     """One deterministic fault: fires for exactly one (shard, attempt, phase).
@@ -111,9 +127,17 @@ class FaultAction:
         if self.phase not in PHASES:
             raise ConfigurationError(
                 f"unknown fault phase {self.phase!r}; known: {PHASES}")
-        if self.shard < 0 or self.attempt < 1:
+        if not (_is_int(self.shard) and self.shard >= 0
+                and _is_int(self.attempt) and self.attempt >= 1):
             raise ConfigurationError(
-                "fault shard must be >= 0 and attempt >= 1")
+                "fault shard must be >= 0 and attempt >= 1, both integers; "
+                f"got shard={self.shard!r}, attempt={self.attempt!r}")
+        if not (isinstance(self.seconds, (int, float))
+                and not isinstance(self.seconds, bool)
+                and math.isfinite(self.seconds) and self.seconds >= 0):
+            raise ConfigurationError(
+                f"fault seconds must be a finite number >= 0, got "
+                f"{self.seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +153,14 @@ class FaultPlan:
 
     actions: tuple[FaultAction, ...] = field(default=())
     abort_after_shard: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.abort_after_shard is not None and not (
+                _is_int(self.abort_after_shard)
+                and self.abort_after_shard >= 0):
+            raise ConfigurationError(
+                "abort_after_shard must be None or an integer >= 0, got "
+                f"{self.abort_after_shard!r}")
 
     def action_for(self, shard: int, attempt: int,
                    phase: str) -> FaultAction | None:

@@ -6,21 +6,23 @@ bytes only** (see :mod:`repro.distsat.protocol`), so a socket-based
 transport would slot in without touching the coordinator or the worker.
 
 :class:`InlineTransport`
-    Deterministic in-process execution: tasks run in submission order, one
-    at a time, through the same encode/decode round trip the process
-    transport pays — the wire format is always exercised.  An injected
-    ``kill`` surfaces as :class:`~repro.distsat.worker.InjectedKill` and is
-    converted to the same ``died`` message a real worker death produces.
-    This is what tests, conformance and the fuzzer use: zero process
-    overhead, fully reproducible scheduling.
+    Deterministic in-process execution: messages run in submission order,
+    one per :meth:`~InlineTransport.recv`, through the same encode/decode
+    round trip the process transport pays — the wire format is always
+    exercised.  Each worker's ``held`` map lives in the transport.  An
+    injected ``kill`` surfaces as :class:`~repro.distsat.worker.InjectedKill`
+    and is converted to the same ``died`` message a real worker death
+    produces.  This is what tests, conformance and the fuzzer use: zero
+    process overhead, fully reproducible scheduling — with plain FIFO
+    queues the look-back runs as a chained scan.
 
 :class:`ProcessTransport`
     A real ``multiprocessing`` pool: one task queue per worker (so a dead
-    worker's *queued* tasks survive its death — only the in-flight task is
-    lost) and one shared result queue.  Worker death — injected
-    ``os._exit(17)`` or anything else — is detected by liveness polling;
-    the transport synthesizes the ``died`` message and respawns a
-    replacement on the same queues.
+    worker's *queued* messages survive its death and reach its replacement)
+    and one shared result queue; each process keeps its own held map.
+    Worker death — injected ``os._exit(17)`` or anything else — is detected
+    by liveness polling; the transport synthesizes the ``died`` message and
+    respawns a replacement on the same queues.
 """
 
 from __future__ import annotations
@@ -29,26 +31,21 @@ import collections
 import queue as queue_mod
 import time
 
+from repro.backend.core import positive_int
 from repro.distsat.protocol import decode_message, encode_message
 from repro.distsat.worker import InjectedKill, handle_task, worker_main
 from repro.errors import ConfigurationError, DistributedError
-
-
-def _check_workers(workers: int) -> int:
-    if not isinstance(workers, int) or isinstance(workers, bool) \
-            or workers <= 0:
-        raise ConfigurationError(
-            f"transport needs a positive worker count, got {workers!r}")
-    return workers
 
 
 class InlineTransport:
     """Deterministic in-process transport (the default)."""
 
     def __init__(self, workers: int = 1) -> None:
-        self.n_workers = _check_workers(workers)
+        self.n_workers = positive_int(workers, "workers")
         self._pending: collections.deque[tuple[int, bytes]] \
             = collections.deque()
+        self._held: list[dict[int, tuple]] = \
+            [{} for _ in range(self.n_workers)]
 
     def send(self, worker: int, raw: bytes) -> None:
         if not 0 <= worker < self.n_workers:
@@ -62,25 +59,28 @@ class InlineTransport:
                 "recv() with no task in flight: the coordinator queued "
                 "nothing for the inline transport")
         worker, raw = self._pending.popleft()
-        task = decode_message(raw)
-        if task["type"] != "task":
+        msg = decode_message(raw)
+        if msg["type"] not in ("task", "carry"):
             raise ConfigurationError(
-                f"inline transport got a {task['type']!r} message; only "
-                "tasks are executable")
-        task["worker"] = worker
+                f"inline transport got a {msg['type']!r} message; only "
+                "tasks and carries are executable")
+        msg["worker"] = worker
         try:
-            result = handle_task(task)
+            result = handle_task(msg, self._held[worker])
         except InjectedKill as exc:
-            # Inline deaths are precise: exactly this task was in flight,
-            # so the died message names it (no other work can be lost).
+            # Inline deaths are precise: exactly this request was in
+            # flight, so the died message names it.
             return encode_message({"type": "died", "worker": worker,
-                                   "phase": task["phase"],
-                                   "shard": task["shard"],
+                                   "phase": msg["phase"],
+                                   "shard": msg["shard"],
+                                   "attempt": msg["attempt"],
                                    "reason": str(exc)})
         return encode_message(result)
 
     def close(self) -> None:
         self._pending.clear()
+        for held in self._held:
+            held.clear()
 
 
 class ProcessTransport:
@@ -91,7 +91,7 @@ class ProcessTransport:
 
     def __init__(self, workers: int = 2) -> None:
         import multiprocessing as mp
-        self.n_workers = _check_workers(workers)
+        self.n_workers = positive_int(workers, "workers")
         self._mp = mp
         self._result_q = mp.Queue()
         self._task_qs = [mp.Queue() for _ in range(self.n_workers)]
@@ -167,10 +167,11 @@ class ProcessTransport:
 
 
 def make_transport(name: str, workers: int | None):
-    """Transport factory used by the coordinator (``inline``/``process``)."""
+    """Transport factory used by the coordinator (``inline``/``process``);
+    ``workers=None`` picks the transport's default pool size."""
     if name == "inline":
-        return InlineTransport(workers or 1)
+        return InlineTransport(1 if workers is None else workers)
     if name == "process":
-        return ProcessTransport(workers or 2)
+        return ProcessTransport(2 if workers is None else workers)
     raise ConfigurationError(
         f"unknown transport {name!r}; known: inline, process")

@@ -1,35 +1,41 @@
 """Worker-side logic of the distributed executor.
 
-A worker is a loop over the transport: decode a ``task`` message, run
-:func:`handle_task`, encode the ``result`` back.  Tasks are fully
-self-contained — the band (or a regenerable source spec), the carry-in, the
-execution configuration and the fault plan all ride in the message — so a
-worker holds **no** state between tasks.  That is what makes recovery
-trivial to reason about: a replacement worker given the same task bytes
-produces the same result bytes.
+A worker is a loop over the transport: decode a message, run
+:func:`handle_task`, encode the reply back.  It serves one shard at a time,
+in two steps — the shard-level look-back (see :mod:`repro.distsat.protocol`):
 
-Two phases (see :mod:`repro.distsat.protocol`):
+``reduce`` (publish)
+    On a ``task`` the worker reads its band once, computes the band's local
+    SAT through any registered backend (the ``engine`` task field) and the
+    band's column sums, *holds* both and publishes the sums — its carry
+    contribution, as an SKSS-LB tile publishes its local aggregate.
 
-``reduce``
-    Column sums of the shard's band — its carry contribution.  Chunked
-    (``chunk_rows`` rows at a time) when the band comes from a source spec,
-    so a memory-capped worker never materialises its whole shard.
+``apply`` (stitch)
+    When the ``carry`` message arrives — the prefix over the committed sums
+    of every shard above, the look-back — the worker stitches the band it
+    holds by the band identity ``sat[i][j] = band_sat[i][j] +
+    cumsum(carry)[j]`` (:func:`~repro.sat.outofcore.stitch_band`, the step
+    the out-of-core streamer runs between its bands).  In ``collect`` mode
+    the stitched rows travel back in the result; in digest mode (the
+    gigapixel demo) only a CRC32 of the stitched bytes and the shard's
+    bottom SAT row do.  A shard whose sums are already committed arrives as
+    an ``apply`` task carrying its carry-in and is stitched without
+    publishing again.
 
-``apply``
-    The shard's rows of the *global* SAT: the band's local SAT (computed
-    through any registered backend — the ``engine`` task field) stitched
-    with the coordinator-supplied carry-in by the band identity
-    ``sat[i][j] = band_sat[i][j] + cumsum(carry)[j]``
-    (:func:`~repro.sat.outofcore.stitch_band`, the step the out-of-core
-    streamer runs between its bands) — the SKSS look-back algebra one
-    level up.  In ``collect`` mode the stitched rows travel back in the
-    result; in digest mode (the gigapixel demo) only a CRC32 of the
-    stitched bytes and the shard's bottom SAT row do.
+What a worker holds between the steps lives in a ``held`` map (shard →
+band) owned by its transport loop.  A new task empties it, so a worker
+never holds more than one band's SAT.  A chunked shard (``chunk_rows``
+below its height) holds only its task: its sums are computed chunk by
+chunk and the chunks are read again for the stitch, so a memory-capped
+worker never materialises its whole shard.  A held band is a pure function
+of its task, so a replacement worker given the same task bytes produces the
+same result bytes; one sent a ``carry`` for a band it never held says so,
+and the coordinator resubmits the shard.
 
 The fault seam lives here and only here: :func:`handle_task` consults the
-task's fault plan once, before doing any work for ``kill``/``delay`` and
-after checksumming for ``corrupt`` — so every injected failure is a
-deterministic function of ``(shard, attempt, phase)``.
+task's fault plan once per step, before doing any work for
+``kill``/``delay`` and after checksumming for ``corrupt`` — so every
+injected failure is a deterministic function of ``(shard, attempt, phase)``.
 """
 
 from __future__ import annotations
@@ -77,16 +83,42 @@ def _iter_chunks(task: dict):
         raise ConfigurationError("task carries neither a band nor a source")
 
 
-def handle_task(task: dict, *,
-                on_kill: Callable[[], None] | None = None) -> dict:
-    """Execute one task message; returns the result message.
+def _holds_sat(task: dict) -> bool:
+    """Whether the band is processed whole, so its SAT is held between the
+    steps (a smaller ``chunk_rows`` caps memory below one band)."""
+    rows = task["row_hi"] - task["row_lo"]
+    return (task.get("chunk_rows") or rows) >= rows
 
-    ``on_kill`` is what an injected ``kill`` does — the inline transport
-    leaves the default (raise :class:`InjectedKill`), the process worker
-    passes a hard ``os._exit``.
+
+def _band_sats(task: dict, acc: np.dtype):
+    """Yield ``(chunk, chunk_sat)`` over the shard's band, chunk by chunk."""
+    inner = resolve_backend(task["engine"])
+    for chunk in _iter_chunks(task):
+        yield chunk, inner.compute(chunk, algorithm=task["algorithm"],
+                                   tile_width=task["tile_width"],
+                                   dtype_policy=acc)
+
+
+def handle_task(msg: dict, held: dict[int, tuple], *,
+                on_kill: Callable[[], None] | None = None) -> dict:
+    """Execute one ``task`` or ``carry`` message; returns the reply.
+
+    ``held`` is the worker's map of the shards it holds between publishing
+    and stitching.  ``on_kill`` is what an injected ``kill`` does — the
+    inline transport leaves the default (raise :class:`InjectedKill`), the
+    process worker passes a hard ``os._exit``.
     """
-    phase = task["phase"]
-    shard, attempt = task["shard"], task["attempt"]
+    phase, shard, attempt = msg["phase"], msg["shard"], msg["attempt"]
+    result: dict = {"type": "result", "phase": phase, "shard": shard,
+                    "attempt": attempt, "worker": msg.get("worker", 0)}
+    if msg["type"] == "carry":
+        if shard not in held:
+            result["reason"] = f"shard {shard} is not held by this worker"
+            return result
+        task, pieces = held.pop(shard)
+    else:
+        held.clear()
+        task, pieces = msg, None
     plan = FaultPlan.from_dict(task["fault"]) if task.get("fault") else None
     action = plan.action_for(shard, attempt, phase) if plan else None
     if action is not None and action.kind == "kill":
@@ -98,38 +130,46 @@ def handle_task(task: dict, *,
         time.sleep(action.seconds)
 
     acc = np.dtype(task["acc_dtype"])
-    result: dict = {"type": "result", "phase": phase, "shard": shard,
-                    "attempt": attempt, "worker": task.get("worker", 0)}
     peak = 0
     if phase == "reduce":
-        col_sums = None
-        for chunk in _iter_chunks(task):
-            peak = max(peak, chunk.nbytes)
-            s = chunk.sum(axis=0, dtype=acc)
-            col_sums = s if col_sums is None else col_sums + s
+        if _holds_sat(task):
+            ((band, band_sat),) = _band_sats(task, acc)
+            peak = band.nbytes + band_sat.nbytes
+            col_sums = band.sum(axis=0, dtype=acc)
+            # The stitch needs the band only for its column sums: they
+            # stand in for it as a one-row band (summing one row is exact),
+            # so the band is not read again.
+            held[shard] = (task, [(col_sums[None], band_sat)])
+        else:
+            col_sums = None
+            for chunk in _iter_chunks(task):
+                peak = max(peak, chunk.nbytes)
+                s = chunk.sum(axis=0, dtype=acc)
+                col_sums = s if col_sums is None else col_sums + s
+            held[shard] = (task, None)
         assert col_sums is not None
         result["col_sums"] = col_sums
         result["checksum"] = checksum(col_sums)
         corruptible = col_sums
-    elif phase == "apply":
-        carry = task["carry_in"].astype(acc, copy=True)
-        if checksum(task["carry_in"]) != task["carry_checksum"]:
+    else:
+        carry = msg["carry_in"].astype(acc, copy=True)
+        if checksum(msg["carry_in"]) != msg["carry_checksum"]:
             raise ConfigurationError(
                 f"carry-in for shard {shard} failed its checksum in flight")
         collect = task.get("collect", True)
-        inner = resolve_backend(task["engine"])
-        pieces: list[np.ndarray] = []
+        chunks: list[np.ndarray] = []
         digest = 0
         bottom = None
-        for chunk in _iter_chunks(task):
-            local = inner.compute(chunk, algorithm=task["algorithm"],
-                                  tile_width=task["tile_width"],
-                                  dtype_policy=acc)
-            peak = max(peak, chunk.nbytes + local.nbytes)
-            stitched, carry = stitch_band(local, chunk, carry)
+        for band, band_sat in pieces if pieces is not None \
+                else _band_sats(task, acc):
+            peak = max(peak, band.nbytes + band_sat.nbytes)
+            # The band SAT is the worker's own, so it takes the rows in
+            # place: no fresh band-sized array per stitch.
+            stitched, carry = stitch_band(band_sat, band, carry,
+                                          out=band_sat)
             bottom = stitched[-1].copy()
             if collect:
-                pieces.append(stitched)
+                chunks.append(stitched)
             else:
                 digest = zlib.crc32(stitched, digest)
         assert bottom is not None
@@ -137,14 +177,12 @@ def handle_task(task: dict, *,
         result["checksum"] = checksum(bottom)
         corruptible = bottom
         if collect:
-            rows = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            rows = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             result["rows"] = rows
             result["checksum"] = checksum(rows)
             corruptible = rows
         else:
             result["digest"] = digest & 0xFFFFFFFF
-    else:  # pragma: no cover - protocol guards phases upstream
-        raise ConfigurationError(f"unknown phase {phase!r}")
 
     result["peak_bytes"] = peak
     if action is not None and action.kind == "corrupt":
@@ -167,6 +205,7 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
     surface as messages instead of silent exits.
     """
     import os
+    held: dict[int, tuple] = {}
     while True:
         raw = task_q.get()
         msg = decode_message(raw)
@@ -174,11 +213,11 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
             break
         msg["worker"] = worker_id
         try:
-            result = handle_task(msg, on_kill=lambda: os._exit(17))
+            result = handle_task(msg, held, on_kill=lambda: os._exit(17))
         except BaseException as exc:  # noqa: BLE001 - report, then die
             result_q.put(encode_message(
-                {"type": "died", "worker": worker_id,
-                 "phase": msg["phase"], "shard": msg["shard"],
+                {"type": "died", "worker": worker_id, "phase": msg["phase"],
+                 "shard": msg["shard"], "attempt": msg["attempt"],
                  "reason": f"{type(exc).__name__}: {exc}"}))
             raise SystemExit(1) from exc
         result_q.put(encode_message(result))

@@ -41,17 +41,20 @@ def band_bounds(n_rows: int, band_rows: int) -> list[tuple[int, int]]:
 
 
 def stitch_band(band_sat: np.ndarray, band: np.ndarray,
-                carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                carry: np.ndarray, *, out: np.ndarray | None = None) \
+        -> tuple[np.ndarray, np.ndarray]:
     """The band identity: one band's rows of the global SAT.
 
     ``band_sat`` is the band's local SAT and ``carry`` the column sums of
     every row above the band, in the accumulator dtype.  Returns
-    ``(rows, carry)``: ``rows = band_sat + cumsum(carry)``, a fresh
-    C-contiguous array (its buffer can be checksummed as is), and the carry
-    advanced past ``band``.  Neither input is modified.
+    ``(rows, carry)``: ``rows = band_sat + cumsum(carry)`` and the carry
+    advanced past ``band``.  ``rows`` is a fresh C-contiguous array (its
+    buffer can be checksummed as is), or ``out`` when given — a caller that
+    owns ``band_sat`` may pass it to stitch in place.  No input other than
+    ``out`` is modified.
     """
     acc = carry.dtype
-    rows = np.add(band_sat, np.cumsum(carry, dtype=acc), order="C")
+    rows = np.add(band_sat, np.cumsum(carry, dtype=acc), out=out, order="C")
     return rows, carry + band.sum(axis=0, dtype=acc)
 
 

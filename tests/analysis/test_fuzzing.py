@@ -367,6 +367,19 @@ class TestDistsatMode:
         assert again == cfg
         assert run_one(again) is None
 
+    @pytest.mark.parametrize("fault", [
+        {"actions": [{"kind": "delay", "shard": 0, "attempt": 1,
+                      "phase": "reduce", "seconds": -1.0}]},
+        {"actions": [], "abort_after_shard": "1"}])
+    def test_replay_rejects_an_invalid_fault_plan(self, fault):
+        cfg = FuzzConfig(
+            algorithm="1R1W", n=32, tile_width=16, policy="round_robin",
+            sim_seed=1, data_seed=2, residency=None, consistency="strong",
+            tiny_device=False, mode="distsat", dtype="int32",
+            rows=32, cols=20, shards=2, fault=fault)
+        error = run_one(FuzzConfig.from_json(cfg.to_json()))
+        assert error is not None and "ConfigurationError" in error
+
     def test_legacy_json_has_no_shards_or_fault(self):
         loaded = FuzzConfig.from_json(json.dumps(
             {"algorithm": "1R1W", "n": 64, "tile_width": 32,

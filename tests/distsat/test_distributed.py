@@ -123,6 +123,63 @@ class TestDigestMode:
             assert result.digests[k] == zlib.crc32(full[lo:hi].tobytes())
 
 
+class TestLookBack:
+    """One task per shard: the worker reads its band once, publishes the
+    column sums and stitches the band it holds when its carry arrives."""
+
+    @staticmethod
+    def count_productions(monkeypatch) -> list:
+        calls = []
+        real = SyntheticSource.rect
+
+        def counting(self, *corners):
+            calls.append(corners)
+            return real(self, *corners)
+        monkeypatch.setattr(SyntheticSource, "rect", counting)
+        return calls
+
+    def test_each_band_is_produced_once(self, monkeypatch):
+        source = SyntheticSource(256, 200)
+        full = sat_reference(source.band(0, 256))
+        calls = self.count_productions(monkeypatch)
+        result = distributed_sat(source, shards=4, collect=False)
+        assert len(calls) == 4
+        for k, (lo, hi) in enumerate(result.bounds):
+            assert result.digests[k] == zlib.crc32(full[lo:hi].tobytes())
+
+    def test_chunked_bands_are_read_again_for_the_stitch(self, monkeypatch):
+        # 512-row shards in 128-row chunks: four chunks for the sums and
+        # the same four again for the stitch, per shard.
+        source = SyntheticSource(2048, 2048)
+        calls = self.count_productions(monkeypatch)
+        result = distributed_sat(source, shards=4, chunk_rows=128,
+                                 collect=False)
+        assert len(calls) == 32
+        assert result.stats["peak_worker_bytes"] == 128 * 2048 * (1 + 8)
+
+    def test_no_worker_gets_a_second_task_while_holding_a_shard(
+            self, monkeypatch):
+        from repro.distsat import transport
+        log = []
+        real = transport.handle_task
+
+        def spy(msg, held, **kwargs):
+            if msg["type"] == "task":
+                assert not held, (msg["worker"], msg["shard"], sorted(held))
+            log.append((msg["type"], msg["shard"], msg["worker"]))
+            return real(msg, held, **kwargs)
+        monkeypatch.setattr(transport, "handle_task", spy)
+        a = matrix((45, 19), seed=29)
+        result = distributed_sat(a, shards=5, workers=2)
+        np.testing.assert_array_equal(result.sat, sat_reference(a))
+        tasks = [(shard, worker) for kind, shard, worker in log
+                 if kind == "task"]
+        assert [shard for shard, _ in tasks] == [0, 1, 2, 3, 4]
+        assert {worker for _, worker in tasks} == {0, 1}
+        assert sorted(shard for kind, shard, _ in log if kind == "carry") \
+            == [0, 1, 2, 3, 4]
+
+
 class TestRectSumErrors:
     """Out-of-range corners raise the typed error in both result modes."""
 
@@ -150,6 +207,13 @@ class TestValidation:
     def test_bad_chunk_rows(self, bad):
         with pytest.raises(ConfigurationError, match="chunk_rows"):
             distributed_sat(matrix((8, 8)), chunk_rows=bad)
+
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    @pytest.mark.parametrize("bad", [0, -1, True, 1.5])
+    def test_bad_workers(self, transport, bad):
+        # Only None means the transport's default pool.
+        with pytest.raises(ConfigurationError, match="workers"):
+            distributed_sat(matrix((8, 8)), transport=transport, workers=bad)
 
     def test_bad_max_attempts(self):
         with pytest.raises(ConfigurationError, match="max_attempts"):

@@ -53,6 +53,34 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError, match="shard must be >= 0"):
             FaultAction(kind="kill", shard=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("shard", True), ("shard", "1"), ("shard", 1.0),
+        ("attempt", True), ("attempt", 2.0)])
+    def test_action_rejects_non_integer_coordinates(self, field, value):
+        kwargs = {"kind": "kill", "shard": 0, field: value}
+        with pytest.raises(ConfigurationError, match="both integers"):
+            FaultAction(**kwargs)
+
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf"),
+                                         "0.1", True])
+    def test_action_rejects_bad_delay_seconds(self, seconds):
+        with pytest.raises(ConfigurationError, match="seconds"):
+            FaultAction(kind="delay", shard=0, seconds=seconds)
+
+    @pytest.mark.parametrize("bad", ["1", -1, True, 1.0])
+    def test_plan_rejects_bad_abort_after_shard(self, bad):
+        with pytest.raises(ConfigurationError, match="abort_after_shard"):
+            FaultPlan(abort_after_shard=bad)
+        with pytest.raises(ConfigurationError, match="abort_after_shard"):
+            FaultPlan.from_dict({"abort_after_shard": bad})
+
+    def test_from_dict_validates_action_values(self):
+        with pytest.raises(ConfigurationError, match="seconds"):
+            FaultPlan.from_dict({"actions": [
+                {"kind": "delay", "shard": 0, "seconds": -1.0}]})
+        with pytest.raises(ConfigurationError, match="both integers"):
+            FaultPlan.from_dict({"actions": [{"kind": "kill", "shard": True}]})
+
     def test_action_for_is_exact(self):
         plan = FaultPlan(actions=(
             FaultAction(kind="kill", shard=1, attempt=1, phase="reduce"),))

@@ -134,7 +134,7 @@ class TestPersistedCarries:
 
     def test_coordinator_crash_and_restart(self, tmp_path):
         """An aborted coordinator's successor resumes from the manifest:
-        committed shards skip their reduce, the others are recomputed, and
+        committed shards never publish again, the others publish once, and
         the persisted attempt ledger pins exactly which is which."""
         a = matrix("int32")
         plan = FaultPlan(abort_after_shard=1)
@@ -146,26 +146,68 @@ class TestPersistedCarries:
         result = distributed_sat(a, shards=4, checkpoint_dir=tmp_path)
         np.testing.assert_array_equal(result.sat, sat_reference(a))
         assert result.stats["resumed_shards"] == [0, 1]
-        # Shards 0-1's carries were persisted before the crash: one reduce
-        # attempt ever.  Shards 2-3 lost their first attempt to the crash
-        # and were recomputed after the restart: two on the ledger.
-        assert result.stats["attempts"]["reduce"] == {0: 1, 1: 1, 2: 2, 3: 2}
-        assert result.stats["recovered_shards"] == [2, 3]
+        # One worker scans the shards in order: shard 0 published and was
+        # stitched, shard 1 published, then the crash.  After the restart
+        # shards 0-1 are stitched from their persisted sums without
+        # publishing again; shard 0's rows were requested once before the
+        # crash, so its apply numbering continues at 2.
+        assert result.stats["attempts"] == {
+            "reduce": {0: 1, 1: 1, 2: 1, 3: 1},
+            "apply": {0: 2, 1: 1, 2: 1, 3: 1}}
+        assert result.stats["recovered_shards"] == [0]
 
     def test_restart_with_worker_kill_still_bit_identical(self, tmp_path):
         a = matrix("float64")
         with pytest.raises(CoordinatorAborted):
-            distributed_sat(a, shards=SHARDS,
+            distributed_sat(a, shards=SHARDS, workers=2,
                             fault_plan=FaultPlan(abort_after_shard=0),
                             checkpoint_dir=tmp_path)
         plan = FaultPlan(actions=(
             FaultAction(kind="kill", shard=1, attempt=2, phase="reduce"),))
-        # shard 1's reduce attempt counter is already at 1 from the aborted
-        # run, so the kill targets the post-restart recompute attempt.
-        result = distributed_sat(a, shards=SHARDS, fault_plan=plan,
+        # Shard 1 was dispatched to the second worker before the crash, so
+        # its reduce attempt counter is already at 1 from the aborted run
+        # and the kill targets the post-restart recompute attempt.
+        result = distributed_sat(a, shards=SHARDS, workers=2, fault_plan=plan,
                                  checkpoint_dir=tmp_path, max_attempts=4)
         np.testing.assert_array_equal(result.sat, sat_reference(a))
-        assert result.stats["attempts"]["reduce"][1] == 3
+        assert result.stats["resumed_shards"] == [0]
+        assert result.stats["attempts"] == {
+            "reduce": {0: 1, 1: 3, 2: 1},
+            "apply": {0: 1, 1: 1, 2: 1}}
+
+
+class TestLostHeldBand:
+    """A ``carry`` for a band the worker no longer holds (a replacement
+    process) is answered, and the coordinator resubmits the shard."""
+
+    def test_worker_answers_a_carry_it_cannot_stitch(self):
+        from repro.distsat import checksum
+        from repro.distsat.worker import handle_task
+        carry = np.zeros(5, dtype=np.int64)
+        reply = handle_task({"type": "carry", "phase": "apply", "shard": 3,
+                             "attempt": 1, "worker": 1, "carry_in": carry,
+                             "carry_checksum": checksum(carry)}, {})
+        assert (reply["type"], reply["phase"], reply["shard"],
+                reply["attempt"], reply["worker"]) \
+            == ("result", "apply", 3, 1, 1)
+        assert "not held" in reply["reason"]
+        assert not {"rows", "bottom_row", "checksum"} & set(reply)
+
+    def test_coordinator_resubmits_the_forgotten_shard(self, monkeypatch):
+        from repro.distsat import transport
+        real = transport.handle_task
+
+        def forgetful(msg, held, **kwargs):
+            if (msg["type"], msg["shard"], msg["attempt"]) \
+                    == ("carry", 1, 1):
+                held.clear()        # as a freshly spawned process would
+            return real(msg, held, **kwargs)
+        monkeypatch.setattr(transport, "handle_task", forgetful)
+        a = matrix("int32")
+        result = distributed_sat(a, shards=SHARDS, workers=2)
+        np.testing.assert_array_equal(result.sat, sat_reference(a))
+        assert result.stats["attempts"] == {
+            "reduce": {0: 1, 1: 1, 2: 1}, "apply": {0: 1, 1: 2, 2: 1}}
 
 
 class TestProcessTransport:

@@ -273,6 +273,18 @@ class TestStitchBand:
         assert np.array_equal(new_carry, carry + a.sum(axis=0))
 
 
+    def test_out_takes_the_rows_in_place(self, rng):
+        a = rng.integers(0, 9, size=(6, 5)).astype(np.int64)
+        band_sat = sat_reference(a)
+        carry = np.arange(5, dtype=np.int64)
+        want, want_carry = stitch_band(band_sat, a, carry)
+        rows, new_carry = stitch_band(band_sat, a, carry, out=band_sat)
+        assert rows is band_sat
+        assert np.array_equal(rows, want)
+        assert np.array_equal(new_carry, want_carry)
+        assert np.array_equal(carry, np.arange(5))
+
+
 class TestRectSumExactness:
     """Queries answer in the table's dtype, from the band holding the row."""
 
