@@ -29,7 +29,7 @@ def main() -> None:
     n = 128
     print("=== Box blur (radius 6) via SAT on the simulator ===")
     img = gaussian_blobs(n, num_blobs=6, seed=7)
-    blurred = box_filter(img, 6, algorithm="1R1W-SKSS-LB", gpu=GPU(seed=1))
+    blurred = box_filter(img, 6, algorithm="1R1W-SKSS-LB", engine=GPU(seed=1))
     print("input:")
     print(ascii_render(img))
     print("\nblurred:")
@@ -38,7 +38,8 @@ def main() -> None:
     print("\n=== Adaptive vs global thresholding on an unevenly lit page ===")
     doc = noisy_document(n, seed=3)
     adaptive = adaptive_threshold(doc, radius=8, ratio=0.3,
-                                  algorithm="1R1W-SKSS-LB", gpu=GPU(seed=2))
+                                  algorithm="1R1W-SKSS-LB",
+                                  engine=GPU(seed=2))
     flooded = global_threshold(doc, level=0.5)
     print("document (dark on the left, bright on the right):")
     print(ascii_render(doc))

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from repro import compute_sat, get_algorithm, sat_reference
-from repro.backend.registry import engine_backends
+from repro.backend.registry import backend_specs
 from repro.gpusim import GPU
 from repro.perfmodel.table import TABLE3_ORDER
 
@@ -61,7 +61,8 @@ def compare_engines(n: int = 1024) -> None:
     print(f"\nHost execution engines (n = {n}, W = 32, 1R1W-SKSS-LB):\n")
     print(f"{'engine':<12} {'ok':<3} {'seconds':>8}")
     print("-" * 25)
-    for engine in engine_backends():
+    for engine in (n for n, s in backend_specs().items()
+                   if s.kind != "device"):
         t0 = time.perf_counter()
         sat = compute_sat(a, algorithm="1R1W-SKSS-LB", engine=engine).sat
         dt = time.perf_counter() - t0

@@ -9,7 +9,6 @@ show *why* the algorithm tolerates any block schedule.
 import numpy as np
 
 from repro.gpusim import GPU, TINY_DEVICE
-from repro.gpusim.counters import LaunchSummary
 from repro.primitives.tile import TileGrid
 from repro.sat import SKSSLB1R1W, sat_reference
 from repro.sat.skss_lb import serial_to_tile, tile_serial_number
@@ -36,8 +35,8 @@ def main() -> None:
     alg = SKSSLB1R1W()
     a_buf = gpu.alloc("_sat_a", (n, n), np.float64, fill=a)
     b_buf = gpu.alloc("_sat_b", (n, n), np.float64)
-    report = LaunchSummary()
-    alg._run_device(gpu, a_buf, b_buf, TileGrid(n=n, W=W), report)
+    alg._run_device(gpu, a_buf, b_buf, TileGrid(n=n, W=W))
+    report = gpu.launches
 
     ok = np.array_equal(gpu.read("_sat_b"), sat_reference(a))
     traffic = report.traffic

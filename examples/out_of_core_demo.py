@@ -8,7 +8,6 @@ streaming, and showing the low-memory mode that retains only band-edge rows.
 
 import numpy as np
 
-from repro.gpusim import GPU
 from repro.sat import sat_reference
 from repro.sat.outofcore import OutOfCoreSAT, band_bounds, out_of_core_sat
 
@@ -22,7 +21,7 @@ def main() -> None:
     print(f"matrix: {rows}x{cols}, processed in 128-row bands")
     print("(each square band's SAT computed by 1R1W-SKSS-LB on the simulator)")
     got = out_of_core_sat(a, band_rows=128, algorithm="1R1W-SKSS-LB",
-                          gpu_factory=lambda: GPU(seed=1))
+                          engine="gpusim")
     print(f"matches reference: {np.array_equal(got, ref)}")
 
     print("\nstreaming mode with queries between bands:")

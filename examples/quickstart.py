@@ -21,7 +21,8 @@ def main() -> None:
     # A simulator with an adversarial configuration: random block scheduling
     # and relaxed store visibility - the algorithm must not care.
     gpu = GPU(seed=7, scheduler_policy="random", consistency="relaxed")
-    result = compute_sat(a, algorithm="1R1W-SKSS-LB", tile_width=32, gpu=gpu)
+    result = compute_sat(a, algorithm="1R1W-SKSS-LB", tile_width=32,
+                         engine=gpu)
 
     ok = np.array_equal(result.sat, sat_reference(a))
     print(f"matrix: {n}x{n}, algorithm: {result.algorithm}")
@@ -42,7 +43,7 @@ def main() -> None:
           f"(direct: {a[10:91, 20:111].sum():.0f})")
 
     # The pure-NumPy host path for large matrices (no simulation overhead).
-    host = compute_sat(a, simulate=False)
+    host = compute_sat(a, engine="serial")
     print(f"host path agrees: {np.array_equal(host.sat, result.sat)}")
 
 

@@ -659,8 +659,8 @@ def crossval_algorithm(algorithm: str, *, n: int = 128, W: int = 32,
     from repro.sat.registry import compute_sat
     g = build_geometry(algorithm, sym=False, n=n, W=W)
     result = compute_sat(np.ones((n, n)), algorithm=algorithm, tile_width=W,
-                         gpu=GPU(seed=seed))
-    if result.report is None:  # pragma: no cover - simulate=True guarantees
+                         engine=GPU(seed=seed))
+    if result.report is None:  # pragma: no cover - gpusim always reports
         raise CostModelError(f"{algorithm}: simulator returned no report")
     measured = result.report.per_kernel()
     checks = []

@@ -16,12 +16,13 @@ from repro.errors import ConfigurationError
 
 def adaptive_threshold(image: np.ndarray, *, radius: int | None = None,
                        ratio: float = 0.15, algorithm: str | None = None,
-                       tile_width: int = 32, gpu=None) -> np.ndarray:
+                       tile_width: int = 32, engine=None) -> np.ndarray:
     """Binarize ``image``: ``True`` where the pixel is ``ratio`` below its
     local clamped-window mean.
 
     ``radius`` defaults to one eighth of the image side (the Bradley–Roth
-    recommendation of a window about ``n/8`` wide).
+    recommendation of a window about ``n/8`` wide).  The local means come
+    from :func:`~repro.apps.box_filter.box_filter` on ``engine``.
     """
     image = np.asarray(image)
     if image.ndim != 2:
@@ -31,7 +32,7 @@ def adaptive_threshold(image: np.ndarray, *, radius: int | None = None,
     if radius is None:
         radius = max(1, image.shape[0] // 16)
     means = box_filter(image, radius, algorithm=algorithm,
-                       tile_width=tile_width, gpu=gpu)
+                       tile_width=tile_width, engine=engine)
     return image < means * (1.0 - ratio)
 
 

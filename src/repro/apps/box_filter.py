@@ -59,16 +59,14 @@ def window_areas(rows: int, cols: int, radius: int) -> np.ndarray:
 
 def box_filter(image: np.ndarray, radius: int, *,
                algorithm: str | None = None, tile_width: int = 32,
-               gpu=None, engine=None,
-               workers: int | None = None) -> np.ndarray:
+               engine=None, workers: int | None = None) -> np.ndarray:
     """Mean-filter ``image`` with a clamped ``(2·radius+1)²`` box window.
 
-    The SAT comes from one :func:`~repro.sat.registry.compute_sat` call: on
-    the simulator when ``gpu`` is given (mutually exclusive with
-    ``engine``), otherwise on the host ``engine`` (serial by default).
-    ``algorithm=None`` runs the executor's default — the paper's
-    1R1W-SKSS-LB on the simulator and the wavefront engine, the plain double
-    scan on the others.
+    The SAT comes from one :func:`~repro.sat.registry.compute_sat` call on
+    ``engine`` (serial by default; ``"gpusim"`` or a ``GPU`` instance runs
+    the simulator).  ``algorithm=None`` runs the executor's default — the
+    paper's 1R1W-SKSS-LB on the simulator and the wavefront engine, the
+    plain double scan on the others.
 
     Any dtype is accepted: integer images accumulate exactly (the SAT stack's
     exact dtype policy) and only the final mean division produces floats.
@@ -77,8 +75,7 @@ def box_filter(image: np.ndarray, radius: int, *,
     if image.ndim != 2:
         raise ConfigurationError("box_filter expects a 2-D image")
     sat = compute_sat(image, algorithm=algorithm, tile_width=tile_width,
-                      gpu=gpu, simulate=gpu is not None, engine=engine,
-                      workers=workers).sat
+                      engine=engine, workers=workers).sat
     sums = window_sums_from_sat(sat, radius)
     return sums / window_areas(*image.shape, radius)
 

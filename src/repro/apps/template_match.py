@@ -32,8 +32,8 @@ def window_stats(image: np.ndarray, th: int, tw: int, *,
     rows, cols = image.shape
     if th > rows or tw > cols or th <= 0 or tw <= 0:
         raise ConfigurationError("template larger than image (or empty)")
-    sat1, sat2 = (compute_sat(x, algorithm=None, simulate=False,
-                              engine=engine, workers=workers).sat
+    sat1, sat2 = (compute_sat(x, algorithm=None, engine=engine,
+                              workers=workers).sat
                   for x in (image, squared_image(image)))
 
     def sums(sat):

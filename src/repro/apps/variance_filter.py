@@ -31,7 +31,7 @@ def squared_image(image: np.ndarray) -> np.ndarray:
 
 def local_moments(image: np.ndarray, radius: int, *,
                   algorithm: str | None = None, tile_width: int = 32,
-                  gpu=None, engine=None,
+                  engine=None,
                   workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel clamped-window mean and variance via the two-SAT trick.
 
@@ -41,11 +41,10 @@ def local_moments(image: np.ndarray, radius: int, *,
 
     Both SATs are built exactly as in
     :func:`~repro.apps.box_filter.box_filter`: one
-    :func:`~repro.sat.registry.compute_sat` call each, on the simulator when
-    ``gpu`` is given (mutually exclusive with ``engine``), otherwise on the
-    host ``engine``.  With ``engine="wavefront"`` and no ``workers`` the two
-    builds share the process-wide pooled engine, so the second SAT reuses
-    the tile plan of the first.
+    :func:`~repro.sat.registry.compute_sat` call each, on ``engine``
+    (serial by default).  With ``engine="wavefront"`` and no ``workers`` the
+    two builds share the process-wide pooled engine, so the second SAT
+    reuses the tile plan of the first.
 
     Integer images are supported directly: both SATs accumulate exactly
     (``x²`` is widened via :func:`squared_image` before summing) and only the
@@ -57,7 +56,6 @@ def local_moments(image: np.ndarray, radius: int, *,
     if radius < 0:
         raise ConfigurationError("radius must be non-negative")
     sat1, sat2 = (compute_sat(x, algorithm=algorithm, tile_width=tile_width,
-                              gpu=gpu, simulate=gpu is not None,
                               engine=engine, workers=workers).sat
                   for x in (image, squared_image(image)))
     area = window_areas(*image.shape, radius)

@@ -7,7 +7,8 @@ contract for it, with three explicit stages:
 * ``plan(shape, dtype, algorithm=...) -> ExecutionPlan`` — all configuration
   validated up front, before any data is touched;
 * ``execute(plan, image, out=...) -> sat`` — data/plan agreement checked,
-  uniform ``out=`` semantics;
+  uniform ``out=`` semantics (``run(plan, image)`` returns the same table as
+  a ``SATResult``, with the simulator's launch report);
 * ``execute_with_carries(plan, image) -> (sat, CarrySet)`` — the inter-unit
   carry state, typed by its Table II role.
 
@@ -25,10 +26,8 @@ from repro.backend.core import Backend, BackendSpec
 from repro.backend.plan import (ExecutionPlan, check_out, finalize_output,
                                 prepare_input)
 from repro.backend.registry import (backend_specs, backend_table,
-                                    engine_backends, get_backend, get_spec,
-                                    known_backends, resolve_backend,
-                                    unknown_backend_error,
-                                    unknown_engine_error)
+                                    get_backend, get_spec, known_backends,
+                                    resolve_backend, unknown_backend_error)
 
 __all__ = [
     "Backend",
@@ -40,7 +39,6 @@ __all__ = [
     "backend_specs",
     "backend_table",
     "check_out",
-    "engine_backends",
     "finalize_output",
     "get_backend",
     "get_spec",
@@ -48,5 +46,4 @@ __all__ = [
     "prepare_input",
     "resolve_backend",
     "unknown_backend_error",
-    "unknown_engine_error",
 ]

@@ -12,13 +12,16 @@ satisfies:
 * :meth:`Backend.execute` — run a plan over a matrix that matches it,
   honoring ``out=`` uniformly.  Execution only checks that the data matches
   the plan; configuration was settled at planning time.
+* :meth:`Backend.run` — the same run as a
+  :class:`~repro.sat.base.SATResult` (what ``compute_sat`` returns); the
+  simulator's result carries its launch report.
 * :meth:`Backend.execute_with_carries` — for backends that retain state,
   additionally return the typed :class:`~repro.backend.carries.CarrySet`
   (the LRS/LCS/GLS algebra made inspectable).
 
 :class:`BackendSpec` is the capability declaration each backend registers:
 which algorithms and dtypes it supports, whether results are bit-identical
-to the serial oracle, and how it is routed.
+to the serial oracle, and what it runs on.
 
 This module imports nothing from :mod:`repro.sat` or :mod:`repro.hostexec`
 at module level — executor modules are reached lazily, so the registry stays
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -37,6 +40,9 @@ from repro.backend.carries import CarrySet
 from repro.backend.plan import ExecutionPlan, check_out
 from repro.errors import ConfigurationError
 from repro.primitives.tile import TileGrid
+
+if TYPE_CHECKING:
+    from repro.sat.base import SATResult
 
 
 def positive_int(value, name: str) -> int:
@@ -57,15 +63,11 @@ class BackendSpec:
     algorithm, else the tuple of canonical names it supports.  ``dtypes`` is
     ``None`` when any accumulator dtype works.
 
-    ``engine`` marks the backends selectable through the classic
-    ``engine=`` / ``--engine`` routing (the host executors); the other
-    (gpusim) is reached through its own entry point or
-    :func:`repro.backend.get_backend`.  ``retains_state`` marks backends
-    whose ``execute_with_carries`` returns a typed
-    :class:`~repro.backend.carries.CarrySet`.  ``algorithm_agnostic`` marks
-    backends that compute the same SAT regardless of ``algorithm=`` (the
-    banded parallel scan) — the differential layer compares them against the
-    plain reference instead of a per-algorithm oracle.
+    ``retains_state`` marks backends whose ``execute_with_carries`` returns
+    a typed :class:`~repro.backend.carries.CarrySet`.  ``algorithm_agnostic``
+    marks backends that compute the same SAT regardless of ``algorithm=``
+    (the banded parallel scan) — the differential layer compares them
+    against the plain reference instead of a per-algorithm oracle.
     """
 
     name: str
@@ -80,8 +82,6 @@ class BackendSpec:
     bit_identical: bool
     #: Execution substrate: ``host``, ``device`` (simulator) or ``streaming``.
     kind: str = "host"
-    #: Selectable via the classic ``engine=`` / ``--engine`` routing.
-    engine: bool = False
     #: ``execute_with_carries`` returns a typed CarrySet.
     retains_state: bool = False
     #: Computes the same SAT whatever ``algorithm=`` says (plain scans).
@@ -106,7 +106,6 @@ class BackendSpec:
             if self.algorithms is not None else None,
             "dtypes": list(self.dtypes) if self.dtypes is not None else None,
             "bit_identical": self.bit_identical,
-            "engine": self.engine,
             "retains_state": self.retains_state,
             "algorithm_agnostic": self.algorithm_agnostic,
             "default_algorithm": self.default_algorithm,
@@ -220,14 +219,10 @@ class Backend(ABC):
 
     # -- stage 2: execute ------------------------------------------------------
 
-    def execute(self, plan: ExecutionPlan, a: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """Run ``plan`` over ``a``; result in ``plan.acc_dtype``.
-
-        Only data/plan agreement is checked here (shape, dtype, ``out=``
-        buffer) — all configuration validation already happened in
-        :meth:`plan`.  Mismatches raise before any element is read.
-        """
+    def _check_data(self, plan: ExecutionPlan, a) -> np.ndarray:
+        """``a`` as an array once it matches ``plan`` (made for this backend,
+        same shape, same input dtype); a mismatch raises before any element
+        is read.  Every data-taking stage calls this first."""
         if not isinstance(plan, ExecutionPlan) \
                 or plan.backend != self.spec.name:
             got = getattr(plan, "backend", type(plan).__name__)
@@ -243,12 +238,33 @@ class Backend(ABC):
             raise ConfigurationError(
                 f"input dtype {a.dtype.name} does not match the plan's "
                 f"{plan.input_dtype.name}")
+        return a
+
+    def execute(self, plan: ExecutionPlan, a: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Run ``plan`` over ``a``; result in ``plan.acc_dtype``.
+
+        Only data/plan agreement is checked here (shape, dtype, ``out=``
+        buffer) — all configuration validation already happened in
+        :meth:`plan`.  Mismatches raise before any element is read.
+        """
+        a = self._check_data(plan, a)
         check_out(out, plan.rows, plan.cols, plan.acc_dtype)
         result = self._execute(plan, a, out)
         if out is not None and result is not out:
             out[...] = result
             return out
         return result
+
+    def run(self, plan: ExecutionPlan, a: np.ndarray) -> SATResult:
+        """Run ``plan`` over ``a`` and return a
+        :class:`~repro.sat.base.SATResult` recording the backend as
+        ``params["engine"]``; host backends report no launches."""
+        from repro.sat.base import SATResult
+        return SATResult(sat=self.execute(plan, a), algorithm=plan.algorithm,
+                         n=plan.rows,
+                         params={"tile_width": plan.tile_width,
+                                 "engine": plan.backend})
 
     def compute(self, a: np.ndarray, *, out: np.ndarray | None = None,
                 **plan_kwargs) -> np.ndarray:
@@ -274,18 +290,7 @@ class Backend(ABC):
         if not self.spec.retains_state:
             raise ConfigurationError(
                 f"the {self.spec.name} backend does not retain carry state")
-        if not isinstance(plan, ExecutionPlan) \
-                or plan.backend != self.spec.name:
-            raise ConfigurationError(
-                f"plan was made for backend "
-                f"{getattr(plan, 'backend', type(plan).__name__)!r}, not "
-                f"'{self.spec.name}'")
-        a = np.asarray(a)
-        if a.ndim != 2 or a.shape != plan.shape:
-            raise ConfigurationError(
-                f"input shape {a.shape} does not match the plan's "
-                f"{plan.shape}")
-        return self._execute_with_carries(plan, a)
+        return self._execute_with_carries(plan, self._check_data(plan, a))
 
     # -- subclass hooks --------------------------------------------------------
 

@@ -15,12 +15,17 @@ use.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.backend.carries import CarrySet, TileCarrySet
 from repro.backend.core import Backend, positive_int
 from repro.backend.plan import ExecutionPlan
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.sat.base import SATResult
 
 
 class SerialBackend(Backend):
@@ -114,14 +119,18 @@ class ParallelBackend(Backend):
 class GpusimBackend(Backend):
     """The functional GPU simulator: device kernels behind the same seams.
 
-    The simulator accumulates in float64 internally and casts to the plan's
+    Each run gets a fresh default :class:`~repro.gpusim.kernel.GPU`, or the
+    caller's ``gpu`` (its device, scheduling policy, seed, consistency mode
+    and sanitizer), and :meth:`run` returns the run's launch report.  The
+    simulator accumulates in float64 internally and casts to the plan's
     accumulator dtype on read-back — exact for integer inputs below 2**53,
     within the proven rounding budget for floats (``bit_identical=False``).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, gpu=None) -> None:
         from repro.backend.registry import get_spec
         self.spec = get_spec("gpusim")
+        self._gpu = gpu
 
     def _validate_plan(self, plan: ExecutionPlan) -> None:
         # The simulator's warp collectives reduce over W lanes, so tile-based
@@ -133,12 +142,17 @@ class GpusimBackend(Backend):
                 f"the gpusim backend needs tile_width to be a multiple of "
                 f"the {WARP_SIZE}-lane warp size, got {plan.tile_width}")
 
+    def run(self, plan: ExecutionPlan, a: np.ndarray) -> SATResult:
+        from repro.sat.registry import get_algorithm
+        a = self._check_data(plan, a)
+        alg = get_algorithm(plan.algorithm, tile_width=plan.tile_width)
+        result = alg.run(a, self._gpu, dtype_policy=plan.acc_dtype)
+        result.params["engine"] = plan.backend
+        return result
+
     def _execute(self, plan: ExecutionPlan, a: np.ndarray,
                  out: np.ndarray | None) -> np.ndarray:
-        from repro.gpusim.kernel import GPU
-        from repro.sat.registry import get_algorithm
-        alg = get_algorithm(plan.algorithm, tile_width=plan.tile_width)
-        return alg.run(a, GPU(), dtype_policy=plan.acc_dtype).sat
+        return self.run(plan, a).sat
 
 
 class DistributedBackend(Backend):
@@ -202,13 +216,15 @@ BACKEND_CLASSES: dict[str, type[Backend]] = {
 
 
 def backend_for_instance(engine) -> Backend:
-    """Wrap a caller-managed engine instance in its backend adapter.
-
-    The classic ``engine=`` routing accepts :class:`WavefrontEngine`
-    instances; anything else raises the canonical unknown-engine error.
+    """Wrap a caller-managed executor in its backend adapter: a
+    :class:`WavefrontEngine` (its pool and plan cache) or a simulator
+    :class:`GPU`; anything else raises the canonical unknown-backend error.
     """
-    from repro.backend.registry import unknown_engine_error
+    from repro.backend.registry import unknown_backend_error
+    from repro.gpusim.kernel import GPU
     from repro.hostexec.engine import WavefrontEngine
     if isinstance(engine, WavefrontEngine):
         return WavefrontBackend(engine=engine)
-    raise unknown_engine_error(engine)
+    if isinstance(engine, GPU):
+        return GpusimBackend(gpu=engine)
+    raise unknown_backend_error(engine)

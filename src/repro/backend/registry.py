@@ -5,8 +5,8 @@ the host engines (serial / wavefront / parallel), the functional GPU
 simulator and the sharded distributed executor (the one streaming backend;
 with one shard it is the out-of-core band loop).  The CLI ``--engine``
 choices, ``repro list`` (text and ``--json``), the fuzzer's engine pool,
-the one host entry point (:func:`repro.sat.registry.compute_sat`) and every
-"unknown engine" error message all read from this one table, so none of
+the one entry point (:func:`repro.sat.registry.compute_sat`) and every
+"unknown backend" error message all read from this one table, so none of
 them can drift from the registered set (the conformance suite pins this).
 
 Specs are built lazily on first access and backend *instances* lazier still
@@ -38,18 +38,18 @@ def _make_specs() -> dict[str, BackendSpec]:
             name="serial",
             summary="each algorithm's own per-tile host loop (the oracle)",
             algorithms=None, dtypes=None, bit_identical=True,
-            kind="host", engine=True),
+            kind="host"),
         "wavefront": BackendSpec(
             name="wavefront",
             summary="dependency-driven tile chunks on a thread pool",
             algorithms=tile, dtypes=None, bit_identical=True,
-            kind="host", engine=True, retains_state=True,
+            kind="host", retains_state=True,
             default_algorithm="1R1W-SKSS-LB"),
         "parallel": BackendSpec(
             name="parallel",
             summary="fork/join banded 2R2W scan (plain cumsums)",
             algorithms=None, dtypes=None, bit_identical=False,
-            kind="host", engine=True, algorithm_agnostic=True),
+            kind="host", algorithm_agnostic=True),
         "gpusim": BackendSpec(
             name="gpusim",
             summary="functional GPU simulator (device kernels, measured "
@@ -61,7 +61,7 @@ def _make_specs() -> dict[str, BackendSpec]:
             summary="sharded out-of-core bands on a worker pool (persisted "
                     "carries, fault-tolerant work-queue protocol)",
             algorithms=None, dtypes=None, bit_identical=False,
-            kind="streaming", engine=True, retains_state=True),
+            kind="streaming", retains_state=True),
     }
 
 
@@ -83,11 +83,6 @@ def backend_specs() -> dict[str, BackendSpec]:
 def known_backends() -> tuple[str, ...]:
     """Names of every registered backend."""
     return tuple(backend_specs())
-
-
-def engine_backends() -> tuple[str, ...]:
-    """Names of the backends selectable via classic ``engine=`` routing."""
-    return tuple(n for n, s in backend_specs().items() if s.engine)
 
 
 def get_spec(name: str) -> BackendSpec:
@@ -125,29 +120,18 @@ def unknown_backend_error(name) -> ConfigurationError:
         f"{', '.join(known_backends())}")
 
 
-def unknown_engine_error(engine) -> ConfigurationError:
-    """The canonical "unknown engine" error for the classic ``engine=``
-    routing surface, listing every backend reachable through it."""
-    return ConfigurationError(
-        f"unknown host engine {engine!r}; known engines: "
-        f"{', '.join(engine_backends())} (or a WavefrontEngine instance)")
-
-
 def resolve_backend(engine=None) -> Backend:
-    """Resolve a classic ``engine=`` argument to a backend instance.
+    """Resolve an ``engine=`` argument to a backend instance.
 
-    ``None`` means the serial oracle; a string selects an engine-routable
-    backend by name (``spec.engine``; the gpusim backend is reached via
-    :func:`get_backend` instead); a :class:`WavefrontEngine`
-    instance is wrapped in its adapter (preserving caller-managed pools and
-    caches).
+    ``None`` means the serial oracle; a string selects a registered backend
+    by name (:func:`get_backend`); a caller-managed
+    :class:`~repro.hostexec.WavefrontEngine` or simulator
+    :class:`~repro.gpusim.kernel.GPU` is wrapped in its backend's adapter
+    (keeping the caller's pool and caches, or device configuration).
     """
     if engine is None:
         return get_backend("serial")
     if isinstance(engine, str):
-        spec = backend_specs().get(engine)
-        if spec is not None and spec.engine:
-            return get_backend(engine)
-        raise unknown_engine_error(engine)
+        return get_backend(engine)
     from repro.backend.executors import backend_for_instance
     return backend_for_instance(engine)

@@ -2,7 +2,7 @@
 
 Commands
 --------
-``run``      compute a SAT on the simulator (or host path) and report stats
+``run``      compute a SAT on any backend (default: the simulator), report stats
 ``table1``   print Table I (symbolic + numeric, optionally measured)
 ``table3``   print Table III (model vs paper)
 ``sweep-w``  per-tile-width model times for one algorithm
@@ -36,7 +36,7 @@ from repro._version import __version__
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro.analysis.fuzzing import FUZZ_MODES
-    from repro.backend.registry import engine_backends
+    from repro.backend.registry import known_backends
     p = argparse.ArgumentParser(
         prog="repro",
         description="Summed-area-table reproduction (Emoto et al., 2018)")
@@ -57,15 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
                           "int32, float32; default float64); the accumulator "
                           "dtype follows the exact policy")
     run.add_argument("-W", "--tile-width", type=int, default=32)
-    run.add_argument("--host", action="store_true",
-                     help="use the pure-NumPy host path (no simulation)")
-    run.add_argument("--engine", default="serial",
-                     choices=engine_backends(),
-                     help="host execution engine (implies --host when not "
-                          "'serial'): serial tile loop, multi-core wavefront "
-                          "tile engine, fork/join banded 2R2W scan, or the "
-                          "sharded distributed executor (band shards on a "
-                          "worker pool with persisted carries)")
+    run.add_argument("--engine", default="gpusim",
+                     choices=known_backends(),
+                     help="executor: the GPU simulator (default; configured "
+                          "by --policy/--seed/--consistency/"
+                          "--detect-uninitialized, reports its traffic), "
+                          "the serial tile loop, the multi-core wavefront "
+                          "tile engine, the fork/join banded 2R2W scan, or "
+                          "the sharded distributed executor (band shards on "
+                          "a worker pool with persisted carries)")
     run.add_argument("--workers", type=int, default=None,
                      help="worker threads for the wavefront/parallel "
                           "engines (default: REPRO_WORKERS or all cores); "
@@ -325,20 +325,14 @@ def _cmd_run(args) -> int:
         a = rng.integers(0, 2, size=shape).astype(bool)
     else:
         a = rng.integers(0, 100, size=shape).astype(dtype)
-    if args.shards is not None and args.engine != "distributed":
-        raise ConfigurationError(
-            "--shards is only meaningful with --engine distributed")
-    if args.host or args.engine != "serial":
-        result = compute_sat(a, algorithm=args.algorithm,
-                             tile_width=args.tile_width, simulate=False,
-                             engine=args.engine, workers=args.workers,
-                             shards=args.shards)
-    else:
-        gpu = GPU(seed=args.seed, scheduler_policy=args.policy,
-                  consistency=args.consistency,
-                  detect_uninitialized=args.detect_uninitialized)
-        result = compute_sat(a, algorithm=args.algorithm,
-                             tile_width=args.tile_width, gpu=gpu)
+    engine = args.engine
+    if engine == "gpusim":
+        engine = GPU(seed=args.seed, scheduler_policy=args.policy,
+                     consistency=args.consistency,
+                     detect_uninitialized=args.detect_uninitialized)
+    result = compute_sat(a, algorithm=args.algorithm,
+                         tile_width=args.tile_width, engine=engine,
+                         workers=args.workers, shards=args.shards)
     acc = resolve_policy(None).accumulator(a.dtype)
     ref = sat_reference(a.astype(acc, copy=False))
     # Budget derived from the algorithm's proven rounding depth — the old
@@ -686,8 +680,6 @@ def _cmd_list(args) -> int:
     print("\nbackends:")
     for name, spec in backend_specs().items():
         notes = [spec.kind]
-        if spec.engine:
-            notes.append("--engine")
         if spec.bit_identical:
             notes.append("bit-identical")
         if spec.retains_state:

@@ -113,7 +113,7 @@ class DistributedResult:
 
 def distributed_sat(a, *, shards: int = 2, algorithm: str | None = None,
                     tile_width: int = 32, dtype_policy=None,
-                    inner_engine: str = "serial",
+                    inner_engine: str | None = "serial",
                     transport: str = "inline", workers: int | None = None,
                     checkpoint_dir=None, fault_plan=None,
                     chunk_rows: int | None = None, collect: bool = True,
@@ -123,12 +123,14 @@ def distributed_sat(a, *, shards: int = 2, algorithm: str | None = None,
     ``a`` is a 2-D array or a :class:`~repro.distsat.sources.BandSource`
     (a spec-serializable source streams: workers regenerate their own rows
     and the coordinator never holds the image).  ``inner_engine`` names the
-    registered backend each worker runs its band through; ``chunk_rows``
-    bounds worker memory by processing each shard that many rows at a
-    time.  ``transport`` and ``workers`` pick the pool (``workers=None``:
-    one inline worker, or two processes).  ``collect=False`` switches to
-    digest mode.  Faults are injected via ``fault_plan`` (a
-    :class:`~repro.distsat.protocol.FaultPlan` or its dict form).
+    registered backend each worker runs its band through (``None``: the
+    serial oracle); task messages carry it by name, so engine instances are
+    refused.  ``chunk_rows`` bounds worker memory by processing each shard
+    that many rows at a time.  ``transport`` and ``workers`` pick the pool
+    (``workers=None``: one inline worker, or two processes).
+    ``collect=False`` switches to digest mode.  Faults are injected via
+    ``fault_plan`` (a :class:`~repro.distsat.protocol.FaultPlan` or its dict
+    form).
     """
     if isinstance(a, BandSource):
         source = a
@@ -146,11 +148,16 @@ def distributed_sat(a, *, shards: int = 2, algorithm: str | None = None,
         plan = fault_plan
     else:
         plan = FaultPlan.from_dict(fault_plan)
+    from repro.backend.registry import known_backends, resolve_backend
+    if inner_engine is not None and not isinstance(inner_engine, str):
+        raise ConfigurationError(
+            f"inner_engine must be a registered backend name or None, not a "
+            f"{type(inner_engine).__name__}: task messages name the engine")
     if inner_engine == "distributed":
+        others = [b for b in known_backends() if b != "distributed"]
         raise ConfigurationError(
             "the distributed executor cannot use itself as the per-band "
-            "engine; pick a host engine (serial/wavefront/parallel)")
-    from repro.backend.registry import resolve_backend
+            f"engine; pick one of {', '.join(others)}")
     inner = resolve_backend(inner_engine)  # validates the engine name
     canonical = None
     if algorithm is not None:

@@ -111,12 +111,9 @@ class IncrementalSAT:
     tile_width, dtype_policy:
         As in :func:`~repro.sat.registry.compute_sat`.
     workers:
-        Pool size for the initial full computation (repairs are batched
-        serial NumPy and worker-independent by construction).
-    engine:
-        An existing :class:`~repro.hostexec.engine.WavefrontEngine` to borrow
-        for full computations; by default a private engine is created (and
-        closed with :meth:`close`).
+        Pool size of the private engine that runs full computations (closed
+        with :meth:`close`); repairs are batched serial NumPy and
+        worker-independent by construction.
     strategy:
         ``"auto"`` (default) picks exact ``delta`` repair for integer
         accumulator dtypes and bit-faithful ``recompute`` for floats;
@@ -128,7 +125,6 @@ class IncrementalSAT:
     def __init__(self, a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
                  tile_width: int = 32, dtype_policy=None,
                  workers: int | None = None,
-                 engine: WavefrontEngine | None = None,
                  strategy: str = "auto") -> None:
         if strategy not in STRATEGIES:
             raise ConfigurationError(
@@ -137,11 +133,7 @@ class IncrementalSAT:
         self.algorithm = self._spec.name
         self.tile_width = tile_width
         self._policy = resolve_policy(dtype_policy)
-        if engine is not None:
-            self._engine, self._owns_engine = engine, False
-        else:
-            self._engine = WavefrontEngine(workers=workers)
-            self._owns_engine = True
+        self._engine = WavefrontEngine(workers=workers)
         self._requested_strategy = strategy
         self._state: RetainedState | None = None
         self.stats = RepairStats()
@@ -150,10 +142,9 @@ class IncrementalSAT:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the resident state (and the private engine, if owned)."""
+        """Release the resident state and the private engine."""
         self._state = None
-        if self._owns_engine:
-            self._engine.close()
+        self._engine.close()
 
     def __enter__(self) -> "IncrementalSAT":
         return self

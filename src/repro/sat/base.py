@@ -171,7 +171,8 @@ class SATAlgorithm(ABC):
     def run(self, a: np.ndarray, gpu: GPU | None = None, *,
             dtype_policy=None) -> SATResult:
         """Compute the SAT on the simulator; ``gpu`` may carry a custom device,
-        scheduling policy, seed or consistency mode.
+        scheduling policy, seed or consistency mode.  The result's ``report``
+        holds the launches this run appended to ``gpu.launches``.
 
         The simulator's internal buffers are float64 (its shared-memory and
         scan primitives model one machine word); the result is cast to the
@@ -180,14 +181,13 @@ class SATAlgorithm(ABC):
         integer dtype itself.
         """
         prep = self._validate(a, dtype_policy)
-        grid = prep.grid
         gpu = gpu or GPU()
-        report = LaunchSummary()
+        first = gpu.launches.kernel_calls
         a_buf = gpu.alloc("_sat_a", prep.array.shape, np.float64,
                           fill=prep.array.astype(np.float64, copy=False))
         b_buf = gpu.alloc("_sat_b", prep.array.shape, np.float64)
         try:
-            self._run_device(gpu, a_buf, b_buf, grid, report)
+            self._run_device(gpu, a_buf, b_buf, prep.grid)
             sat = gpu.read(b_buf)
         finally:
             self._cleanup(gpu)
@@ -196,6 +196,7 @@ class SATAlgorithm(ABC):
         sat = prep.crop(sat)
         if sat.dtype != prep.acc_dtype:
             sat = sat.astype(prep.acc_dtype)
+        report = LaunchSummary(gpu.launches.kernels[first:])
         return SATResult(sat=sat, algorithm=self.name, n=prep.rows,
                          params=self.params(), report=report)
 
@@ -214,8 +215,8 @@ class SATAlgorithm(ABC):
 
     @abstractmethod
     def _run_device(self, gpu: GPU, a_buf: GlobalBuffer, b_buf: GlobalBuffer,
-                    grid: TileGrid, report: LaunchSummary) -> None:
-        """Launch the algorithm's kernels; append every launch's stats to ``report``.
+                    grid: TileGrid) -> None:
+        """Launch the algorithm's kernels (``gpu.launches`` logs each one).
 
         ``grid`` describes the (already padded) buffer geometry: the buffers
         are ``(grid.padded_rows, grid.padded_cols)`` for tile-based

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gpusim.block import BlockContext
-from repro.gpusim.counters import LaunchSummary
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives import smem
@@ -200,7 +199,7 @@ class Hybrid1R1W(SATAlgorithm):
         return p
 
     def _run_device(self, gpu: GPU, a_buf: GlobalBuffer, b_buf: GlobalBuffer,
-                    grid: TileGrid, report: LaunchSummary) -> None:
+                    grid: TileGrid) -> None:
         sb = alloc_scratch(gpu, grid)
         tr, tc, W = grid.tile_rows, grid.tile_cols, grid.W
         stride = grid.padded_cols
@@ -215,31 +214,31 @@ class Hybrid1R1W(SATAlgorithm):
         def run_band(band: str, tiles: list) -> None:
             if not tiles:
                 return
-            report.add(gpu.launch(
+            gpu.launch(
                 band_local_sums_kernel, grid_blocks=len(tiles),
                 threads_per_block=threads,
                 args=(a_buf, sb, stride, tiles, self.layout),
-                name=f"hybrid_{band}_local", shared_bytes_hint=W * W * 4))
-            report.add(gpu.launch(
+                name=f"hybrid_{band}_local", shared_bytes_hint=W * W * 4)
+            gpu.launch(
                 band_global_sums_kernel,
                 grid_blocks=grs_blocks + gcs_blocks + 1,
                 threads_per_block=threads,
                 args=(sb, band, Ka, Kc, grs_blocks, gcs_blocks),
-                name=f"hybrid_{band}_global"))
-            report.add(gpu.launch(
+                name=f"hybrid_{band}_global")
+            gpu.launch(
                 band_gsat_kernel, grid_blocks=len(tiles),
                 threads_per_block=threads,
                 args=(a_buf, b_buf, sb, stride, tiles, self.layout),
-                name=f"hybrid_{band}_gsat", shared_bytes_hint=W * W * 4))
+                name=f"hybrid_{band}_gsat", shared_bytes_hint=W * W * 4)
 
         run_band("A", a_tiles)
         for K in range(Ka, min(Kc, grid.num_diagonals - 1) + 1):
-            report.add(gpu.launch(
+            gpu.launch(
                 wavefront_kernel,
                 grid_blocks=len(grid.tiles_on_diagonal(K)),
                 threads_per_block=threads,
                 args=(a_buf, b_buf, sb, stride, K, self.layout),
-                name=f"hybrid_wave_{K}", shared_bytes_hint=W * W * 4))
+                name=f"hybrid_wave_{K}", shared_bytes_hint=W * W * 4)
         run_band("C", c_tiles)
 
     def _run_host(self, a: np.ndarray) -> np.ndarray:

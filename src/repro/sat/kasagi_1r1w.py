@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.block import BlockContext
-from repro.gpusim.counters import LaunchSummary
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives import smem
@@ -81,20 +80,20 @@ class Kasagi1R1W(SATAlgorithm):
         self.layout = layout
 
     def _run_device(self, gpu: GPU, a_buf: GlobalBuffer, b_buf: GlobalBuffer,
-                    grid: TileGrid, report: LaunchSummary) -> None:
+                    grid: TileGrid) -> None:
         sb = alloc_scratch(gpu, grid)
         stride = grid.padded_cols
         threads = min(self.block_threads(gpu.device.max_threads_per_block),
                       grid.W * grid.W)
         threads = max(threads, gpu.device.warp_size)
         for K in range(grid.num_diagonals):
-            report.add(gpu.launch(
+            gpu.launch(
                 wavefront_kernel,
                 grid_blocks=len(grid.tiles_on_diagonal(K)),
                 threads_per_block=threads,
                 args=(a_buf, b_buf, sb, stride, K, self.layout),
                 name=f"1r1w_wave_{K}",
-                shared_bytes_hint=grid.W * grid.W * 4))
+                shared_bytes_hint=grid.W * grid.W * 4)
 
     def _run_host(self, a: np.ndarray) -> np.ndarray:
         """Host dataflow: diagonals in order, boundary terms built incrementally."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.block import BlockContext
-from repro.gpusim.counters import LaunchSummary
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives.tile import TileGrid
@@ -55,22 +54,22 @@ class Naive2R2W(SATAlgorithm):
     tile_based = False
 
     def _run_device(self, gpu: GPU, a_buf: GlobalBuffer, b_buf: GlobalBuffer,
-                    grid: TileGrid, report: LaunchSummary) -> None:
+                    grid: TileGrid) -> None:
         rows, cols = grid.rows, grid.cols
         # One thread per column/row, rounded up to whole warps.
         w = gpu.device.warp_size
         threads = ((min(self.block_threads(), max(rows, cols)) + w - 1)
                    // w) * w
-        report.add(gpu.launch(column_scan_kernel,
-                              grid_blocks=(cols + threads - 1) // threads,
-                              threads_per_block=threads,
-                              args=(a_buf, b_buf, rows, cols),
-                              name="2r2w_column_scan"))
-        report.add(gpu.launch(row_scan_kernel,
-                              grid_blocks=(rows + threads - 1) // threads,
-                              threads_per_block=threads,
-                              args=(b_buf, rows, cols),
-                              name="2r2w_row_scan"))
+        gpu.launch(column_scan_kernel,
+                   grid_blocks=(cols + threads - 1) // threads,
+                   threads_per_block=threads,
+                   args=(a_buf, b_buf, rows, cols),
+                   name="2r2w_column_scan")
+        gpu.launch(row_scan_kernel,
+                   grid_blocks=(rows + threads - 1) // threads,
+                   threads_per_block=threads,
+                   args=(b_buf, rows, cols),
+                   name="2r2w_row_scan")
 
     def _run_host(self, a: np.ndarray) -> np.ndarray:
         return a.cumsum(axis=0).cumsum(axis=1)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.block import BlockContext
-from repro.gpusim.counters import LaunchSummary
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives import smem
@@ -127,28 +126,28 @@ class Nehab2R1W(SATAlgorithm):
         self.layout = layout
 
     def _run_device(self, gpu: GPU, a_buf: GlobalBuffer, b_buf: GlobalBuffer,
-                    grid: TileGrid, report: LaunchSummary) -> None:
+                    grid: TileGrid) -> None:
         sb = alloc_scratch(gpu, grid)
         tr, tc, W = grid.tile_rows, grid.tile_cols, grid.W
         stride = grid.padded_cols
         threads = min(self.block_threads(gpu.device.max_threads_per_block),
                       W * W)
         threads = max(threads, gpu.device.warp_size)
-        report.add(gpu.launch(
+        gpu.launch(
             local_sums_kernel, grid_blocks=grid.num_tiles,
             threads_per_block=threads, args=(a_buf, sb, stride, self.layout),
-            name="2r1w_local_sums", shared_bytes_hint=W * W * 4))
+            name="2r1w_local_sums", shared_bytes_hint=W * W * 4)
         grs_blocks = (tr * W + threads - 1) // threads
         gcs_blocks = (tc * W + threads - 1) // threads
-        report.add(gpu.launch(
+        gpu.launch(
             global_sums_kernel, grid_blocks=grs_blocks + gcs_blocks + 1,
             threads_per_block=threads,
-            args=(sb, grs_blocks, gcs_blocks), name="2r1w_global_sums"))
-        report.add(gpu.launch(
+            args=(sb, grs_blocks, gcs_blocks), name="2r1w_global_sums")
+        gpu.launch(
             gsat_kernel, grid_blocks=grid.num_tiles,
             threads_per_block=threads,
             args=(a_buf, b_buf, sb, stride, self.layout),
-            name="2r1w_gsat", shared_bytes_hint=W * W * 4))
+            name="2r1w_gsat", shared_bytes_hint=W * W * 4)
 
     def _run_host(self, a: np.ndarray) -> np.ndarray:
         """Host dataflow: the three phases as whole-array operations."""

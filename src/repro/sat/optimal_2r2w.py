@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gpusim.counters import LaunchSummary
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives.colscan import run_col_scan
@@ -37,7 +36,7 @@ class Optimal2R2W(SATAlgorithm):
         self.panel_rows = panel_rows
 
     def _run_device(self, gpu: GPU, a_buf: GlobalBuffer, b_buf: GlobalBuffer,
-                    grid: TileGrid, report: LaunchSummary) -> None:
+                    grid: TileGrid) -> None:
         rows, cols = grid.rows, grid.cols
         threads = min(self.block_threads(gpu.device.max_threads_per_block), 1024)
         threads = max(threads, gpu.device.warp_size)
@@ -47,19 +46,19 @@ class Optimal2R2W(SATAlgorithm):
         strip = gpu.device.warp_size
         while cols % strip:
             strip //= 2
-        report.add(run_col_scan(gpu, a_buf, b_buf, rows=rows, cols=cols,
-                                panel_rows=self.panel_rows,
-                                strip_width=strip,
-                                threads_per_block=threads,
-                                name="2r2w_opt_col_scan"))
+        run_col_scan(gpu, a_buf, b_buf, rows=rows, cols=cols,
+                     panel_rows=self.panel_rows,
+                     strip_width=strip,
+                     threads_per_block=threads,
+                     name="2r2w_opt_col_scan")
         # Row phase scans b in place: each partition's loads complete before
         # its stores, and look-back reads only the scratch aggregate arrays.
         w = gpu.device.warp_size
         row_threads = min(threads, ((max(w, cols) + w - 1) // w) * w)
-        report.add(run_row_scan(gpu, b_buf, b_buf, rows=rows, n=cols,
-                                partition_size=min(row_threads, cols),
-                                threads_per_block=row_threads,
-                                name="2r2w_opt_row_scan"))
+        run_row_scan(gpu, b_buf, b_buf, rows=rows, n=cols,
+                     partition_size=min(row_threads, cols),
+                     threads_per_block=row_threads,
+                     name="2r2w_opt_row_scan")
 
     def _run_host(self, a: np.ndarray) -> np.ndarray:
         # Same dataflow at tile granularity collapses to the plain double scan.

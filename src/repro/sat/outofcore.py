@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backend.core import positive_int
+from repro.backend.registry import resolve_backend
 from repro.errors import ConfigurationError
 from repro.sat.dtypes import resolve_policy
-from repro.sat.registry import get_algorithm
 
 
 def band_bounds(n_rows: int, band_rows: int) -> list[tuple[int, int]]:
@@ -90,15 +90,16 @@ def rect_sum_from_rows(row, top: int, left: int, bottom: int, right: int):
 
 def out_of_core_sat(a: np.ndarray, *, band_rows: int,
                     algorithm: str | None = None, tile_width: int = 32,
-                    gpu_factory=None, dtype_policy=None) -> np.ndarray:
+                    engine=None, dtype_policy=None) -> np.ndarray:
     """Compute the SAT of ``a`` band by band.
 
-    ``algorithm`` selects the per-band SAT engine (``None`` = NumPy
-    reference).  With an algorithm name, bands are computed by that
-    algorithm's serial host loop, or on fresh simulator instances produced
-    by ``gpu_factory()`` when given.  Bands may be any rectangle — ragged
-    tile edges follow the zero-padding convention of :mod:`repro.sat.base`.
-    The ``distributed`` backend with one shard and ``band_rows`` chunks
+    Each band's SAT is computed by ``algorithm`` on ``engine``, resolved as
+    in :func:`~repro.sat.registry.compute_sat` (``None``: the serial oracle,
+    where ``algorithm=None`` is the NumPy reference; ``"gpusim"`` or a
+    ``GPU`` instance runs the simulator, where ``algorithm=None`` is its
+    default algorithm).  Bands may be any rectangle — ragged tile edges
+    follow the zero-padding convention of :mod:`repro.sat.base`.  The
+    ``distributed`` backend with one shard and ``band_rows`` chunks
     produces the same table behind the plan/execute protocol.
 
     ``dtype_policy`` resolves the accumulator dtype (:mod:`repro.sat.dtypes`;
@@ -109,28 +110,16 @@ def out_of_core_sat(a: np.ndarray, *, band_rows: int,
     if a.ndim != 2:
         raise ConfigurationError("out_of_core_sat expects a 2-D matrix")
     acc = resolve_policy(dtype_policy).accumulator(a.dtype)
+    backend = resolve_backend(engine)
     bounds = band_bounds(a.shape[0], band_rows)
     out = np.empty(a.shape, dtype=acc)
     carry = np.zeros(a.shape[1], dtype=acc)
     for lo, hi in bounds:
         band = a[lo:hi]
-        band_sat = _band_engine(band, algorithm, tile_width, gpu_factory,
-                                acc)
+        band_sat = backend.compute(band, algorithm=algorithm,
+                                   tile_width=tile_width, dtype_policy=acc)
         out[lo:hi], carry = stitch_band(band_sat, band, carry)
     return out
-
-
-def _band_engine(band: np.ndarray, algorithm: str | None, tile_width: int,
-                 gpu_factory, acc: np.dtype) -> np.ndarray:
-    if gpu_factory is not None:
-        if algorithm is None:
-            return band.astype(acc, copy=False).cumsum(axis=0).cumsum(axis=1)
-        alg = get_algorithm(algorithm, tile_width=tile_width)
-        return alg.run(band, gpu_factory(), dtype_policy=acc).sat
-    from repro.backend.registry import get_backend
-    return get_backend("serial").compute(band, algorithm=algorithm,
-                                         tile_width=tile_width,
-                                         dtype_policy=acc)
 
 
 @dataclass

@@ -6,9 +6,8 @@ from typing import Any, Type
 
 import numpy as np
 
-from repro.backend.registry import get_spec, resolve_backend
+from repro.backend.registry import resolve_backend
 from repro.errors import ConfigurationError
-from repro.gpusim.kernel import GPU
 from repro.sat.base import SATAlgorithm, SATResult
 from repro.sat.hybrid_1r1w import Hybrid1R1W
 from repro.sat.kasagi_1r1w import Kasagi1R1W
@@ -70,19 +69,15 @@ def get_algorithm(name: str, **params: Any) -> SATAlgorithm:
 
 
 def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
-                tile_width: int = 32, gpu: GPU | None = None,
-                simulate: bool = True, engine=None,
+                tile_width: int = 32, engine="gpusim",
                 workers: int | None = None, dtype_policy=None,
-                shards: int | None = None, **params: Any) -> SATResult:
+                shards: int | None = None) -> SATResult:
     """Compute the summed area table of ``a``: the one entry point.
 
-    A call takes one of two routes.  With ``gpu`` given, or with
-    ``simulate=True`` and no ``engine``, the kernels run on the functional
-    GPU simulator and the result carries its launch report.  Every other
-    call resolves ``engine`` in the backend registry
-    (:func:`~repro.backend.registry.resolve_backend`; ``None`` is the serial
-    oracle) and runs ``Backend.plan`` then ``Backend.execute``, so all of its
-    configuration is validated before any data is read.
+    Every call resolves ``engine`` in the backend registry
+    (:func:`~repro.backend.registry.resolve_backend`) and runs
+    ``Backend.plan`` then ``Backend.run``, so all of its configuration is
+    validated before any data is read.
 
     Parameters
     ----------
@@ -94,16 +89,14 @@ def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
         means the executor's default: the backend's ``default_algorithm``,
         or the plain double scan when it has none (the serial and parallel
         engines).
-    gpu:
-        Optional pre-configured simulator (device, scheduling policy, seed,
-        consistency mode).  Mutually exclusive with ``engine``.
-    simulate:
-        When ``False``, run on a host engine instead of the simulator (no
-        traffic report; much faster for large matrices).
     engine:
-        Host executor (implies ``simulate=False``): one of
-        :func:`~repro.backend.registry.engine_backends` or a
-        :class:`~repro.hostexec.WavefrontEngine` instance.
+        The executor: a name from
+        :func:`~repro.backend.registry.known_backends` (default ``"gpusim"``,
+        the functional GPU simulator, whose result carries its launch
+        report), ``None`` for the serial oracle, a caller-managed
+        :class:`~repro.hostexec.WavefrontEngine`, or a pre-configured
+        simulator :class:`~repro.gpusim.kernel.GPU` (device, scheduling
+        policy, seed, consistency mode).
     workers:
         Worker count for the ``wavefront``/``parallel``/``distributed``
         engines (for ``distributed``, ``workers > 1`` switches from the
@@ -117,9 +110,6 @@ def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
         Input-to-accumulator dtype mapping (:mod:`repro.sat.dtypes`): a
         policy, a policy name (``"exact"``, ``"widen-float"``, ``"float64"``)
         or a fixed dtype.  Defaults to the exact policy.
-    params:
-        Further algorithm parameters (``threads_per_block``, the hybrid's
-        ``r``), which only the simulator uses.
 
     Returns a :class:`~repro.sat.base.SATResult`.
 
@@ -129,29 +119,9 @@ def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
     >>> result.params["engine"], result.sat.dtype.name, int(result.sat[-1, -1])
     ('wavefront', 'int64', 66)
     """
-    if gpu is not None or (simulate and engine is None):
-        if engine is not None:
-            raise ConfigurationError(
-                "a host engine and a simulator GPU are mutually exclusive")
-        if shards is not None:
-            raise ConfigurationError(
-                "shards is only meaningful for the distributed engine "
-                "(pass engine='distributed')")
-        if algorithm is None:
-            algorithm = get_spec("gpusim").default_algorithm
-        alg = get_algorithm(algorithm, tile_width=tile_width, **params)
-        return alg.run(a, gpu, dtype_policy=dtype_policy)
     backend = resolve_backend(engine)
-    if params:
-        raise ConfigurationError(
-            f"algorithm parameters {sorted(params)} only apply to the "
-            "simulator; host engines take none")
     a = np.asarray(a)
     plan = backend.plan(a.shape, a.dtype, algorithm=algorithm,
                         tile_width=tile_width, dtype_policy=dtype_policy,
                         workers=workers, shards=shards)
-    sat = backend.execute(plan, a)
-    return SATResult(sat=sat, algorithm=plan.algorithm, n=plan.rows,
-                     params={"tile_width": plan.tile_width,
-                             "engine": plan.backend},
-                     report=None)
+    return backend.run(plan, a)

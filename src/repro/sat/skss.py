@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.block import BlockContext
-from repro.gpusim.counters import LaunchSummary
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives import smem
@@ -88,16 +87,16 @@ class SKSS1R1W(SATAlgorithm):
         self.grid_blocks = grid_blocks
 
     def _run_device(self, gpu: GPU, a_buf: GlobalBuffer, b_buf: GlobalBuffer,
-                    grid: TileGrid, report: LaunchSummary) -> None:
+                    grid: TileGrid) -> None:
         sb = alloc_scratch(gpu, grid)
         blocks = self.grid_blocks or grid.tile_cols
         threads = min(self.block_threads(gpu.device.max_threads_per_block),
                       grid.W * grid.W)
         threads = max(threads, gpu.device.warp_size)
-        report.add(gpu.launch(
+        gpu.launch(
             skss_kernel, grid_blocks=blocks, threads_per_block=threads,
             args=(a_buf, b_buf, sb, grid.padded_cols, self.layout),
-            name="skss", shared_bytes_hint=grid.W * grid.W * 4))
+            name="skss", shared_bytes_hint=grid.W * grid.W * 4)
 
     def _run_host(self, a: np.ndarray) -> np.ndarray:
         """Host dataflow: columns left to right, rows top to bottom, with the

@@ -10,11 +10,11 @@ from repro.sat import SKSSLB1R1W, compute_sat, sat_reference
 
 class TestCheckResult:
     def test_accepts_correct(self, small_matrix):
-        res = compute_sat(small_matrix, gpu=GPU(seed=1))
+        res = compute_sat(small_matrix, engine=GPU(seed=1))
         assert check_result(res, small_matrix)
 
     def test_rejects_corrupted(self, small_matrix):
-        res = compute_sat(small_matrix, gpu=GPU(seed=1))
+        res = compute_sat(small_matrix, engine=GPU(seed=1))
         res.sat[3, 3] += 1
         assert not check_result(res, small_matrix)
 
@@ -26,7 +26,7 @@ class TestCheckResult:
         mass-relative budget accepts it and still rejects corruption."""
         from repro.apps.synthetic import sign_alternating
         a = sign_alternating(4096, seed=7).astype(np.float32)
-        res = compute_sat(a, simulate=False)
+        res = compute_sat(a, engine="serial")
         want = sat_reference(a.astype(np.float64)).astype(np.float32)
         diff = np.abs(res.sat.astype(np.float64)
                       - want.astype(np.float64))
@@ -43,7 +43,7 @@ class TestCheckCounts:
         assert check_counts(res).ok
 
     def test_host_result_rejected(self, small_matrix):
-        res = compute_sat(small_matrix, simulate=False)
+        res = compute_sat(small_matrix, engine="serial")
         with pytest.raises(AssertionError):
             check_counts(res)
 

@@ -53,7 +53,7 @@ class TestBoxFilter:
     def test_with_simulated_sat_algorithm(self):
         """End-to-end: blur through the paper's algorithm on the simulator."""
         img = gaussian_blobs(64, seed=3)
-        via_sim = box_filter(img, 2, algorithm="skss-lb", gpu=GPU(seed=1))
+        via_sim = box_filter(img, 2, algorithm="skss-lb", engine=GPU(seed=1))
         assert np.allclose(via_sim, box_filter_direct(img, 2))
 
     def test_with_host_algorithm(self):

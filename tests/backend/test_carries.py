@@ -131,3 +131,15 @@ def test_non_retaining_backends_refuse(name):
     with pytest.raises(ConfigurationError,
                        match="does not retain carry state"):
         backend.execute_with_carries(plan, np.zeros((32, 32), np.int32))
+
+
+@pytest.mark.parametrize("name", [n for n in known_backends()
+                                  if get_spec(n).retains_state])
+def test_carries_check_the_input_dtype(name):
+    """``execute_with_carries`` checks the data against the plan as
+    ``execute`` does: an int32 plan refuses a float64 matrix instead of
+    returning an int64 table of zeros."""
+    backend = get_backend(name)
+    plan = backend.plan((64, 64), "int32", tile_width=16)
+    with pytest.raises(ConfigurationError, match="dtype"):
+        backend.execute_with_carries(plan, np.full((64, 64), 0.5))

@@ -4,7 +4,8 @@ These tests fail if an executor is ever registered (or routed) outside the
 unified backend registry: the executor-class table, the sat-layer routing
 surface, the CLI ``--engine`` choices, the fuzzer's sampling pool and every
 unknown-name error message must all be derivations of
-``repro.backend.registry`` — not second lists.
+``repro.backend.registry`` — not second lists.  Each backend has one name,
+and ``engine=`` / ``--engine`` accept every one of them.
 """
 
 import json
@@ -14,18 +15,14 @@ import pytest
 
 from repro.backend.core import BackendSpec
 from repro.backend.registry import (backend_specs, backend_table,
-                                    engine_backends, get_backend, get_spec,
-                                    known_backends, resolve_backend,
-                                    unknown_backend_error,
-                                    unknown_engine_error)
+                                    get_backend, get_spec, known_backends,
+                                    resolve_backend, unknown_backend_error)
 from repro.errors import ConfigurationError
 
 
 def test_known_backends_exactly():
     assert known_backends() == ("serial", "wavefront", "parallel",
                                 "gpusim", "distributed")
-    assert engine_backends() == ("serial", "wavefront", "parallel",
-                                 "distributed")
 
 
 def test_every_executor_class_is_registered():
@@ -44,7 +41,6 @@ def test_specs_are_self_named():
 
 def test_all_four_engines_registered():
     engines = ("serial", "wavefront", "parallel", "distributed")
-    assert engine_backends() == engines
     for name in engines:
         assert resolve_backend(name) is get_backend(name)
 
@@ -56,15 +52,16 @@ def test_cli_engine_choices_are_a_derivation():
                       if hasattr(a, "choices") and "run" in (a.choices or {}))
     run = subparsers.choices["run"]
     engine_action = next(a for a in run._actions if a.dest == "engine")
-    assert tuple(engine_action.choices) == engine_backends()
+    assert tuple(engine_action.choices) == known_backends()
+    assert engine_action.default == "gpusim"
 
 
 def test_cli_choices_match_registry():
     from repro.cli import _build_parser
     parser = _build_parser()
-    for name in engine_backends():
+    for name in known_backends():
         assert parser.parse_args(["run", "--engine", name]).engine == name
-    for name in ("compiled", "gpusim", "outofcore"):
+    for name in ("compiled", "outofcore"):
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--engine", name])
 
@@ -75,33 +72,35 @@ def test_fuzz_pool_is_a_derivation():
         == tuple(b for b in known_backends() if b != "serial")
 
 
-def test_unknown_engine_error_lists_the_registry():
+def test_unknown_engine_gets_the_backend_error():
+    """An unknown ``engine=`` gets the one unknown-backend message, which
+    lists every backend (the simulator included)."""
     with pytest.raises(ConfigurationError) as exc:
         resolve_backend("turbo")
-    message = str(exc.value)
-    for name in engine_backends():
-        assert name in message
-    # non-engine backends are not reachable through engine= routing
-    with pytest.raises(ConfigurationError, match="unknown host engine"):
-        resolve_backend("gpusim")
+    assert str(exc.value) == str(unknown_backend_error("turbo"))
+    for name in known_backends():
+        assert name in str(exc.value)
+    with pytest.raises(ConfigurationError) as exc:
+        resolve_backend(object())
+    assert "unknown backend" in str(exc.value)
 
 
 def test_routing_uses_the_registry_message():
     from repro.sat.registry import compute_sat
     with pytest.raises(ConfigurationError) as exc:
         compute_sat(np.zeros((4, 4)), algorithm="1R1W", engine="turbo")
-    assert str(exc.value) == str(unknown_engine_error("turbo"))
+    assert str(exc.value) == str(unknown_backend_error("turbo"))
 
 
-def test_unknown_engine_error_is_configuration_error():
-    err = unknown_engine_error("nope")
+def test_unknown_engine_is_configuration_error():
+    err = unknown_backend_error("nope")
     assert isinstance(err, ConfigurationError)
     assert "'nope'" in str(err)
     from repro import compute_sat
     with pytest.raises(ConfigurationError) as exc:
         compute_sat(np.zeros((4, 4)), engine="compiled")
-    assert "known engines: serial, wavefront, parallel, distributed" \
-        in str(exc.value)
+    assert "known backends: serial, wavefront, parallel, gpusim, " \
+        "distributed" in str(exc.value)
 
 
 def test_unknown_backend_error_lists_the_registry():
@@ -131,21 +130,27 @@ def test_get_spec_unknown_lists_all():
 def test_resolve_backend_contract():
     assert resolve_backend(None).spec.name == "serial"
     assert resolve_backend("wavefront").spec.name == "wavefront"
+    assert resolve_backend("gpusim").spec.name == "gpusim"
+    from repro.gpusim import GPU
     from repro.hostexec import WavefrontEngine
+    a = np.arange(12, dtype=np.int32).reshape(3, 4)
+    want = a.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
     with WavefrontEngine(workers=1) as eng:
         adapter = resolve_backend(eng)
         assert adapter.spec is get_spec("wavefront")
-        a = np.arange(12, dtype=np.int32).reshape(3, 4)
-        np.testing.assert_array_equal(
-            adapter.compute(a),
-            a.astype(np.int64).cumsum(axis=0).cumsum(axis=1))
+        np.testing.assert_array_equal(adapter.compute(a), want)
+    gpu = GPU(seed=2)
+    adapter = resolve_backend(gpu)
+    assert adapter.spec is get_spec("gpusim")
+    np.testing.assert_array_equal(adapter.compute(a), want)
+    assert gpu.launches.kernel_calls == 1   # ran on the caller's GPU
 
 
 def test_backend_table_is_stable_json():
     rows = backend_table()
     assert [r["name"] for r in rows] == list(known_backends())
     keys = {"name", "kind", "summary", "algorithms", "dtypes",
-            "bit_identical", "engine", "retains_state", "algorithm_agnostic",
+            "bit_identical", "retains_state", "algorithm_agnostic",
             "default_algorithm"}
     for row in rows:
         assert set(row) == keys

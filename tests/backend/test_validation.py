@@ -100,22 +100,43 @@ def test_workers_must_match_a_caller_managed_engine():
             np.testing.assert_array_equal(result.sat, want)
 
 
+def _simulator_cases():
+    """The simulator route's bad settings: on the default engine and on a
+    caller's GPU, two that every backend refuses and two that only the
+    warp-wide simulator refuses (``tile_width=16``)."""
+    from repro.gpusim import GPU
+    bad = {"workers-negative": {"workers": -1},
+           "workers-str": {"workers": "x"},
+           "tile_width-16": {"tile_width": 16},
+           "tile_width-float": {"tile_width": 2.5}}
+    return [pytest.param(dict(kwargs, **route), id=f"{name}-{case}")
+            for name, route in (("gpusim", {}), ("gpu", {"engine": GPU()}))
+            for case, kwargs in bad.items()]
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"tile_width": 2.5}, {"tile_width": True}, {"workers": -1},
-    {"engine": "serial", "workers": "x"}],
-    ids=["tile_width-float", "tile_width-bool", "workers-negative",
-         "serial-workers-str"])
+    pytest.param({"engine": None, "tile_width": 2.5}, id="tile_width-float"),
+    pytest.param({"engine": None, "tile_width": True}, id="tile_width-bool"),
+    pytest.param({"engine": None, "workers": -1}, id="workers-negative"),
+    pytest.param({"engine": "serial", "workers": "x"},
+                 id="serial-workers-str"),
+    *_simulator_cases()])
 def test_compute_sat_host_calls_are_planned(kwargs, monkeypatch):
-    """Every host call of ``compute_sat`` (the serial route included) goes
-    through ``Backend.plan``, so a bad setting raises before execution."""
+    """Every call of ``compute_sat`` (the serial and simulator routes
+    included) goes through ``Backend.plan``, so a bad setting raises
+    before anything runs."""
+    from repro.backend.executors import GpusimBackend
     from repro.sat.registry import compute_sat
 
     def tripwire(self, plan, a, out=None):
         raise AssertionError("executed an invalid configuration")
     monkeypatch.setattr(Backend, "execute", tripwire)
+    for owner in (Backend, GpusimBackend):
+        monkeypatch.setattr(owner, "run", tripwire)
     a = np.arange(64, dtype=np.int32).reshape(8, 8)
-    with pytest.raises(ConfigurationError):
-        compute_sat(a, simulate=False, **kwargs)
+    bad = next(key for key in kwargs if key != "engine")
+    with pytest.raises(ConfigurationError, match=bad):
+        compute_sat(a, **kwargs)
 
 
 def test_unsupported_dtype_rejected_by_the_protocol():

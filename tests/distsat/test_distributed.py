@@ -220,8 +220,25 @@ class TestValidation:
             distributed_sat(matrix((8, 8)), max_attempts=0)
 
     def test_cannot_nest_itself(self):
-        with pytest.raises(ConfigurationError, match="cannot use itself"):
+        with pytest.raises(ConfigurationError, match="cannot use itself") \
+                as exc:
             distributed_sat(matrix((8, 8)), inner_engine="distributed")
+        # The alternatives come from the registry, the simulator included.
+        assert "serial, wavefront, parallel, gpusim" in str(exc.value)
+
+    @pytest.mark.parametrize("kind", ["WavefrontEngine", "GPU"])
+    def test_engine_instances_refused_before_any_file(self, kind, tmp_path):
+        """Task messages name the per-band engine, so an instance cannot
+        travel in one: it is refused before the checkpoint store opens."""
+        from repro.gpusim import GPU
+        from repro.hostexec import WavefrontEngine
+        store = tmp_path / "run"
+        with WavefrontEngine(workers=1) as eng:
+            engine = eng if kind == "WavefrontEngine" else GPU()
+            with pytest.raises(ConfigurationError, match=kind):
+                distributed_sat(matrix((8, 8)), inner_engine=engine,
+                                checkpoint_dir=store)
+        assert not store.exists()
 
     def test_bad_inner_configuration_fails_before_dispatch(self):
         with pytest.raises(ConfigurationError):
@@ -237,6 +254,13 @@ class TestInnerEngines:
         want = get_algorithm("1R1W-SKSS", tile_width=16).run_host(a)
         np.testing.assert_array_equal(result.sat, want)
 
+    def test_simulator_per_band(self):
+        """gpusim runs each band with its default algorithm."""
+        a = matrix((64, 64), seed=23)
+        result = distributed_sat(a, shards=2, tile_width=32,
+                                 inner_engine="gpusim")
+        np.testing.assert_array_equal(result.sat, sat_reference(a))
+
 
 class TestComputeSatIntegration:
     def test_engine_distributed_via_top_level_api(self):
@@ -250,7 +274,7 @@ class TestComputeSatIntegration:
 
     def test_shards_rejected_without_distributed_engine(self):
         from repro.sat import compute_sat
-        with pytest.raises(ConfigurationError, match="distributed engine"):
+        with pytest.raises(ConfigurationError, match="distributed backend"):
             compute_sat(matrix((8, 8)), shards=2)
         with pytest.raises(ConfigurationError, match="not meaningful"):
             compute_sat(matrix((8, 8)), engine="wavefront", shards=2)

@@ -7,7 +7,7 @@ import pytest
 from repro.apps.box_filter import box_filter
 from repro.apps.template_match import ncc_match, window_stats
 from repro.apps.variance_filter import local_moments
-from repro.backend.registry import engine_backends
+from repro.backend.registry import get_spec, known_backends
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 from repro.hostexec import WavefrontEngine
@@ -21,14 +21,13 @@ def matrix(n, seed=3):
 
 
 class TestHostSat:
-    """Host routing through compute_sat (``simulate=False``)."""
+    """Host routing through compute_sat (``engine=None`` is serial)."""
 
     @pytest.mark.parametrize("engine", [None, "serial", "wavefront",
                                         "parallel"])
     def test_engines_agree(self, engine):
         a = matrix(96)
-        sat = compute_sat(a, algorithm="skss-lb", engine=engine,
-                          simulate=False).sat
+        sat = compute_sat(a, algorithm="skss-lb", engine=engine).sat
         assert np.array_equal(sat, sat_reference(a))
 
     def test_engine_instance_accepted(self):
@@ -40,11 +39,11 @@ class TestHostSat:
     def test_reference_when_no_algorithm(self):
         a = matrix(100)  # not tile-aligned: only the plain scan handles it
         assert np.array_equal(
-            compute_sat(a, algorithm=None, simulate=False).sat,
+            compute_sat(a, algorithm=None, engine=None).sat,
             sat_reference(a))
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError, match="engine"):
+        with pytest.raises(ConfigurationError, match="unknown backend"):
             compute_sat(matrix(96), engine="gpu")
 
     def test_workers_forwarded_to_wavefront(self):
@@ -62,15 +61,10 @@ class TestComputeSat:
         assert result.params["engine"] == engine
         assert np.array_equal(result.sat, sat_reference(a))
 
-    def test_engine_and_gpu_mutually_exclusive(self):
-        from repro.gpusim import GPU
-        with pytest.raises(ConfigurationError, match="exclusive"):
-            compute_sat(matrix(96), engine="wavefront", gpu=GPU())
-
     def test_serial_engine_matches_default_host(self):
         a = matrix(96)
-        viaengine = compute_sat(a, engine="serial", simulate=False)
-        plain = compute_sat(a, simulate=False)
+        viaengine = compute_sat(a, engine="serial")
+        plain = compute_sat(a, engine=None)
         assert np.array_equal(viaengine.sat, plain.sat)
 
     def test_workers_forwarded(self):
@@ -90,7 +84,8 @@ class TestComputeSat:
         assert result.algorithm == "(1+r)R1W"
 
     def test_simulator_params_rejected_on_host_engines(self):
-        with pytest.raises(ConfigurationError, match="simulator"):
+        """``compute_sat`` takes no algorithm parameters on any engine."""
+        with pytest.raises(TypeError, match="'r'"):
             compute_sat(matrix(96), algorithm="hybrid", engine="wavefront",
                         r=0.5)
 
@@ -100,14 +95,15 @@ class TestCLI:
         code = cli_main(list(argv))
         return code, capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", engine_backends())
+    @pytest.mark.parametrize("engine", known_backends())
     def test_run_engine_flag(self, capsys, engine):
         code, out = self.run_cli(capsys, "run", "-n", "64",
                                  "--engine", engine)
         assert code == 0
         assert "correct vs reference: True" in out
-        if engine != "serial":
-            assert "host path" in out
+        simulated = get_spec(engine).kind == "device"
+        assert ("host path" in out) != simulated
+        assert ("reads/element" in out) == simulated
 
     def test_run_engine_with_workers(self, capsys):
         code, out = self.run_cli(capsys, "run", "-n", "64",
@@ -127,14 +123,10 @@ class TestApps:
         assert np.allclose(box_filter(img, 3, engine="wavefront"), base)
         assert np.allclose(box_filter(img, 3, engine="parallel"), base)
 
-    def test_box_filter_engine_vs_gpu_exclusive(self):
-        from repro.gpusim import GPU
-        with pytest.raises(ConfigurationError, match="exclusive"):
-            box_filter(matrix(64), 2, engine="wavefront", gpu=GPU())
-
     @pytest.mark.parametrize("app", [box_filter, local_moments])
     def test_gpu_without_algorithm_runs_the_simulator(self, app):
-        """``gpu=`` alone runs gpusim's default algorithm on that GPU."""
+        """``engine=GPU(...)`` runs gpusim's default algorithm on that
+        GPU."""
         from repro.gpusim import GPU
 
         class CountingGPU(GPU):
@@ -145,7 +137,7 @@ class TestApps:
                 return super().alloc(*args, **kwargs)
         img = matrix(64, seed=15)
         gpu = CountingGPU()
-        got = np.asarray(app(img, 2, gpu=gpu))
+        got = np.asarray(app(img, 2, engine=gpu))
         assert gpu.allocs > 0
         assert np.array_equal(got, np.asarray(app(img, 2)))
 

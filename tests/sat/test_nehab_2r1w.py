@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.analysis import check_result
 from repro.gpusim import GPU
-from repro.gpusim.counters import LaunchSummary
 from repro.primitives.tile import (TileGrid, global_col_sums, global_row_sums,
                                    global_sum, local_col_sums, local_row_sums,
                                    local_sum)
@@ -28,7 +27,7 @@ class Test2R1W:
         alg = Nehab2R1W()
         a_buf = gpu.alloc("_sat_a", (n, n), np.float64, fill=small_matrix)
         b_buf = gpu.alloc("_sat_b", (n, n), np.float64)
-        alg._run_device(gpu, a_buf, b_buf, TileGrid(n=n, W=32), LaunchSummary())
+        alg._run_device(gpu, a_buf, b_buf, TileGrid(n=n, W=32))
         grid = TileGrid(n=n, W=32)
         lrs = gpu.read("_sat_s_lrs")
         lcs = gpu.read("_sat_s_lcs")

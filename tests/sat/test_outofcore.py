@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.gpusim import GPU
 from repro.sat import sat_reference
 from repro.sat.outofcore import (OutOfCoreSAT, band_bounds, out_of_core_sat,
                                  stitch_band)
@@ -56,7 +55,7 @@ class TestOutOfCoreSat:
     def test_square_bands_through_simulator(self, rng):
         a = rng.integers(0, 9, size=(128, 64)).astype(float)
         got = out_of_core_sat(a, band_rows=64, algorithm="skss-lb",
-                              gpu_factory=lambda: GPU(seed=3))
+                              engine="gpusim")
         assert np.array_equal(got, sat_reference(a))
 
     def test_non_square_bands_fall_back_to_reference(self, rng):

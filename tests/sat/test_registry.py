@@ -42,33 +42,33 @@ class TestRegistry:
 
 class TestComputeSat:
     def test_default_is_the_papers_algorithm(self, small_matrix):
-        res = compute_sat(small_matrix, gpu=GPU(seed=1))
+        res = compute_sat(small_matrix, engine=GPU(seed=1))
         assert res.algorithm == "1R1W-SKSS-LB"
         assert np.array_equal(res.sat, sat_reference(small_matrix))
 
     def test_host_path(self, small_matrix):
-        res = compute_sat(small_matrix, simulate=False)
+        res = compute_sat(small_matrix, engine="serial")
         assert res.report is None
         assert np.array_equal(res.sat, sat_reference(small_matrix))
 
     def test_host_result_properties_raise(self, small_matrix):
-        res = compute_sat(small_matrix, simulate=False)
+        res = compute_sat(small_matrix, engine="serial")
         with pytest.raises(ConfigurationError):
             _ = res.kernel_calls
         with pytest.raises(ConfigurationError):
             _ = res.max_threads
 
     def test_summary_strings(self, small_matrix):
-        sim = compute_sat(small_matrix, gpu=GPU(seed=1))
-        host = compute_sat(small_matrix, simulate=False)
+        sim = compute_sat(small_matrix, engine=GPU(seed=1))
+        host = compute_sat(small_matrix, engine="serial")
         assert "kernels=1" in sim.summary()
         assert "host path" in host.summary()
 
     def test_algorithm_selection(self, small_matrix):
-        res = compute_sat(small_matrix, algorithm="2r1w", gpu=GPU(seed=1))
+        res = compute_sat(small_matrix, algorithm="2r1w", engine=GPU(seed=1))
         assert res.algorithm == "2R1W"
         assert res.kernel_calls == 3
 
     def test_tile_width_forwarded(self, medium_matrix):
-        res = compute_sat(medium_matrix, tile_width=64, simulate=False)
+        res = compute_sat(medium_matrix, tile_width=64, engine="serial")
         assert res.params["tile_width"] == 64

@@ -77,15 +77,13 @@ class TestExecution:
         n = small_matrix.shape[0]
         a_buf = gpu.alloc("_sat_a", (n, n), np.float64, fill=small_matrix)
         b_buf = gpu.alloc("_sat_b", (n, n), np.float64)
-        from repro.gpusim.counters import LaunchSummary
         from repro.primitives.tile import TileGrid
-        alg._run_device(gpu, a_buf, b_buf, TileGrid(n=n, W=32), LaunchSummary())
+        alg._run_device(gpu, a_buf, b_buf, TileGrid(n=n, W=32))
         assert (gpu.read("_sat_s_R") == 4).all()
         assert (gpu.read("_sat_s_C") == 2).all()
 
     def test_published_aggregates_are_correct(self, small_matrix):
         """GRS/GCS/GS scratch arrays must hold the Table II values."""
-        from repro.gpusim.counters import LaunchSummary
         from repro.primitives.tile import (TileGrid, global_col_sums,
                                            global_row_sums, global_sum)
         gpu = GPU(seed=2)
@@ -93,7 +91,7 @@ class TestExecution:
         alg = SKSSLB1R1W()
         a_buf = gpu.alloc("_sat_a", (n, n), np.float64, fill=small_matrix)
         b_buf = gpu.alloc("_sat_b", (n, n), np.float64)
-        alg._run_device(gpu, a_buf, b_buf, TileGrid(n=n, W=32), LaunchSummary())
+        alg._run_device(gpu, a_buf, b_buf, TileGrid(n=n, W=32))
         grid = TileGrid(n=n, W=32)
         t = grid.tiles_per_side
         grs = gpu.read("_sat_s_grs")

@@ -18,7 +18,7 @@ class TestRun:
         assert "correct vs reference: True" in out
 
     def test_host_path(self, capsys):
-        code, out = run_cli(capsys, "run", "-n", "64", "--host")
+        code, out = run_cli(capsys, "run", "-n", "64", "--engine", "serial")
         assert code == 0
         assert "host path" in out
 
@@ -190,10 +190,10 @@ class TestDistributed:
     def test_run_shards_without_distributed_rejected(self, capsys):
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError,
-                           match="--engine distributed"):
+                           match="use the distributed backend"):
             run_cli(capsys, "run", "-n", "48", "--shards", "3")
         with pytest.raises(ConfigurationError,
-                           match="--engine distributed"):
+                           match="use the distributed backend"):
             run_cli(capsys, "run", "-n", "48", "--engine", "wavefront",
                     "--shards", "3")
 
