@@ -18,9 +18,11 @@ The modes share one harness (``repro fuzz --mode``, :data:`FUZZ_MODES`):
     Edit-sequence fuzzing of
     :class:`~repro.hostexec.incremental.IncrementalSAT`: a random frame
     takes a random sequence of rectangle writes, tile writes,
-    sparse frame deltas and frame advances, and after *every* edit the
-    resident table must be bit-identical to a from-scratch host computation
-    of the current input (same accumulator dtype), with the carry planes
+    sparse frame deltas and frame advances (half of them with the frame in
+    the input dtype, as :class:`~repro.apps.video.VideoSAT` passes it), and
+    after *every* edit the resident input must equal the edited frame and
+    the resident table must be bit-identical to a from-scratch host
+    computation of it (same accumulator dtype), with the carry planes
     matching their Table II oracles at the end.  Shapes are rectangular
     (ragged tile edges included) and dtypes span integer and float
     accumulators, so both repair strategies get adversarial coverage; float
@@ -547,7 +549,8 @@ def _run_distsat(config: FuzzConfig) -> str | None:
 
 
 def _run_incremental(config: FuzzConfig) -> str | None:
-    """Replay one edit sequence, checking bit-identity after every edit."""
+    """Replay one edit sequence, checking the resident input and the
+    table's bit-identity after every edit."""
     from repro.hostexec.incremental import IncrementalSAT, verify_state
 
     a = config.build_matrix()
@@ -598,20 +601,31 @@ def _run_incremental(config: FuzzConfig) -> str | None:
                 inc.delta(d)
                 current += d
             else:  # advance
-                frame = current.copy()
                 h = int(rng.integers(1, rows + 1))
                 w = int(rng.integers(1, cols + 1))
                 top = int(rng.integers(0, rows - h + 1))
                 left = int(rng.integers(0, cols - w + 1))
-                frame[top:top + h, left:left + w] += \
-                    _fuzz_values(rng, (h, w), inc.dtype, 1, 20)
+                if rng.random() < 0.5:
+                    # VideoSAT's path: a frame in the input dtype, compared
+                    # with the resident input through the accumulator cast.
+                    frame = current.astype(a.dtype)
+                    frame[top:top + h, left:left + w] = \
+                        _fuzz_values(rng, (h, w), a.dtype)
+                else:
+                    frame = current.copy()
+                    frame[top:top + h, left:left + w] += \
+                        _fuzz_values(rng, (h, w), inc.dtype, 1, 20)
                 inc.advance(frame)
-                current = frame
+                current = frame.astype(inc.dtype)
+            where = f"edit {e} ({kind}, strategy={inc.strategy})"
+            if not np.array_equal(inc.input, current):
+                bad = int(np.argmax(inc.input != current))
+                return (f"{where}: resident input diverged from the edited "
+                        f"frame (first mismatch at flat index {bad})")
             want = oracle.run_host(current, dtype_policy=inc.dtype)
             if not np.array_equal(inc.sat, want):
                 bad = int(np.argmax(inc.sat != want))
-                return (f"edit {e} ({kind}, strategy={inc.strategy}): "
-                        f"SAT diverged from full recompute "
+                return (f"{where}: SAT diverged from full recompute "
                         f"(first mismatch at flat index {bad})")
         findings = verify_state(inc, check_sat=False)
         if findings:

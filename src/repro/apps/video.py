@@ -113,12 +113,8 @@ class VideoSAT:
 
     def process(self, frame: np.ndarray) -> FrameStats:
         """Absorb the next frame and return its SAT-derived statistics."""
-        if self._index == 0:
+        if self._index == 0 and not self._inc.changed_tiles(frame).any():
             sat = self._inc.sat  # the constructor already built frame 0
-            if not np.array_equal(
-                    np.asarray(frame).astype(self._inc.dtype, copy=False),
-                    self._inc.input):
-                sat = self._inc.advance(frame)
         else:
             sat = self._inc.advance(frame)
         stats = self._inc.stats

@@ -66,8 +66,9 @@ class BackendSpec:
     ``retains_state`` marks backends whose ``execute_with_carries`` returns
     a typed :class:`~repro.backend.carries.CarrySet`.  ``algorithm_agnostic``
     marks backends that compute the same SAT regardless of ``algorithm=``
-    (the banded parallel scan) — the differential layer compares them
-    against the plain reference instead of a per-algorithm oracle.
+    (the banded parallel scan): their plans record ``algorithm=None``, and
+    the differential layer compares them against the plain reference
+    instead of a per-algorithm oracle.
     """
 
     name: str
@@ -142,14 +143,16 @@ class Backend(ABC):
 
         Raises :class:`~repro.errors.ConfigurationError` on *any* invalid
         setting — bad shape, non-numeric or unsupported dtype, unknown or
-        unsupported algorithm, non-positive tile width / worker count —
-        before any input data is touched (SWAMP-style fail-fast).
+        unsupported algorithm, non-positive tile width / worker count, a
+        worker count for a backend without a worker pool — before any input
+        data is touched (SWAMP-style fail-fast).  An ``algorithm_agnostic``
+        backend validates the name but plans ``algorithm=None``: its result
+        names the reference scan that ran.
         """
         spec = self.spec
         rows, cols = self._check_shape(shape)
         tile_width = positive_int(tile_width, "tile_width")
-        if workers is not None:
-            workers = positive_int(workers, "workers")
+        workers = self._check_workers(workers)
         band_rows = self._check_band_rows(band_rows, rows, tile_width)
         shards = self._check_shards(shards, rows)
         try:
@@ -174,6 +177,10 @@ class Backend(ABC):
                 raise ConfigurationError(
                     f"the {spec.name} backend does not support algorithm "
                     f"'{name}'; supported: {', '.join(supported)}")
+        if spec.algorithm_agnostic:
+            # The name is valid but does not choose the dataflow: record
+            # what runs (the plain reference scan), not what was asked for.
+            name, tile_based = None, False
         grid = TileGrid(rows=rows, cols=cols, W=tile_width) \
             if tile_based else None
         plan = ExecutionPlan(backend=spec.name, algorithm=name, rows=rows,
@@ -199,6 +206,16 @@ class Backend(ABC):
             raise ConfigurationError(
                 f"matrix dimensions must be positive, got {rows}x{cols}")
         return rows, cols
+
+    def _check_workers(self, workers: int | None) -> int | None:
+        """Hook: only backends with a worker pool (wavefront, parallel,
+        distributed) accept ``workers``."""
+        if workers is not None:
+            raise ConfigurationError(
+                f"workers is not meaningful for the {self.spec.name} "
+                "backend, which has no worker pool (use wavefront, parallel "
+                "or distributed)")
+        return None
 
     def _check_band_rows(self, band_rows: int | None, rows: int,
                          tile_width: int) -> int | None:

@@ -45,7 +45,14 @@ class SerialBackend(Backend):
         return alg.run_host(a, dtype_policy=plan.acc_dtype)
 
 
-class WavefrontBackend(Backend):
+class _PooledBackend(Backend):
+    """A backend that runs on a worker pool sized by ``workers=``."""
+
+    def _check_workers(self, workers: int | None) -> int | None:
+        return None if workers is None else positive_int(workers, "workers")
+
+
+class WavefrontBackend(_PooledBackend):
     """Dependency-driven tile chunks on a thread pool (bit-identical)."""
 
     def __init__(self, engine=None) -> None:
@@ -101,9 +108,10 @@ class WavefrontBackend(Backend):
         return sat, carry
 
 
-class ParallelBackend(Backend):
+class ParallelBackend(_PooledBackend):
     """Fork/join banded 2R2W scan — computes the same SAT whatever the
-    ``algorithm=`` says (``spec.algorithm_agnostic``)."""
+    ``algorithm=`` says (``spec.algorithm_agnostic``), so its plans and
+    results name no algorithm."""
 
     def __init__(self) -> None:
         from repro.backend.registry import get_spec
@@ -155,7 +163,7 @@ class GpusimBackend(Backend):
         return self.run(plan, a).sat
 
 
-class DistributedBackend(Backend):
+class DistributedBackend(_PooledBackend):
     """Sharded band workers behind the work-queue protocol.
 
     The image is split into ``shards`` contiguous band shards, fanned out

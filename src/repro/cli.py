@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="worker threads for the wavefront/parallel "
                           "engines (default: REPRO_WORKERS or all cores); "
                           "for the distributed engine, >1 uses real worker "
-                          "processes")
+                          "processes; rejected by serial and gpusim")
     run.add_argument("--shards", type=int, default=None,
                      help="band-shard count for --engine distributed "
                           "(default 2; rejected by other engines)")

@@ -88,7 +88,9 @@ def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
         Paper name or alias; defaults to the paper's 1R1W-SKSS-LB.  ``None``
         means the executor's default: the backend's ``default_algorithm``,
         or the plain double scan when it has none (the serial and parallel
-        engines).
+        engines).  The ``parallel`` engine always runs its banded plain
+        scan: it validates the name, and its result's ``algorithm`` is
+        ``None`` (``summary()`` reads "reference").
     engine:
         The executor: a name from
         :func:`~repro.backend.registry.known_backends` (default ``"gpusim"``,
@@ -100,7 +102,8 @@ def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
     workers:
         Worker count for the ``wavefront``/``parallel``/``distributed``
         engines (for ``distributed``, ``workers > 1`` switches from the
-        in-process transport to real worker processes).  With a
+        in-process transport to real worker processes); the engines with
+        no worker pool (``serial``, ``gpusim``) reject it.  With a
         :class:`~repro.hostexec.WavefrontEngine` instance it must be
         ``None`` or that engine's own worker count.
     shards:

@@ -134,6 +134,22 @@ class TestIncrementalMode:
                 break
         assert failed
 
+    def test_detects_a_planted_detection_bug(self, monkeypatch):
+        """A detector blind to the last tile column leaves changed tiles
+        stale, and the per-edit input and SAT checks catch it."""
+        from repro.hostexec.incremental import IncrementalSAT
+
+        real = IncrementalSAT.changed_tiles
+
+        def blind(self, frame):
+            mask = real(self, frame)
+            mask[:, -1] = False
+            return mask
+        monkeypatch.setattr(IncrementalSAT, "changed_tiles", blind)
+        rng = np.random.default_rng(0)
+        assert any(run_one(sample_incremental_config(rng)) is not None
+                   for _ in range(20))
+
     @pytest.mark.slow
     def test_long_session_clean(self):
         report = fuzz(150, seed=2018, mode="incremental")

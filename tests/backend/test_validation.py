@@ -26,6 +26,16 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError, match="workers"):
             backend.plan((32, 32), "float64", tile_width=W, workers=bad)
 
+    def test_workers_only_on_pooled_backends(self, backend, spec, W):
+        """``workers=`` sizes a worker pool; a backend without one refuses
+        it at planning time instead of ignoring it."""
+        if spec.name in ("wavefront", "parallel", "distributed"):
+            assert backend.plan((32, 32), "float64", tile_width=W,
+                                workers=2).workers == 2
+        else:
+            with pytest.raises(ConfigurationError, match="no worker pool"):
+                backend.plan((32, 32), "float64", tile_width=W, workers=2)
+
     @pytest.mark.parametrize("bad", [(0, 5), (5, 0), (-2, 5), (3,),
                                      (3, 4, 5), "nope"])
     def test_bad_shape_rejected(self, backend, W, bad):
@@ -102,11 +112,13 @@ def test_workers_must_match_a_caller_managed_engine():
 
 def _simulator_cases():
     """The simulator route's bad settings: on the default engine and on a
-    caller's GPU, two that every backend refuses and two that only the
-    warp-wide simulator refuses (``tile_width=16``)."""
+    caller's GPU, two that every backend refuses and three that only the
+    simulator refuses (a worker count, which it has no pool for, and the
+    sub-warp ``tile_width=16``)."""
     from repro.gpusim import GPU
     bad = {"workers-negative": {"workers": -1},
            "workers-str": {"workers": "x"},
+           "workers-4": {"workers": 4},
            "tile_width-16": {"tile_width": 16},
            "tile_width-float": {"tile_width": 2.5}}
     return [pytest.param(dict(kwargs, **route), id=f"{name}-{case}")
@@ -120,6 +132,7 @@ def _simulator_cases():
     pytest.param({"engine": None, "workers": -1}, id="workers-negative"),
     pytest.param({"engine": "serial", "workers": "x"},
                  id="serial-workers-str"),
+    pytest.param({"engine": "serial", "workers": 4}, id="serial-workers-4"),
     *_simulator_cases()])
 def test_compute_sat_host_calls_are_planned(kwargs, monkeypatch):
     """Every call of ``compute_sat`` (the serial and simulator routes

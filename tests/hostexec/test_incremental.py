@@ -7,6 +7,8 @@ accumulator dtype against the same serial tile algebra), for every
 algorithm, strategy, dtype, tile width, ragged shape and worker count.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,146 @@ class TestEditKinds:
             assert np.array_equal(
                 inc.update(10, 10, np.empty((0, 5), dtype=np.int32)), before)
             assert np.array_equal(inc.update_tiles([]), before)
+
+
+#: Frame dtype x dtype policy pairs for the detection pins: every input
+#: dtype under the default policy, plus two unsafe casts that can hide a
+#: change (float64 frames under a float32 accumulator, int64 frames above
+#: 2**53 under float64).
+DETECTION_CASES = [(dt, None) for dt in ("uint8", "int32", "uint64",
+                                         "float16", "float32", "float64",
+                                         "bool")] \
+    + [("float64", np.float32), ("int64", "float64")]
+
+
+def _frame(rng, shape, dtype):
+    dt = np.dtype(dtype)
+    if dt == np.bool_:
+        return rng.integers(0, 2, size=shape).astype(bool)
+    if dt == np.uint64:    # near the top of the range: deltas wrap
+        return (np.uint64(2**64 - 2**40)
+                + rng.integers(0, 2**40, size=shape).astype(np.uint64))
+    if dt == np.int64:     # above 2**53: neighbours round together in f64
+        return 2**60 + rng.integers(0, 2**10, size=shape)
+    return _data(rng, shape, dt)
+
+
+def _next_frame(rng, frame):
+    """The frame with one rectangle nudged by a step the accumulator cast
+    may swallow (one ulp of the input, 1 for ints, a flip for bools) and
+    0-2 more rewritten."""
+    frame = frame.copy()
+    rows, cols = frame.shape
+    for k in range(int(rng.integers(0, 3)) + 1):
+        h, w = int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))
+        top = int(rng.integers(0, rows - h + 1))
+        left = int(rng.integers(0, cols - w + 1))
+        block = frame[top:top + h, left:left + w]
+        if k == 0 and frame.dtype == np.bool_:
+            block[...] = ~block
+        elif k == 0 and np.issubdtype(frame.dtype, np.integer):
+            block += 1
+        elif k == 0:
+            block[...] = np.nextafter(block, np.inf)
+        else:
+            block[...] = _frame(rng, (h, w), frame.dtype)
+    return frame
+
+
+def _expected_stats(inc, frame):
+    """``(dirty_tiles, repaired_tiles)`` from the tiles holding an element
+    where ``frame.astype(acc) != input`` (ragged edge tiles included)."""
+    W, grid = inc.tile_width, inc.grid
+    changed = frame.astype(inc.dtype) != inc.input
+    dirty = {(I, J) for I in range(grid.tile_rows)
+             for J in range(grid.tile_cols)
+             if changed[W * I:W * I + W, W * J:W * J + W].any()}
+    if not dirty:
+        return 0, 0
+    I0, J0 = min(I for I, _ in dirty), min(J for _, J in dirty)
+    if inc.strategy == "delta":    # bounding rectangle, down-right quadrant
+        I1, J1 = max(I for I, _ in dirty), max(J for _, J in dirty)
+        return ((I1 - I0 + 1) * (J1 - J0 + 1),
+                (grid.tile_rows - I0) * (grid.tile_cols - J0))
+    closure = sum(1 for I in range(grid.tile_rows)
+                  for J in range(grid.tile_cols)
+                  if any(i <= I and j <= J for i, j in dirty))
+    return len(dirty), closure
+
+
+class TestDetection:
+    """``advance`` dirties exactly the tiles whose cast frame differs."""
+
+    @pytest.mark.parametrize("dtype,policy", DETECTION_CASES)
+    @pytest.mark.parametrize("tile_width", [16, 32])
+    @pytest.mark.parametrize("shape", [(64, 96), (70, 45), (33, 97)])
+    def test_advance_dirties_what_changed(self, rng, dtype, policy,
+                                          tile_width, shape):
+        frame = _frame(rng, shape, dtype)
+        with IncrementalSAT(frame, tile_width=tile_width,
+                            dtype_policy=policy, workers=1) as inc:
+            for _ in range(4):
+                frame = _next_frame(rng, frame)
+                want_stats = _expected_stats(inc, frame)
+                got = inc.advance(frame)
+                stats = inc.stats
+                assert (stats.dirty_tiles, stats.repaired_tiles) \
+                    == want_stats
+                assert np.array_equal(inc.input, frame.astype(inc.dtype))
+                assert np.array_equal(
+                    got, _reference(inc, frame.astype(inc.dtype)))
+
+    def test_non_finite_and_signed_zero(self):
+        """Pinned: detection is ``!=`` in the accumulator dtype.  An
+        unchanged ±inf is unchanged; NaN never equals itself, so a tile
+        holding one is rewritten and recomputed on every frame; and
+        ``-0.0 == 0.0``, so a sign flip alone dirties nothing and the
+        resident keeps its zero."""
+        a = np.ones((48, 48))
+        a[0, 0], a[20, 40] = np.inf, -np.inf     # tiles (0, 0), (1, 2)
+        a[40, 5] = np.nan                        # tile (2, 0)
+        a[17, 1] = 0.0                           # tile (1, 0)
+        with np.errstate(invalid="ignore"), \
+                IncrementalSAT(a, tile_width=16, workers=1) as inc:
+            frame = a.copy()
+            frame[17, 1] = -0.0
+            frame[33, 33] = 2.0                  # tile (2, 2)
+            got = inc.advance(frame)
+            assert (inc.stats.dirty_tiles, inc.stats.repaired_tiles) \
+                == (2, 3)                        # (2, 0), (2, 2); row 2
+            assert not np.signbit(inc.input[17, 1])
+            assert np.array_equal(inc.input, frame, equal_nan=True)
+            assert np.array_equal(got, _reference(inc, frame),
+                                  equal_nan=True)
+            inc.advance(frame)                   # only the NaN tile again
+            assert (inc.stats.dirty_tiles, inc.stats.repaired_tiles) \
+                == (1, 3)
+            frame[0, 0] = -np.inf                # a real change of sign
+            got = inc.advance(frame)
+            assert (inc.stats.dirty_tiles, inc.stats.repaired_tiles) \
+                == (2, 9)
+            assert np.array_equal(got, _reference(inc, frame),
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32])
+    def test_advance_allocates_less_than_half_a_frame(self, rng, dtype):
+        """One moved patch on a tile-aligned 512² frame: detection makes no
+        full-frame cast or difference, so ``advance`` peaks below half an
+        accumulator-dtype frame."""
+        n, block = 512, 40
+        background = _data(rng, (n, n), dtype)
+        before, after = background.copy(), background.copy()
+        before[100:100 + block, 200:200 + block] = 255
+        after[120:120 + block, 220:220 + block] = 255
+        with IncrementalSAT(before, workers=1) as inc:
+            tracemalloc.start()
+            try:
+                inc.advance(after)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * inc.dtype.itemsize / 2
+            assert np.array_equal(inc.input, after.astype(inc.dtype))
 
 
 class TestStateAndAPI:

@@ -83,6 +83,16 @@ class TestComputeSat:
         result = compute_sat(a, algorithm="hybrid", engine="wavefront")
         assert result.algorithm == "(1+r)R1W"
 
+    def test_parallel_result_names_the_scan_that_ran(self):
+        """The banded scan runs whatever ``algorithm=`` says, so its result
+        names the reference scan; the name is still validated."""
+        result = compute_sat(matrix(96), algorithm="skss-lb",
+                             engine="parallel")
+        assert result.algorithm is None
+        assert result.summary() == "reference: n=96 (host path)"
+        with pytest.raises(ConfigurationError, match="unknown SAT algorithm"):
+            compute_sat(matrix(96), algorithm="no-such", engine="parallel")
+
     def test_simulator_params_rejected_on_host_engines(self):
         """``compute_sat`` takes no algorithm parameters on any engine."""
         with pytest.raises(TypeError, match="'r'"):
@@ -110,6 +120,30 @@ class TestCLI:
                                  "--engine", "wavefront", "--workers", "2")
         assert code == 0
         assert "correct vs reference: True" in out
+
+    def test_run_parallel_reports_the_reference_scan(self, capsys,
+                                                     monkeypatch):
+        """``run --engine parallel`` names the scan that ran and holds it to
+        the worst-case tolerance, not the default algorithm's."""
+        from repro.analysis import tolerances
+        asked = []
+        real = tolerances.derived_tolerance
+
+        def spy(algorithm, *args, **kwargs):
+            asked.append(algorithm)
+            return real(algorithm, *args, **kwargs)
+        monkeypatch.setattr(tolerances, "derived_tolerance", spy)
+        code, out = self.run_cli(capsys, "run", "-n", "64",
+                                 "--engine", "parallel")
+        assert code == 0
+        assert out.splitlines()[0] == "reference: n=64 (host path)"
+        assert asked == [None]
+
+    @pytest.mark.parametrize("engine", ["serial", "gpusim"])
+    def test_run_rejects_workers_without_a_pool(self, engine):
+        with pytest.raises(ConfigurationError, match="no worker pool"):
+            cli_main(["run", "-n", "64", "--engine", engine,
+                      "--workers", "2"])
 
     def test_run_rejects_unknown_engine(self, capsys):
         with pytest.raises(SystemExit):
