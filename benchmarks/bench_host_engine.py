@@ -7,9 +7,12 @@ tile engine (:mod:`repro.hostexec`) and the fork/join banded 2R2W scan
 with the plain NumPy double cumsum as the baseline row of every size, and
 quantifies the batched-execution amortization (repeated ``compute`` calls
 on a warm engine vs one-shot calls that pay pool spin-up and plan
-construction every time).  Every time is reported as the median and interquartile range of
-``--repeats`` runs, next to the machine that produced it (cpu count, NumPy
-and Python versions).
+construction every time).  The sweep runs once per ``--dtypes`` entry:
+integer inputs take the engine's exact integer kernel, float inputs the
+per-algorithm float kernels.  Every time is reported as the median and
+interquartile range of ``--repeats`` runs, next to the machine that
+produced it (cpu count, NumPy and Python versions) and the engine's default
+worker count.
 
 Run modes:
 
@@ -20,8 +23,9 @@ Run modes:
 
 The smoke mode is wired into ``make test`` (target ``bench-smoke``): it
 asserts the wavefront engine is bit-identical to the serial host path on a
-shape whose tile rows split into several runs, and not slower than serial
-beyond a generous tolerance, exiting non-zero on failure.  Unlike the
+shape whose tile rows split into several runs — for a float64, an int32
+and a wrapping uint64 input — and not slower than serial beyond a generous
+tolerance, exiting non-zero on failure.  Unlike the
 ``bench_*`` pytest-benchmark modules, this file is a plain script (it
 defines no test functions) so it can emit a committed JSON artefact.
 """
@@ -42,7 +46,7 @@ REPO = Path(__file__).resolve().parent.parent
 if str(REPO / "src") not in sys.path:  # allow running without install
     sys.path.insert(0, str(REPO / "src"))
 
-from repro.hostexec import WavefrontEngine  # noqa: E402
+from repro.hostexec import WavefrontEngine, default_workers  # noqa: E402
 from repro.sat.parallel_host import parallel_sat  # noqa: E402
 from repro.sat.registry import get_algorithm  # noqa: E402
 
@@ -50,9 +54,9 @@ ALGORITHM = "1R1W-SKSS-LB"
 TILE_WIDTH = 32
 
 
-def _matrix(n: int, seed: int = 2018) -> np.ndarray:
+def _matrix(n: int, seed: int = 2018, dtype=np.float64) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 100, size=(n, n)).astype(np.float64)
+    return rng.integers(0, 100, size=(n, n)).astype(dtype)
 
 
 def _timed(fn, repeats: int) -> dict:
@@ -67,15 +71,18 @@ def _timed(fn, repeats: int) -> dict:
     return {"median_s": float(median), "iqr_s": float(q3 - q1)}
 
 
-def bench_size(n: int, workers_list: list[int], repeats: int) -> dict:
-    """NumPy vs serial vs wavefront (cold + warm) vs parallel at one size."""
-    a = _matrix(n)
+def bench_size(n: int, dtype: str, workers_list: list[int],
+               repeats: int) -> dict:
+    """NumPy vs serial vs wavefront (cold + warm) vs parallel at one size
+    and input dtype."""
+    a = _matrix(n, dtype=dtype)
     alg = get_algorithm(ALGORITHM, tile_width=TILE_WIDTH)
     serial_sat = alg.run_host(a)
     numpy = _timed(lambda: a.cumsum(axis=0).cumsum(axis=1), repeats)
     serial = _timed(lambda: alg.run_host(a), repeats)
 
-    row = {"n": n, "tile_width": TILE_WIDTH, "algorithm": ALGORITHM,
+    row = {"n": n, "dtype": dtype, "accumulator": serial_sat.dtype.name,
+           "tile_width": TILE_WIDTH, "algorithm": ALGORITHM,
            "numpy": numpy, "serial": serial, "wavefront": [], "parallel": []}
     for w in workers_list:
         with WavefrontEngine(workers=w) as eng:
@@ -83,7 +90,8 @@ def bench_size(n: int, workers_list: list[int], repeats: int) -> dict:
                                  tile_width=TILE_WIDTH)  # warms plan + pool
             if not np.array_equal(wf_sat, serial_sat):
                 raise AssertionError(
-                    f"wavefront (workers={w}) not bit-identical at n={n}")
+                    f"wavefront (workers={w}) not bit-identical at n={n}, "
+                    f"{dtype}")
             warm = _timed(lambda: eng.compute(a, algorithm=ALGORITHM,
                                               tile_width=TILE_WIDTH), repeats)
 
@@ -135,21 +143,23 @@ def run_full(args) -> int:
         "numpy": np.__version__,
         "python": platform.python_version(),
         "repro_workers_env": os.environ.get("REPRO_WORKERS"),
+        "default_workers": default_workers(),
         "repeats": args.repeats,
         "sizes": [],
         "batched": None,
         "acceptance": None,
     }
     for n in args.sizes:
-        print(f"n={n} ...", flush=True)
-        row = bench_size(n, args.workers, args.repeats)
-        results["sizes"].append(row)
-        wf = ", ".join(f"w={e['workers']}: {e['warm']['median_s']:.3f}s "
-                       f"({e['speedup_vs_serial']:.2f}x serial, "
-                       f"{e['ratio_vs_numpy']:.2f}x numpy)"
-                       for e in row["wavefront"])
-        print(f"  numpy {row['numpy']['median_s']:.3f}s | serial "
-              f"{row['serial']['median_s']:.3f}s | wavefront {wf}")
+        for dtype in args.dtypes:
+            print(f"n={n} {dtype} ...", flush=True)
+            row = bench_size(n, dtype, args.workers, args.repeats)
+            results["sizes"].append(row)
+            wf = ", ".join(f"w={e['workers']}: {e['warm']['median_s']:.3f}s "
+                           f"({e['speedup_vs_serial']:.2f}x serial, "
+                           f"{e['ratio_vs_numpy']:.2f}x numpy)"
+                           for e in row["wavefront"])
+            print(f"  numpy {row['numpy']['median_s']:.3f}s | serial "
+                  f"{row['serial']['median_s']:.3f}s | wavefront {wf}")
 
     print(f"batched n={args.batch_n} x{args.batch} ...", flush=True)
     results["batched"] = bench_batched(args.batch_n, args.batch,
@@ -159,13 +169,15 @@ def run_full(args) -> int:
           f"{b['one_shot_per_call_s']:.3f}s "
           f"({b['amortization_speedup']:.2f}x)")
 
-    # Acceptance: >=2x over serial at n=2048, W=32 with >=4 workers.
-    gate = None
+    # Acceptance: >=2x over serial at n=2048, W=32 with >=4 workers, for
+    # every dtype.
+    gates = []
     for row in results["sizes"]:
-        if row["n"] == 2048:
-            cands = [e for e in row["wavefront"] if e["workers"] >= 4]
-            if cands:
-                gate = max(e["speedup_vs_serial"] for e in cands)
+        cands = [e["speedup_vs_serial"] for e in row["wavefront"]
+                 if e["workers"] >= 4]
+        if row["n"] == 2048 and cands:
+            gates.append(max(cands))
+    gate = min(gates) if gates else None
     results["acceptance"] = {
         "wavefront_2x_at_2048": None if gate is None else gate >= 2.0,
         "best_speedup_at_2048": gate,
@@ -185,10 +197,11 @@ def run_smoke(args) -> int:
     """Fast gate for ``make test``: correctness plus a loose perf sanity.
 
     Bit-identity is checked on the *threaded* scheduler (workers=4 on split
-    rows, real dependency races); the perf gate uses the deterministic
-    workers=1 fast path, whose row-run kernels must beat the serial
-    per-tile loop — thread timings on shared CI boxes are too noisy to gate
-    on.
+    rows, real dependency races) for a float64 input (the float kernel), an
+    int32 input and a uint64 input of values >= 2**60 whose sums wrap (the
+    exact integer kernel); the perf gate uses the deterministic workers=1
+    fast path, whose row-run kernels must beat the serial per-tile loop —
+    thread timings on shared CI boxes are too noisy to gate on.
     """
     n = 512
     a = _matrix(n)
@@ -197,12 +210,20 @@ def run_smoke(args) -> int:
     serial = _timed(lambda: alg.run_host(a), 3)["median_s"]
 
     # At W=8 a row holds 64 tiles, so four workers split every row into
-    # four runs: the check covers split rows and cross-run hand-offs.
+    # four runs: the check covers split rows and cross-run hand-offs (runs
+    # starting at J0 > 0 take the seeded path of the integer kernel).
     split_w = 8
-    with WavefrontEngine(workers=4) as eng:
-        ok_bits = np.array_equal(
-            eng.compute(a, algorithm=ALGORITHM, tile_width=split_w),
-            get_algorithm(ALGORITHM, tile_width=split_w).run_host(a))
+    wrapping = np.random.default_rng(7).integers(
+        2**60, 2**64 - 1, size=(n, n), dtype=np.uint64, endpoint=True)
+    inputs = {"float64": a, "int32": _matrix(n, dtype=np.int32),
+              "uint64-wrap": wrapping}
+    bits = {}
+    with WavefrontEngine(workers=4) as eng, np.errstate(over="ignore"):
+        for name, x in inputs.items():
+            got = eng.compute(x, algorithm=ALGORITHM, tile_width=split_w)
+            want = get_algorithm(ALGORITHM, tile_width=split_w).run_host(x)
+            bits[name] = got.dtype == want.dtype and np.array_equal(got, want)
+    ok_bits = all(bits.values())
     with WavefrontEngine(workers=1) as eng:
         eng.compute(a, algorithm=ALGORITHM, tile_width=TILE_WIDTH)
         warm = _timed(lambda: eng.compute(a, algorithm=ALGORITHM,
@@ -211,9 +232,10 @@ def run_smoke(args) -> int:
 
     print(f"smoke n={n}: serial {serial * 1e3:.1f}ms, "
           f"wavefront(warm, 1w) {warm * 1e3:.1f}ms, "
-          f"bit-identical(4w, W={split_w})={ok_bits}, parallel-ok={ok_par}")
+          f"bit-identical(4w, W={split_w})={bits}, parallel-ok={ok_par}")
     if not ok_bits:
-        print("SMOKE FAIL: wavefront result differs from serial host path",
+        print("SMOKE FAIL: wavefront result differs from serial host path "
+              f"for {[k for k, ok in bits.items() if not ok]}",
               file=sys.stderr)
         return 1
     if not ok_par:
@@ -234,6 +256,9 @@ def main(argv=None) -> int:
     ap.add_argument("--sizes", type=int, nargs="+",
                     default=[512, 1024, 2048, 4096])
     ap.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4, 8])
+    ap.add_argument("--dtypes", nargs="+", default=["int32", "float64"],
+                    help="input dtypes of the sweep (one row per size and "
+                         "dtype)")
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--batch", type=int, default=10,
                     help="batch size for the warm-engine amortization run")

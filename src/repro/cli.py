@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "a worker pool with persisted carries)")
     run.add_argument("--workers", type=int, default=None,
                      help="worker threads for the wavefront/parallel "
-                          "engines (default: REPRO_WORKERS or all cores); "
+                          "engines (default: REPRO_WORKERS or 1); "
                           "for the distributed engine, >1 uses real worker "
                           "processes; rejected by serial and gpusim")
     run.add_argument("--shards", type=int, default=None,

@@ -17,12 +17,14 @@ transport would slot in without touching the coordinator or the worker.
     queues the look-back runs as a chained scan.
 
 :class:`ProcessTransport`
-    A real ``multiprocessing`` pool: one task queue per worker (so a dead
-    worker's *queued* messages survive its death and reach its replacement)
-    and one shared result queue; each process keeps its own held map.
-    Worker death — injected ``os._exit(17)`` or anything else — is detected
-    by liveness polling; the transport synthesizes the ``died`` message and
-    respawns a replacement on the same queues.
+    A real ``multiprocessing`` pool: one task queue per worker and one
+    shared result queue; each process keeps its own held map.  Worker death
+    — injected ``os._exit(17)`` or anything else — is detected by liveness
+    polling; the transport synthesizes the ``died`` message and respawns a
+    replacement on a fresh task queue (a process killed while it waits in
+    ``get()`` dies holding the old queue's read lock).  Messages still
+    queued for the dead worker are dropped with its queue: the coordinator
+    resubmits the shard that worker held.
 """
 
 from __future__ import annotations
@@ -147,6 +149,10 @@ class ProcessTransport:
         proc = self._procs[worker]
         if proc.is_alive():  # polite 'died': give the exit a moment
             proc.join(timeout=5.0)
+        stale = self._task_qs[worker]
+        stale.close()
+        stale.cancel_join_thread()
+        self._task_qs[worker] = self._mp.Queue()
         self._procs[worker] = self._spawn(worker)
 
     def close(self) -> None:

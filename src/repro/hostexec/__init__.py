@@ -8,7 +8,8 @@ wavefront over a persistent thread pool, with each tile row processed as a
 few runs of consecutive tiles, in place, with its in-row look-back resolved
 as a prefix scan.  See :mod:`repro.hostexec.engine` for the execution model,
 :mod:`repro.hostexec.plan` for the row-run schedule,
-:mod:`repro.hostexec.kernels` for the per-algorithm tile algebra and
+:mod:`repro.hostexec.kernels` for the row-run kernels (one exact kernel
+for integer accumulators, each algorithm's tile algebra for floats) and
 :mod:`repro.hostexec.incremental` for edit repair on a resident table.
 
 A SAT runs on the engine through :func:`repro.compute_sat`, with

@@ -24,9 +24,9 @@ for a caller-managed pool.
 
 Results are bit-identical to each algorithm's serial host path (in the same
 accumulator dtype) and independent of the worker count and of scheduling
-order: row-run kernels only read carries of tiles whose status word is DONE
-or that precede them in their own run, and each tile's algebra is a pure
-function of those values.
+order: row-run kernels only read carries (and, for integer accumulators,
+SAT entries) of tiles whose status word is DONE or that precede them in
+their own run, and each tile's algebra is a pure function of those values.
 
 Rectangular inputs follow the virtual zero-padding convention of
 :mod:`repro.sat.base`: the matrix is padded to tile multiples with zeros
@@ -104,7 +104,14 @@ class RetainedState:
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_WORKERS`` env var, else the full CPU count."""
+    """Worker count: the ``REPRO_WORKERS`` env var, else one.
+
+    One worker until a pool is measured to pay: on the two-core machine
+    ``BENCH_host_engine.json`` was recorded on, two workers are slower than
+    one at every size (the row-run kernels hand the GIL back and forth
+    between short NumPy calls).  An explicit ``workers=`` still builds a
+    pool of that size.
+    """
     env = os.environ.get("REPRO_WORKERS")
     if env:
         try:
@@ -115,7 +122,7 @@ def default_workers() -> int:
         if value <= 0:
             raise ConfigurationError("REPRO_WORKERS must be positive")
         return value
-    return max(1, os.cpu_count() or 1)
+    return 1
 
 
 class WavefrontEngine:

@@ -349,7 +349,8 @@ class IncrementalSAT:
         if self._strategy == "delta":
             rows, cols = self._dirty_span(mask)
             self._repair_rect(rows.start, cols.start,
-                              d[rows, cols].astype(acc, copy=False))
+                              d[rows, cols].astype(acc, copy=False),
+                              dirty_tiles=int(mask.sum()))
         else:
             resident = state.work[:self.rows, :self.cols]
             for tile in self._dirty_slices(mask):
@@ -393,7 +394,8 @@ class IncrementalSAT:
             rows, cols = self._dirty_span(mask)
             self._repair_rect(rows.start, cols.start, np.subtract(
                 frame[rows, cols], resident[rows, cols],
-                dtype=resident.dtype, casting="unsafe"))
+                dtype=resident.dtype, casting="unsafe"),
+                dirty_tiles=int(mask.sum()))
         else:
             for tile in self._dirty_slices(mask):
                 resident[tile] = frame[tile]
@@ -470,6 +472,8 @@ class IncrementalSAT:
         rectangle and along columns below it, so the committed table takes
         one small double cumsum plus three broadcast adds, and each carry
         plane takes the matching prefix deltas on its dirty strips.
+        ``dirty_tiles`` is the number of tiles whose input changed (default:
+        every tile the rectangle overlaps).
         """
         state = self._required_state()
         grid, W = state.grid, state.grid.W

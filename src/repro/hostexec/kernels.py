@@ -1,34 +1,64 @@
-"""Row-run kernels: the tile algebra of each algorithm over one tile-row run.
+"""Row-run kernels: the SAT of one tile-row run and the carries it publishes.
 
 Each kernel executes one :class:`~repro.hostexec.plan.Chunk` — consecutive
-tiles ``T(I, J0) .. T(I, J1-1)`` of one tile row — for its algorithm,
-producing exactly the same published quantities (and in exactly the same
-floating-point order) as that algorithm's serial ``_run_host`` loop, but in a
-handful of NumPy calls over the whole run instead of ``J1 - J0`` trips
-through the interpreter.  That batching is where the engine's single-core
-speedup comes from; bit-identity is what lets the wavefront engine replace
-the serial path under the tests.
+tiles ``T(I, J0) .. T(I, J1-1)`` of one tile row — in a handful of NumPy
+calls over the whole run instead of ``J1 - J0`` trips through the
+interpreter.  That batching is where the engine's single-core speedup comes
+from; bit-identity with each algorithm's serial ``_run_host`` loop is what
+lets the wavefront engine replace the serial path under the tests.
 
 A run is one contiguous ``W x (J1-J0)·W`` block of the matrix.  Each kernel
 copies it from the input view ``a4`` into the result view
 ``out4[I, :, J0:J1, :]`` — casting to the accumulator dtype on the way — and
-assembles the GSAT tiles there in place.  The in-row look-back (GRS of tile
-``J`` is GRS of tile ``J-1`` plus LRS of tile ``J``) is the same sequential
-recurrence the serial loop runs, resolved for the whole run by one
-``np.cumsum`` seeded with the carry at ``J0-1`` (2R1W's GS chain likewise);
-the in-tile column prefix is ``W-1`` row adds over the run.
+finishes the SAT there in place.  Which kernel runs depends on the
+accumulator dtype, and each registered :attr:`KernelSpec.run` makes that
+switch itself, so every caller (the wavefront engine, incremental repair,
+the distsat bands) reaches the right one unchanged:
 
-Bit-identity holds because every per-tile operation maps to an elementwise or
-per-lane operation with an unchanged reduction order: ``cumsum`` and the row
-adds are strictly sequential recurrences per lane, a sum over tile columns
-adds rows one after another, and NumPy's pairwise ``sum`` over a contiguous
-axis depends only on the reduced length ``W``, not on the strides or the
-number of tiles in the run.  The equivalence tests assert ``np.array_equal``
-(not ``allclose``) against the serial path for every algorithm.
+Integer accumulators — one exact kernel for all five algorithms
+    (:func:`chunk_exact`).  Integer addition wraps modulo ``2**bits`` and is
+    associative there, so any order of the same additions gives the same
+    bits, wrap-around included.  The run takes one ``np.cumsum`` along each
+    of its ``W`` rows (``(J1-J0)·W`` elements long, seeded at column 0 with
+    ``GRS(I, J0-1)``), the SAT row directly above the run (produced by the
+    up dependency) is added to its first row, and ``W-1`` row adds finish
+    the column prefix.  Every carry plane is then read off the finished
+    run, in the accumulator dtype:
+
+    * GRS — the tile-end columns of the row scan;
+    * GCS — the first difference of the run's bottom SAT row, seeded with
+      ``SAT(bottom, J0·W-1)`` from the left dependency;
+    * GS — the tiles' bottom-right corners;
+    * 2R1W's column-accumulated GS chain — the first difference of GS;
+    * 1R1W-SKSS's GCP — the bottom SAT row itself.
+
+Float accumulators — each algorithm's own dataflow
+    (:func:`chunk_skss_lb`, :func:`chunk_wavefront_corner`,
+    :func:`chunk_skss`, :func:`chunk_nehab`), in exactly the serial loop's
+    floating-point order.  The in-row look-back (GRS of tile ``J`` is GRS of
+    tile ``J-1`` plus LRS of tile ``J``) is the serial recurrence, resolved
+    for the whole run by one ``np.cumsum`` seeded with the carry at ``J0-1``
+    (2R1W's GS chain likewise); the in-tile row prefix is one ``cumsum`` of
+    ``W``-element lanes and the column prefix is ``W-1`` row adds.  Every
+    per-tile operation maps to an elementwise or per-lane operation with an
+    unchanged reduction order: ``cumsum`` and the row adds are strictly
+    sequential per lane, a sum over tile columns adds rows one after
+    another, and NumPy's pairwise ``sum`` over a contiguous axis depends
+    only on the reduced length ``W``, not on the strides or the number of
+    tiles in the run.  numcheck's rounding proofs and the serial float
+    order depend on these kernels exactly as they are.
+
+Non-finite floats follow the rule every backend shares: a NaN or ±inf input
+element makes the SAT entries at and down-right of it non-finite (NaN where
+a +inf and a -inf quadrant overlap).
+
+The equivalence tests assert ``np.array_equal`` (not ``allclose``) against
+the serial path for every algorithm and dtype.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -205,6 +235,68 @@ def chunk_nehab(a4: np.ndarray, out4: np.ndarray, carry: CarryPlanes,
     _assemble_run(run, chain[:-1], gcs_above, _corner(gs, chunk))
 
 
+def _differences(row: np.ndarray, first: int, stop: int,
+                 step: int) -> np.ndarray:
+    """``row[first:stop:step]`` minus the entry ``step`` before each, reading
+    the entry before ``row[0]`` as zero.
+
+    Exact first differences in ``row``'s own dtype: ``np.diff(x, prepend=0)``
+    would promote a ``uint64`` row to ``float64``.
+    """
+    cur = row[first:stop:step]
+    if first < step:   # the run starts the row
+        diff = cur.copy()
+        diff[1:] -= cur[:-1]
+        return diff
+    return cur - row[first - step:stop - step:step]
+
+
+def chunk_exact(a4: np.ndarray, out4: np.ndarray, carry: CarryPlanes,
+                chunk: Chunk, W: int, *, gcp: bool = False,
+                gs_col: bool = False) -> None:
+    """Integer accumulators, every algorithm: a whole-run row scan, then the
+    carry planes read off the finished SAT (GRS/GCS/GS, plus 2R1W's GS
+    column chain with ``gs_col``; GRS/GCP with ``gcp``)."""
+    I, J0, J1 = chunk.row, chunk.J0, chunk.J1
+    grs = carry.vec_row
+    run = _load_run(a4, out4, chunk)
+    rows = run.reshape(W, -1)
+    if J0:
+        rows[:, 0] += grs[I, J0 - 1]
+    np.cumsum(rows, axis=1, out=rows)
+    # GRS is the row scan at each tile's last column, read before the SAT
+    # row above joins row 0.
+    grs[I, J0:J1] = run[:, :, W - 1].T
+    if I:
+        run[0] += out4[I - 1, W - 1, J0:J1]
+    _column_prefix(run)
+    if gcp:
+        carry.vec_col[I, J0:J1] = run[W - 1]
+        return
+    # The whole SAT row at the run's foot: entry lo - 1 belongs to the left
+    # neighbour tile, already DONE.
+    bottom = out4[I, W - 1].reshape(-1)
+    lo, hi = J0 * W, J1 * W
+    carry.vec_col[I, J0:J1] = _differences(bottom, lo, hi, 1).reshape(-1, W)
+    carry.scal[I, J0:J1] = bottom[lo + W - 1:hi:W]
+    if gs_col:
+        carry.scal2[I, J0:J1] = _differences(bottom, lo + W - 1, hi, W)
+
+
+def _exact_for_integers(kernel: Callable[..., None],
+                        **planes: bool) -> Callable[..., None]:
+    """``kernel`` for float accumulators, :func:`chunk_exact` (publishing
+    ``planes``) for integer ones."""
+    @functools.wraps(kernel)
+    def run(a4: np.ndarray, out4: np.ndarray, carry: CarryPlanes,
+            chunk: Chunk, W: int) -> None:
+        if out4.dtype.kind in "iu":
+            chunk_exact(a4, out4, carry, chunk, W, **planes)
+        else:
+            kernel(a4, out4, carry, chunk, W)
+    return run
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A row-run kernel plus the dependency offsets of the tiles it reads."""
@@ -216,12 +308,18 @@ class KernelSpec:
 
 #: Row-run kernels by canonical algorithm name (the tile-based five).
 KERNELS: dict[str, KernelSpec] = {
-    "2R1W": KernelSpec("2R1W", chunk_nehab, DEPS_LEFT_UP_CORNER),
-    "1R1W": KernelSpec("1R1W", chunk_wavefront_corner, DEPS_LEFT_UP_CORNER),
-    "(1+r)R1W": KernelSpec("(1+r)R1W", chunk_wavefront_corner,
+    "2R1W": KernelSpec("2R1W", _exact_for_integers(chunk_nehab, gs_col=True),
+                       DEPS_LEFT_UP_CORNER),
+    "1R1W": KernelSpec("1R1W", _exact_for_integers(chunk_wavefront_corner),
+                       DEPS_LEFT_UP_CORNER),
+    "(1+r)R1W": KernelSpec("(1+r)R1W",
+                           _exact_for_integers(chunk_wavefront_corner),
                            DEPS_LEFT_UP_CORNER),
-    "1R1W-SKSS": KernelSpec("1R1W-SKSS", chunk_skss, DEPS_LEFT_UP),
-    "1R1W-SKSS-LB": KernelSpec("1R1W-SKSS-LB", chunk_skss_lb,
+    "1R1W-SKSS": KernelSpec("1R1W-SKSS",
+                            _exact_for_integers(chunk_skss, gcp=True),
+                            DEPS_LEFT_UP),
+    "1R1W-SKSS-LB": KernelSpec("1R1W-SKSS-LB",
+                               _exact_for_integers(chunk_skss_lb),
                                DEPS_LEFT_UP_CORNER),
 }
 

@@ -18,8 +18,8 @@ band of rows along ``axis=1`` in place.  The whole computation therefore
 makes exactly one copy — the defensive copy of the input.
 
 The worker count defaults to the ``REPRO_WORKERS`` environment variable,
-falling back to the full ``os.cpu_count()`` (shared with the wavefront
-engine's :func:`repro.hostexec.default_workers`).
+falling back to one (shared with the wavefront engine's
+:func:`repro.hostexec.default_workers`).
 
 This engine is registered as ``"parallel"`` in the backend registry
 (:mod:`repro.backend.registry`) with ``bit_identical=False``: banding the

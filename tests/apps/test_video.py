@@ -51,6 +51,24 @@ class TestVideoSAT:
                 assert np.array_equal(
                     video.sat, sat_reference(frame.astype(video.engine.dtype)))
 
+    @pytest.mark.parametrize("strategy", ["delta", "recompute"])
+    def test_dirty_tiles_counts_changed_tiles(self, strategy):
+        """``FrameStats.dirty_tiles`` is the number of tiles whose input
+        changed on every strategy, not the tile count of their bounding
+        rectangle (on this stream 5, 5, 2, 5, 5 tiles change; their
+        bounding rectangles hold 16, 16, 36, 16, 16)."""
+        frames = list(synthetic_stream(256, frames=6, block=24, step=80,
+                                       dtype=np.int32))
+        with VideoSAT(frames[0], tile_width=32, workers=1,
+                      strategy=strategy) as video:
+            video.process(frames[0])
+            counts = []
+            for frame in frames[1:]:
+                changed = int(video.engine.changed_tiles(frame).sum())
+                counts.append(video.process(frame).dirty_tiles)
+                assert counts[-1] == changed
+            assert counts == [5, 5, 2, 5, 5]
+
     def test_box_filter_matches_batch_path(self):
         frames = list(synthetic_stream(64, frames=2, block=8))
         with VideoSAT(frames[0]) as video:

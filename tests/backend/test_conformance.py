@@ -12,6 +12,7 @@ Adding a backend to the registry automatically subjects it to this suite
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -156,3 +157,26 @@ def test_input_layouts_give_the_exact_int64_table(backend, W, make_matrix,
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got,
                                   a.astype(np.int64).cumsum(0).cumsum(1))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_non_finite_inputs_propagate_down_right(backend, W, shape,
+                                                make_matrix, dtype):
+    """The non-finite rule: a NaN or ±inf input element makes every entry
+    at or down-right of it non-finite, and no other.  Where the +inf and
+    -inf quadrants overlap the entries are NaN (``inf - inf``)."""
+    a = make_matrix(shape, dtype)
+    rows, cols = shape
+    cells = {"nan": (rows // 2, cols - 3), "+inf": (2, cols // 3),
+             "-inf": (rows // 3, 1)}
+    for kind, (r, c) in cells.items():
+        a[r, c] = float(kind)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf
+        got = backend.compute(a, tile_width=W)
+    r, c = np.indices(shape)
+    under = {kind: (r >= r0) & (c >= c0) for kind, (r0, c0) in cells.items()}
+    nan = under["nan"] | (under["+inf"] & under["-inf"])
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got == np.inf, under["+inf"] & ~nan)
+    np.testing.assert_array_equal(got == -np.inf, under["-inf"] & ~nan)

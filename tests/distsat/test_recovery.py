@@ -9,11 +9,17 @@ must equal :meth:`FaultPlan.expected_attempts` — a silently swallowed
 fault or a spurious retry fails even when the numbers agree.
 """
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
 from repro.distsat import (CheckpointStore, FaultAction, FaultPlan,
                            distributed_sat)
+from repro.distsat.protocol import decode_message, encode_message
+from repro.distsat.transport import ProcessTransport
 from repro.errors import CoordinatorAborted, ShardFailedError
 from repro.sat import sat_reference
 
@@ -234,3 +240,27 @@ class TestProcessTransport:
         np.testing.assert_array_equal(result.sat, sat_reference(a))
         assert result.stats["attempts"]["reduce"][1] >= 2
         assert 1 in result.stats["recovered_shards"]
+
+    def test_worker_killed_while_idle_is_replaced(self):
+        """A worker SIGKILLed while it waits for a task dies holding its
+        task queue's read lock: the replacement must read from a fresh
+        queue, answer, and let ``close()`` return promptly."""
+        # A carry for a band the worker does not hold: answered at once.
+        probe = encode_message({"type": "carry", "phase": "apply",
+                                "shard": 0, "attempt": 1})
+        tx = ProcessTransport(workers=2)
+        try:
+            tx.send(0, probe)
+            assert decode_message(tx.recv(time.monotonic() + 10))["worker"] \
+                == 0
+            time.sleep(0.2)      # back in task_q.get(), holding its lock
+            os.kill(tx._procs[0].pid, signal.SIGKILL)
+            died = decode_message(tx.recv(time.monotonic() + 10))
+            assert (died["type"], died["worker"]) == ("died", 0)
+            tx.send(0, probe)
+            reply = decode_message(tx.recv(time.monotonic() + 10))
+            assert (reply["type"], reply["worker"]) == ("result", 0)
+        finally:
+            t0 = time.monotonic()
+            tx.close()
+            assert time.monotonic() - t0 < 2.0

@@ -20,7 +20,9 @@ from repro.backend.registry import get_backend, resolve_backend
 from repro.errors import ConfigurationError
 from repro.hostexec import (WavefrontEngine, default_workers, kernel_for,
                             shared_engine)
-from repro.primitives.tile import TileGrid
+from repro.primitives.tile import (TileGrid, global_col_prefixes,
+                                   global_col_sums, global_row_sums,
+                                   global_sum)
 from repro.sat.reference import sat_reference
 from repro.sat.registry import compute_sat, get_algorithm
 
@@ -75,6 +77,73 @@ def test_split_rows_bit_identical_to_serial_host(algorithm, workers, dtype):
                         kernel_for(algorithm).deps)
     assert plan.num_chunks == 19 * workers
     assert np.array_equal(sat, serial)
+
+
+def integer_matrix(shape, dtype, seed=13):
+    """Integers over the dtype's whole range, so sums wrap; ``uint64`` draws
+    values >= 2**60, which a float64 round trip could not hold exactly."""
+    rng = np.random.default_rng(seed)
+    dt = np.dtype(dtype)
+    lo = 2**60 if dt == np.uint64 else np.iinfo(dt).min
+    return rng.integers(lo, np.iinfo(dt).max, size=shape, dtype=dt,
+                        endpoint=True)
+
+
+INTEGER_DTYPES = [np.uint8, np.int32, np.int64, np.uint64]
+
+
+class TestExactIntegerKernel:
+    """Integer accumulators take one exact row-run kernel for all five
+    algorithms; its carry planes are read off the finished SAT."""
+
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+    @pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("tile_width,shape", [(8, (150, 530)),
+                                                  (32, (70, 1100))])
+    def test_bit_identical_to_serial_host(self, dtype, algorithm, workers,
+                                          tile_width, shape):
+        # Both shapes are ragged, and four workers split their tile rows
+        # (67 and 35 tile columns), so runs start at J0 > 0.
+        a = integer_matrix(shape, dtype)
+        with np.errstate(over="ignore"):
+            serial = get_algorithm(algorithm, tile_width=tile_width) \
+                .run_host(a)
+        with WavefrontEngine(workers=workers) as eng:
+            sat = eng.compute(a, algorithm=algorithm, tile_width=tile_width)
+            plan = eng.plan(TileGrid(rows=shape[0], cols=shape[1],
+                                     W=tile_width),
+                            kernel_for(algorithm).deps)
+        split = plan.num_chunks > -(-shape[0] // tile_width)
+        assert split == (workers > 1)
+        assert sat.dtype == serial.dtype
+        assert np.array_equal(sat, serial)
+
+    @pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_uint64_carry_planes_equal_their_oracles(self, algorithm,
+                                                     workers):
+        """Wrapped uint64 planes stay uint64 (a ``float64`` round trip, as
+        ``np.diff(x, prepend=0)`` makes, would lose their low bits) and
+        equal their oracles, on split rows too (4 workers split the 33 tile
+        columns into two runs)."""
+        a = integer_matrix((40, 262), np.uint64)
+        oracles = {"GRS": global_row_sums, "GCS": global_col_sums,
+                   "GS": global_sum, "GCP": global_col_prefixes,
+                   "GS-col": lambda work, grid, I, J: global_col_sums(
+                       work, grid, I, J).sum(dtype=work.dtype)}
+        with WavefrontEngine(workers=workers) as eng:
+            eng.compute(a, algorithm=algorithm, tile_width=8,
+                        retain_state=True)
+            state = eng.retained_state()
+        grid = state.grid
+        for name, plane in state.planes().items():
+            assert plane.dtype == np.uint64, name
+            for I in range(grid.tile_rows):
+                for J in range(grid.tile_cols):
+                    assert np.array_equal(
+                        plane[I, J], oracles[name](state.work, grid, I, J)), \
+                        (name, I, J)
 
 
 def test_two_runs_bit_identical():
@@ -226,9 +295,11 @@ class TestWorkers:
         with pytest.raises(ConfigurationError):
             default_workers()
 
-    def test_default_workers_falls_back_to_cpu_count(self, monkeypatch):
+    def test_default_workers_falls_back_to_one(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert default_workers() >= 1
+        assert default_workers() == 1
+        assert WavefrontEngine().workers == 1
+        assert WavefrontEngine(workers=2).workers == 2
 
     def test_engine_uses_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
