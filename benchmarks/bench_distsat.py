@@ -47,6 +47,7 @@ if str(REPO / "src") not in sys.path:  # allow running without install
 
 from repro.distsat import (FaultAction, FaultPlan,  # noqa: E402
                            SyntheticSource, distributed_sat)
+from repro.hostexec.incremental import median_iqr  # noqa: E402
 from repro.sat import sat_reference  # noqa: E402
 
 SWEEP_N = 8192
@@ -79,29 +80,39 @@ def run_sweep(n: int, repeats: int) -> dict:
     kill = FaultPlan(actions=(
         FaultAction(kind="kill", shard=1, attempt=1, phase="apply"),))
 
-    sweep = {}
+    # "seconds" (and the gate's throughput) is the best of ``repeats``
+    # runs; the median and interquartile range describe all of them.
+    sweep, times = {}, {}
     for shards in SWEEP_SHARDS:
-        seconds, result = min(
-            (timed(source, shards=shards, collect=False)
-             for _ in range(repeats)), key=lambda t: t[0])
-        assert result.stats["recovered_shards"] == []
+        runs = [timed(source, shards=shards, collect=False)
+                for _ in range(repeats)]
+        for _, result in runs:
+            assert result.stats["recovered_shards"] == []
+        times[shards] = [t for t, _ in runs]
+        seconds = min(times[shards])
         sweep[shards] = {"seconds": round(seconds, 3),
-                         "throughput_mp_s": round(megapixels / seconds, 2)}
+                         "throughput_mp_s": round(megapixels / seconds, 2),
+                         **median_iqr(times[shards])}
         print(f"shards={shards}: {seconds:.2f}s "
               f"({sweep[shards]['throughput_mp_s']} MP/s)")
 
     # Recovery overhead: same 4-shard run with one worker killed mid-apply.
     clean_s = sweep[4]["seconds"]
-    faulted_s, faulted = timed(source, shards=4, collect=False,
-                               fault_plan=kill)
-    assert faulted.stats["recovered_shards"] == [1]
-    # recovery must be invisible: both runs end with identical edge rows
+    killed = [timed(source, shards=4, collect=False, fault_plan=kill)
+              for _ in range(repeats)]
+    faulted_s = min(t for t, _ in killed)
+    # recovery must be invisible: every killed run ends with the clean
+    # run's edge rows
     _, clean = timed(source, shards=4, collect=False)
-    for edge, row in clean.edge_rows.items():
-        assert np.array_equal(row, faulted.edge_rows[edge])
+    for _, faulted in killed:
+        assert faulted.stats["recovered_shards"] == [1]
+        for edge, row in clean.edge_rows.items():
+            assert np.array_equal(row, faulted.edge_rows[edge])
     recovery = {"clean_seconds": round(clean_s, 3),
                 "killed_seconds": round(faulted_s, 3),
-                "overhead_ratio": round(faulted_s / clean_s, 3)}
+                "overhead_ratio": round(faulted_s / clean_s, 3),
+                "clean": median_iqr(times[4]),
+                "killed": median_iqr([t for t, _ in killed])}
     print(f"recovery: clean {clean_s:.2f}s, one kill {faulted_s:.2f}s "
           f"(x{recovery['overhead_ratio']})")
 
@@ -221,7 +232,9 @@ def main(argv=None) -> int:
                         help="the 4-gigapixel memory-capped demo (slow)")
     parser.add_argument("-n", type=int, default=SWEEP_N,
                         help="sweep image side (default 8192)")
-    parser.add_argument("--repeats", type=int, default=2)
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="runs per sweep point and of the killed run "
+                             "(default 5)")
     parser.add_argument("-o", "--output", default=None,
                         help="output JSON path (defaults per mode)")
     args = parser.parse_args(argv)

@@ -23,6 +23,7 @@ from repro.backend.carries import CarrySet, TileCarrySet
 from repro.backend.core import Backend, positive_int
 from repro.backend.plan import ExecutionPlan
 from repro.errors import ConfigurationError
+from repro.primitives.tile import sum_dtype
 
 if TYPE_CHECKING:
     from repro.sat.base import SATResult
@@ -38,8 +39,9 @@ class SerialBackend(Backend):
     def _execute(self, plan: ExecutionPlan, a: np.ndarray,
                  out: np.ndarray | None) -> np.ndarray:
         if plan.algorithm is None:
-            return a.astype(plan.acc_dtype, copy=False) \
-                .cumsum(axis=0).cumsum(axis=1)
+            a = a.astype(plan.acc_dtype, copy=False)
+            acc = sum_dtype(a)
+            return a.cumsum(axis=0, dtype=acc).cumsum(axis=1, dtype=acc)
         from repro.sat.registry import get_algorithm
         alg = get_algorithm(plan.algorithm, tile_width=plan.tile_width)
         return alg.run_host(a, dtype_policy=plan.acc_dtype)

@@ -31,6 +31,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Bytes of ``uint16`` sums :meth:`SyntheticSource.rect` makes at a time
+#: (whole rows, at least one): 64 KiB stays in cache and below glibc's
+#: default 128 KiB mmap threshold, so each block reuses heap memory.
+_BLOCK_BYTES = 1 << 16
+
 
 class BandSource(ABC):
     """Produces horizontal bands ``[row_lo, row_hi)`` of one fixed image."""
@@ -99,6 +104,17 @@ class SyntheticSource(BandSource):
     The coefficients default to values coprime with 251 so neighbouring
     rows and columns differ — a constant image would hide stitching bugs
     (every carry would be a multiple of the same column vector).
+
+    A patch is built from two short vectors, the row terms ``(ci*i + c0)
+    % mod`` and the column terms ``(cj*j) % mod`` (in ``int64``, from
+    coefficients reduced modulo ``mod`` first, so no product overflows).
+    The patch itself takes one ``uint16`` outer add of the two (every sum
+    is below ``2*mod <= 512``), one fold back into ``[0, mod)`` without a
+    division — ``s - mod`` wraps past ``s`` in ``uint16`` where ``s <
+    mod``, so ``minimum(s, s - mod)`` subtracts ``mod`` exactly where ``s
+    >= mod`` — and one write of the ``uint8`` result, a block of rows at a
+    time, so no band-sized temporary exists beside the result.  Modular
+    addition is exact, so the bytes are those of the closed form.
     """
 
     def __init__(self, n_rows: int, n_cols: int, *, ci: int = 3, cj: int = 7,
@@ -125,9 +141,19 @@ class SyntheticSource(BandSource):
         if not (0 <= left <= right < self.n_cols):
             raise ConfigurationError(
                 f"columns [{left}, {right}] outside [0, {self.n_cols - 1}]")
-        i = np.arange(top, bottom + 1, dtype=np.int64)[:, None]
-        j = np.arange(left, right + 1, dtype=np.int64)[None, :]
-        return ((self.ci * i + self.cj * j + self.c0) % self.mod).astype(np.uint8)
+        m = self.mod
+        ci, cj, c0 = self.ci % m, self.cj % m, self.c0 % m
+        rows = ((ci * np.arange(top, bottom + 1, dtype=np.int64) + c0)
+                % m).astype(np.uint16)
+        cols = ((cj * np.arange(left, right + 1, dtype=np.int64))
+                % m).astype(np.uint16)
+        out = np.empty((rows.size, cols.size), dtype=np.uint8)
+        step = max(1, _BLOCK_BYTES // (2 * cols.size))
+        for lo in range(0, rows.size, step):
+            s = np.add.outer(rows[lo:lo + step], cols)
+            np.minimum(s, s - m, out=s)
+            out[lo:lo + step] = s
+        return out
 
 
 def source_to_spec(source: BandSource) -> dict:

@@ -166,6 +166,18 @@ class TileGrid:
                 for J in range(self.tile_cols)]
 
 
+def sum_dtype(a: np.ndarray) -> np.dtype | None:
+    """The ``dtype=`` that keeps sums and prefix sums of ``a`` in its own
+    integer dtype (``None``, NumPy's default, for floats and bool).
+
+    NumPy widens ``sum`` and ``cumsum`` of narrow integers to 64 bits, and a
+    carry built that way no longer fits the narrow plane it is stored back
+    into.  Integer addition wraps alike in any order, so sums kept in the
+    accumulator dtype give the table modulo ``2**bits``, as the engines do.
+    """
+    return a.dtype if a.dtype.kind in "iu" else None
+
+
 def tile_view(a: np.ndarray, grid: TileGrid, I: int, J: int) -> np.ndarray:
     """View of tile ``T(I, J)`` in the matrix (no copy)."""
     return a[grid.tile_slice(I, J)]
@@ -261,8 +273,11 @@ def assemble_gsat_tile(tile: np.ndarray, grs_left: np.ndarray,
     work = np.array(tile, copy=True)
     work[:, 0] += grs_left
     work[0, :] += gcs_above
-    work[0, 0] += gs_corner
-    return work.cumsum(axis=1).cumsum(axis=0)
+    # A one-element slice, not work[0, 0]: array adds wrap silently where
+    # NumPy scalar adds warn on overflow.
+    work[0, :1] += gs_corner
+    acc = sum_dtype(work)
+    return work.cumsum(axis=1, dtype=acc).cumsum(axis=0, dtype=acc)
 
 
 def assemble_gsat_tile_skss(tile: np.ndarray, grs_left: np.ndarray,
@@ -276,6 +291,7 @@ def assemble_gsat_tile_skss(tile: np.ndarray, grs_left: np.ndarray,
     """
     work = np.array(tile, copy=True)
     work[:, 0] += grs_left
-    work = work.cumsum(axis=1)
+    acc = sum_dtype(work)
+    work = work.cumsum(axis=1, dtype=acc)
     work[0, :] += gcp_above
-    return work.cumsum(axis=0)
+    return work.cumsum(axis=0, dtype=acc)

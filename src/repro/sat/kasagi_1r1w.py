@@ -20,7 +20,7 @@ from repro.gpusim.block import BlockContext
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives import smem
-from repro.primitives.tile import TileGrid, assemble_gsat_tile
+from repro.primitives.tile import TileGrid, assemble_gsat_tile, sum_dtype
 from repro.sat.base import SATAlgorithm
 from repro.sat.tilecommon import TileScratch, alloc_scratch, \
     assemble_gsat_in_shared
@@ -104,6 +104,7 @@ class Kasagi1R1W(SATAlgorithm):
         gs = np.zeros((tr, tc), dtype=a.dtype)
         out = np.zeros_like(a)
         zeros = np.zeros(W, dtype=a.dtype)
+        acc = sum_dtype(a)
         for K in range(grid.num_diagonals):
             for I, J in grid.tiles_on_diagonal(K):
                 tile = a[grid.tile_slice(I, J)]
@@ -111,8 +112,8 @@ class Kasagi1R1W(SATAlgorithm):
                 gcs_above = gcs[I - 1, J] if I > 0 else zeros
                 gs_corner = (gs[I - 1, J - 1] if I > 0 and J > 0
                              else a.dtype.type(0))
-                grs[I, J] = grs_left + tile.sum(axis=1)
-                gcs[I, J] = gcs_above + tile.sum(axis=0)
+                grs[I, J] = grs_left + tile.sum(axis=1, dtype=acc)
+                gcs[I, J] = gcs_above + tile.sum(axis=0, dtype=acc)
                 gsat = assemble_gsat_tile(tile, grs_left, gcs_above, gs_corner)
                 gs[I, J] = gsat[-1, -1]
                 out[grid.tile_slice(I, J)] = gsat

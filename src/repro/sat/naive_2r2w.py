@@ -15,7 +15,7 @@ import numpy as np
 from repro.gpusim.block import BlockContext
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
-from repro.primitives.tile import TileGrid
+from repro.primitives.tile import TileGrid, sum_dtype
 from repro.sat.base import SATAlgorithm
 
 
@@ -72,7 +72,8 @@ class Naive2R2W(SATAlgorithm):
                    name="2r2w_row_scan")
 
     def _run_host(self, a: np.ndarray) -> np.ndarray:
-        return a.cumsum(axis=0).cumsum(axis=1)
+        acc = sum_dtype(a)
+        return a.cumsum(axis=0, dtype=acc).cumsum(axis=1, dtype=acc)
 
 
 #: Per-site annotations, one entry per site of each kernel in source order

@@ -22,7 +22,7 @@ from repro.gpusim.block import BlockContext
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives import smem
-from repro.primitives.tile import TileGrid, assemble_gsat_tile
+from repro.primitives.tile import TileGrid, assemble_gsat_tile, sum_dtype
 from repro.sat.base import SATAlgorithm
 from repro.sat.skss_lb import lane_vector_sum
 from repro.sat.tilecommon import TileScratch, alloc_scratch, \
@@ -153,15 +153,16 @@ class Nehab2R1W(SATAlgorithm):
         """Host dataflow: the three phases as whole-array operations."""
         grid = TileGrid(rows=a.shape[0], cols=a.shape[1], W=self.tile_width)
         tr, tc, W = grid.tile_rows, grid.tile_cols, grid.W
+        acc = sum_dtype(a)
         # Phase 1: local sums (a view — no copy, dtype preserved).
         tiles = a.reshape(tr, W, tc, W)
-        lrs = tiles.sum(axis=3).transpose(0, 2, 1)   # (I, J, i)
-        lcs = tiles.sum(axis=1)                       # (I, J, j)
-        ls = lcs.sum(axis=2)                          # (I, J)
+        lrs = tiles.sum(axis=3, dtype=acc).transpose(0, 2, 1)   # (I, J, i)
+        lcs = tiles.sum(axis=1, dtype=acc)                       # (I, J, j)
+        ls = lcs.sum(axis=2, dtype=acc)                          # (I, J)
         # Phase 2: global prefixes.
-        grs = lrs.cumsum(axis=1)
-        gcs = lcs.cumsum(axis=0)
-        gs = ls.cumsum(axis=0).cumsum(axis=1)
+        grs = lrs.cumsum(axis=1, dtype=acc)
+        gcs = lcs.cumsum(axis=0, dtype=acc)
+        gs = ls.cumsum(axis=0, dtype=acc).cumsum(axis=1, dtype=acc)
         # Phase 3: assembly.
         out = np.zeros_like(a)
         zeros = np.zeros(W, dtype=a.dtype)

@@ -19,7 +19,7 @@ from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives.colscan import run_col_scan
 from repro.primitives.scan1d import run_row_scan
-from repro.primitives.tile import TileGrid
+from repro.primitives.tile import TileGrid, sum_dtype
 from repro.sat.base import SATAlgorithm
 
 
@@ -62,4 +62,5 @@ class Optimal2R2W(SATAlgorithm):
 
     def _run_host(self, a: np.ndarray) -> np.ndarray:
         # Same dataflow at tile granularity collapses to the plain double scan.
-        return a.cumsum(axis=0).cumsum(axis=1)
+        acc = sum_dtype(a)
+        return a.cumsum(axis=0, dtype=acc).cumsum(axis=1, dtype=acc)

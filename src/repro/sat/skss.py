@@ -22,7 +22,8 @@ from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives import smem
 from repro.primitives.lookback import publish
-from repro.primitives.tile import TileGrid, assemble_gsat_tile_skss
+from repro.primitives.tile import TileGrid, assemble_gsat_tile_skss, \
+    sum_dtype
 from repro.sat.base import SATAlgorithm
 from repro.sat.tilecommon import TileScratch, alloc_scratch
 
@@ -106,13 +107,14 @@ class SKSS1R1W(SATAlgorithm):
         grs = np.zeros((tr, tc, W), dtype=a.dtype)
         out = np.zeros_like(a)
         zeros = np.zeros(W, dtype=a.dtype)
+        acc = sum_dtype(a)
         for J in range(tc):
             gcp = zeros
             for I in range(tr):
                 tile = a[grid.tile_slice(I, J)]
                 grs_left = grs[I, J - 1] if J > 0 else zeros
                 gsat = assemble_gsat_tile_skss(tile, grs_left, gcp)
-                grs[I, J] = grs_left + tile.sum(axis=1)
+                grs[I, J] = grs_left + tile.sum(axis=1, dtype=acc)
                 out[grid.tile_slice(I, J)] = gsat
                 gcp = gsat[-1, :]
         return out

@@ -38,7 +38,7 @@ from repro.gpusim.block import BlockContext
 from repro.gpusim.kernel import GPU
 from repro.gpusim.memory import GlobalBuffer
 from repro.primitives import smem
-from repro.primitives.tile import TileGrid, assemble_gsat_tile
+from repro.primitives.tile import TileGrid, assemble_gsat_tile, sum_dtype
 from repro.sat.base import SATAlgorithm
 from repro.sat.tilecommon import (C_GCS, C_LCS, R_GLS, R_GRS, R_GS, R_LRS,
                                   TileScratch, alloc_scratch,
@@ -195,19 +195,24 @@ class SKSSLB1R1W(SATAlgorithm):
         gs = np.zeros((tr, tc), dtype=a.dtype)
         out = np.zeros_like(a)
         zeros = np.zeros(W, dtype=a.dtype)
+        acc = sum_dtype(a)
         for serial in range(tr * tc):
             I, J = serial_to_tile(serial, tr, tc)
             tile = a[grid.tile_slice(I, J)]
-            lrs = tile.sum(axis=1)
-            lcs = tile.sum(axis=0)
+            lrs = tile.sum(axis=1, dtype=acc)
+            lcs = tile.sum(axis=0, dtype=acc)
             grs_left = grs[I, J - 1] if J > 0 else zeros
             gcs_above = gcs[I - 1, J] if I > 0 else zeros
             gs_corner = (gs[I - 1, J - 1] if I > 0 and J > 0
                          else a.dtype.type(0))
             grs[I, J] = grs_left + lrs
             gcs[I, J] = gcs_above + lcs
-            gls = grs_left.sum() + gcs_above.sum() + lrs.sum()
-            gs[I, J] = gs_corner + gls
+            # One-element sums: array adds wrap silently where NumPy
+            # scalar adds warn on overflow.
+            gls = (grs_left.sum(keepdims=True, dtype=acc)
+                   + gcs_above.sum(keepdims=True, dtype=acc)
+                   + lrs.sum(keepdims=True, dtype=acc))
+            gs[I, J:J + 1] = gs_corner + gls
             out[grid.tile_slice(I, J)] = assemble_gsat_tile(
                 tile, grs_left, gcs_above, gs_corner)
         return out

@@ -90,6 +90,13 @@ def integer_matrix(shape, dtype, seed=13):
 
 
 INTEGER_DTYPES = [np.uint8, np.int32, np.int64, np.uint64]
+NARROW_ACCUMULATORS = [np.int8, np.int16, np.uint8, np.uint16]
+
+
+def narrow_input():
+    """A ragged int32 input whose SAT overflows every narrow accumulator."""
+    rng = np.random.default_rng(17)
+    return rng.integers(0, 100, size=(70, 300)).astype(np.int32)
 
 
 class TestExactIntegerKernel:
@@ -106,9 +113,7 @@ class TestExactIntegerKernel:
         # Both shapes are ragged, and four workers split their tile rows
         # (67 and 35 tile columns), so runs start at J0 > 0.
         a = integer_matrix(shape, dtype)
-        with np.errstate(over="ignore"):
-            serial = get_algorithm(algorithm, tile_width=tile_width) \
-                .run_host(a)
+        serial = get_algorithm(algorithm, tile_width=tile_width).run_host(a)
         with WavefrontEngine(workers=workers) as eng:
             sat = eng.compute(a, algorithm=algorithm, tile_width=tile_width)
             plan = eng.plan(TileGrid(rows=shape[0], cols=shape[1],
@@ -118,6 +123,33 @@ class TestExactIntegerKernel:
         assert split == (workers > 1)
         assert sat.dtype == serial.dtype
         assert np.array_equal(sat, serial)
+
+    @pytest.mark.parametrize("acc", NARROW_ACCUMULATORS)
+    @pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
+    @pytest.mark.parametrize("tile_width", [8, 32])
+    def test_serial_oracle_wraps_narrow_accumulators(
+            self, acc, algorithm, tile_width):
+        """The serial loop keeps its sums and carries in a narrow
+        accumulator (NumPy would widen them to 64 bits), so it returns the
+        table modulo 2**bits, as the engine does."""
+        a = narrow_input()
+        serial = compute_sat(a, engine=None, algorithm=algorithm,
+                             tile_width=tile_width, dtype_policy=acc).sat
+        engine = compute_sat(a, engine="wavefront", algorithm=algorithm,
+                             tile_width=tile_width, dtype_policy=acc).sat
+        assert serial.dtype == engine.dtype == np.dtype(acc)
+        assert np.array_equal(serial, engine)
+        # The exact int64 table, wrapped modulo 2**bits.
+        assert np.array_equal(serial, sat_reference(a).astype(acc))
+
+    @pytest.mark.parametrize("acc", NARROW_ACCUMULATORS)
+    @pytest.mark.parametrize("algorithm", ["2R2W", "2R2W-optimal", None])
+    def test_plain_scans_keep_a_narrow_accumulator(self, acc, algorithm):
+        a = narrow_input()
+        sat = compute_sat(a, engine=None, algorithm=algorithm,
+                          dtype_policy=acc).sat
+        assert sat.dtype == np.dtype(acc)
+        assert np.array_equal(sat, sat_reference(a).astype(acc))
 
     @pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
     @pytest.mark.parametrize("workers", [1, 4])

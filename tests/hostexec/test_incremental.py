@@ -125,8 +125,7 @@ class TestDifferential:
             vals = np.full((10, 10), 2**62, dtype=np.int64)
             got = inc.update(5, 5, vals)
             cur[5:15, 5:15] = vals
-            with np.errstate(over="ignore"):
-                assert np.array_equal(got, _reference(inc, cur))
+            assert np.array_equal(got, _reference(inc, cur))
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64,
                                        np.uint64])
@@ -144,9 +143,8 @@ class TestDifferential:
                                 dtype=dtype, endpoint=True)
 
         a = draw((70, 90))
-        with np.errstate(over="ignore"), IncrementalSAT(
-                a, algorithm=algorithm, tile_width=8, workers=1,
-                strategy="recompute") as inc:
+        with IncrementalSAT(a, algorithm=algorithm, tile_width=8, workers=1,
+                            strategy="recompute") as inc:
             assert verify_state(inc) == []
             for top, left, h, w in ((30, 40, 20, 30), (0, 0, 3, 5),
                                     (69, 89, 1, 1)):
