@@ -1,16 +1,11 @@
 """Detection-pipeline benchmarks: the downstream payoff of fast SATs.
 
 The cascade's wall-clock is dominated by SAT construction plus O(1) lookups;
-these benches measure the dense sliding-window detector, its early-rejection
-ratio, and the CPU-parallel host SAT that would feed it at video rates.
+these benches measure the dense sliding-window detector and its
+early-rejection ratio.
 """
 
-import numpy as np
-import pytest
-
 from repro.apps.cascade import detect, squares_scene
-from repro.sat import sat_reference
-from repro.sat.parallel_host import parallel_sat
 
 
 def test_cascade_throughput(benchmark):
@@ -22,21 +17,3 @@ def test_cascade_throughput(benchmark):
     assert stats.early_reject_fraction > 0.9
     assert len(dets) >= len(corners) - 1
 
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_host_sat(benchmark, workers):
-    rng = np.random.default_rng(0)
-    a = rng.random((2048, 2048))
-    out = benchmark(parallel_sat, a, workers=workers)
-    assert out.shape == a.shape
-
-
-def test_parallel_matches_reference(benchmark):
-    rng = np.random.default_rng(1)
-    a = rng.integers(0, 100, size=(512, 512)).astype(float)
-
-    def both():
-        return parallel_sat(a, workers=4), sat_reference(a)
-
-    par, ref = benchmark.pedantic(both, rounds=1, iterations=1)
-    assert np.array_equal(par, ref)

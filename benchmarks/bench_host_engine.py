@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the host execution engines (serial / wavefront / parallel).
+"""Benchmark the host execution engines (serial / wavefront).
 
 Times the serial per-algorithm tile loop against the multi-core wavefront
-tile engine (:mod:`repro.hostexec`) and the fork/join banded 2R2W scan
-(:func:`repro.sat.parallel_host.parallel_sat`) over a size and worker sweep,
-with the plain NumPy double cumsum as the baseline row of every size, and
+tile engine (:mod:`repro.hostexec`) over a size and worker sweep, with the
+plain NumPy double cumsum as the baseline row of every size, and
 quantifies the batched-execution amortization (repeated ``compute`` calls
 on a warm engine vs one-shot calls that pay pool spin-up and plan
 construction every time).  The sweep runs once per ``--dtypes`` entry:
@@ -47,7 +46,7 @@ if str(REPO / "src") not in sys.path:  # allow running without install
     sys.path.insert(0, str(REPO / "src"))
 
 from repro.hostexec import WavefrontEngine, default_workers  # noqa: E402
-from repro.sat.parallel_host import parallel_sat  # noqa: E402
+from repro.hostexec.incremental import median_iqr  # noqa: E402
 from repro.sat.registry import get_algorithm  # noqa: E402
 
 ALGORITHM = "1R1W-SKSS-LB"
@@ -67,14 +66,13 @@ def _timed(fn, repeats: int) -> dict:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return {"median_s": float(median), "iqr_s": float(q3 - q1)}
+    return median_iqr(times)
 
 
 def bench_size(n: int, dtype: str, workers_list: list[int],
                repeats: int) -> dict:
-    """NumPy vs serial vs wavefront (cold + warm) vs parallel at one size
-    and input dtype."""
+    """NumPy vs serial vs wavefront (cold + warm) at one size and input
+    dtype."""
     a = _matrix(n, dtype=dtype)
     alg = get_algorithm(ALGORITHM, tile_width=TILE_WIDTH)
     serial_sat = alg.run_host(a)
@@ -83,7 +81,7 @@ def bench_size(n: int, dtype: str, workers_list: list[int],
 
     row = {"n": n, "dtype": dtype, "accumulator": serial_sat.dtype.name,
            "tile_width": TILE_WIDTH, "algorithm": ALGORITHM,
-           "numpy": numpy, "serial": serial, "wavefront": [], "parallel": []}
+           "numpy": numpy, "serial": serial, "wavefront": []}
     for w in workers_list:
         with WavefrontEngine(workers=w) as eng:
             wf_sat = eng.compute(a, algorithm=ALGORITHM,
@@ -103,12 +101,6 @@ def bench_size(n: int, dtype: str, workers_list: list[int],
             "cold": _timed(cold, repeats),
             "speedup_vs_serial": serial["median_s"] / warm["median_s"],
             "ratio_vs_numpy": warm["median_s"] / numpy["median_s"]})
-
-        par = _timed(lambda: parallel_sat(a, workers=w), repeats)
-        row["parallel"].append({
-            "workers": w, **par,
-            "speedup_vs_serial": serial["median_s"] / par["median_s"],
-            "ratio_vs_numpy": par["median_s"] / numpy["median_s"]})
     return row
 
 
@@ -206,7 +198,7 @@ def run_smoke(args) -> int:
     n = 512
     a = _matrix(n)
     alg = get_algorithm(ALGORITHM, tile_width=TILE_WIDTH)
-    serial_sat = alg.run_host(a)
+    alg.run_host(a)  # warm-up, as the wavefront timing below is warm
     serial = _timed(lambda: alg.run_host(a), 3)["median_s"]
 
     # At W=8 a row holds 64 tiles, so four workers split every row into
@@ -228,18 +220,14 @@ def run_smoke(args) -> int:
         eng.compute(a, algorithm=ALGORITHM, tile_width=TILE_WIDTH)
         warm = _timed(lambda: eng.compute(a, algorithm=ALGORITHM,
                                           tile_width=TILE_WIDTH), 3)["median_s"]
-    ok_par = np.allclose(parallel_sat(a, workers=4), serial_sat)
 
     print(f"smoke n={n}: serial {serial * 1e3:.1f}ms, "
           f"wavefront(warm, 1w) {warm * 1e3:.1f}ms, "
-          f"bit-identical(4w, W={split_w})={bits}, parallel-ok={ok_par}")
+          f"bit-identical(4w, W={split_w})={bits}")
     if not ok_bits:
         print("SMOKE FAIL: wavefront result differs from serial host path "
               f"for {[k for k, ok in bits.items() if not ok]}",
               file=sys.stderr)
-        return 1
-    if not ok_par:
-        print("SMOKE FAIL: parallel_sat result differs", file=sys.stderr)
         return 1
     if warm > serial * 1.5:
         print(f"SMOKE FAIL: warm wavefront {warm:.3f}s > 1.5x serial "

@@ -4,8 +4,8 @@
 Prints a measured mini-Table I — kernel launches, peak threads, global
 reads/writes per element, spins, fences — plus the emergent simulator cycles,
 for a 256x256 matrix at W=32.  A second table times the host execution
-engines (serial tile loop, multi-core wavefront, fork/join 2R2W, sharded
-bands) on a larger matrix.
+engines (serial tile loop, multi-core wavefront, sharded bands) on a larger
+matrix.
 """
 
 import time
@@ -71,7 +71,6 @@ def compare_engines(n: int = 1024) -> None:
     print("\n * serial runs the algorithm's own tile loop;")
     print(" * wavefront dispatches tile-row runs to a pool, each row's")
     print("   look-back a prefix scan (bit-identical to serial);")
-    print(" * parallel is the banded fork/join 2R2W scan (plain cumsums);")
     print(" * distributed runs band shards with persisted column carries.")
 
 

@@ -33,15 +33,15 @@ The modes share one harness (``repro fuzz --mode``, :data:`FUZZ_MODES`):
     Backend differential fuzzing: a random (algorithm, dtype, ragged
     shape, workers) configuration runs through a randomly chosen non-serial
     backend from the unified registry (:mod:`repro.backend.registry` —
-    wavefront / parallel, plus the gpusim simulator at small warp-aligned
-    shapes and the banded distributed streamer) and is compared against
-    the serial oracle.  Backends whose spec declares ``bit_identical=True``
-    are held to ``np.array_equal``; every backend is held to exact
-    equality on integer accumulators; the rest (banded reductions,
-    simulator-side float64 accumulation) are held to the proven rounding
-    budget from :mod:`repro.analysis.tolerances`.  The pool is
-    resolved from the registry at sampling time, so registering a new
-    backend automatically puts it under differential fire.
+    wavefront, plus the gpusim simulator at small warp-aligned shapes and
+    the banded distributed streamer) and is compared against the serial
+    oracle.  Backends whose spec declares ``bit_identical=True`` are held
+    to ``np.array_equal``; every backend is held to exact equality on
+    integer accumulators; the rest (band stitching, simulator-side float64
+    accumulation) are held to the proven rounding budget from
+    :mod:`repro.analysis.tolerances`.  The pool is resolved from the
+    registry at sampling time, so registering a new backend automatically
+    puts it under differential fire.
 
 ``distsat``
     Differential fuzzing of the sharded distributed executor
@@ -299,11 +299,11 @@ def sample_engine_config(rng: np.random.Generator) -> FuzzConfig:
     Ragged rectangular shapes, all four differential dtypes, 1 or 4 workers,
     and a backend drawn from the unified registry (everything but the serial
     oracle).  Each backend's algorithm pool comes from its spec — wavefront
-    only executes the five tile algorithms; parallel, gpusim and
-    distributed cover all seven.  The gpusim backend gets small warp-aligned
-    shapes (its collectives need ``tile_width`` to be a whole number of
-    32-lane warps, and the simulator pays per instruction); the distributed
-    backend gets a random band height.
+    only executes the five tile algorithms; gpusim and distributed cover
+    all seven.  The gpusim backend gets small warp-aligned shapes (its
+    collectives need ``tile_width`` to be a whole number of 32-lane warps,
+    and the simulator pays per instruction); the distributed backend gets a
+    random band height.
     """
     from repro.backend.registry import get_spec
 
@@ -440,16 +440,15 @@ def sample_numeric_config(rng: np.random.Generator) -> FuzzConfig:
 
 
 def _oracle_mismatch(subject: str, got: np.ndarray, want: np.ndarray,
-                     a: np.ndarray, *, exact: bool, algorithm: str | None,
+                     a: np.ndarray, *, exact: bool, algorithm: str,
                      tile_width: int, extra_depth: int = 0) -> str | None:
     """Compare ``got`` with the serial oracle's ``want``; an error or ``None``.
 
     The comparison is exact when ``exact`` is set (bit-identical backends)
     and on integer accumulators; otherwise it uses the proven mass-relative
     budget of :func:`repro.analysis.tolerances.derived_tolerance` for
-    ``algorithm`` (``None``: the worst case over Table I), with oracle
-    ``"host"`` because both legs round, plus ``extra_depth`` roundings the
-    static model cannot see.
+    ``algorithm``, with oracle ``"host"`` because both legs round, plus
+    ``extra_depth`` roundings the static model cannot see.
     """
     exact = exact or np.issubdtype(got.dtype, np.integer)
     if exact:
@@ -477,12 +476,10 @@ def _run_engine(config: FuzzConfig) -> str | None:
 
     Bit-identical backends (``bit_identical=True`` in the registry — the
     wavefront engine) must satisfy ``np.array_equal``, as must every backend
-    on integer accumulators.  Float results from the rest (parallel's
-    banding, gpusim's simulator-side float64 accumulation, distributed's
-    band stitching) reorder reductions, so they are held to the proven
-    rounding budget — the worst case over Table I for the
-    algorithm-agnostic parallel backend, whose banded dataflow is
-    shallower than any tiled algorithm.
+    on integer accumulators.  Float results from the rest (gpusim's
+    simulator-side float64 accumulation, distributed's band stitching)
+    reorder reductions, so they are held to the algorithm's proven
+    rounding budget.
     """
     from repro.backend.registry import get_backend
 
@@ -496,17 +493,11 @@ def _run_engine(config: FuzzConfig) -> str | None:
     if spec.kind == "streaming":
         kwargs["band_rows"] = config.band_rows
     got = backend.compute(a, **kwargs)
-    if spec.algorithm_agnostic:
-        # The parallel backend computes the 2R2W dataflow regardless of the
-        # configured algorithm; its oracle is the banding-free reference.
-        want = a.astype(got.dtype, copy=False).cumsum(axis=0).cumsum(axis=1)
-    else:
-        want = get_algorithm(config.algorithm,
-                             tile_width=config.tile_width).run_host(a)
+    want = get_algorithm(config.algorithm,
+                         tile_width=config.tile_width).run_host(a)
     return _oracle_mismatch(
         f"backend {config.engine!r}", got, want, a,
-        exact=spec.bit_identical,
-        algorithm=None if spec.algorithm_agnostic else config.algorithm,
+        exact=spec.bit_identical, algorithm=config.algorithm,
         tile_width=config.tile_width)
 
 

@@ -12,8 +12,8 @@ contract for it, with three explicit stages:
 * ``execute_with_carries(plan, image) -> (sat, CarrySet)`` — the inter-unit
   carry state, typed by its Table II role.
 
-All five executors (serial, wavefront, parallel, gpusim, distributed)
-register through :mod:`repro.backend.registry`, and the conformance suite
+All four executors (serial, wavefront, gpusim, distributed) register
+through :mod:`repro.backend.registry`, and the conformance suite
 (``tests/backend/``) holds every registered backend to the same contract.
 See docs/ARCHITECTURE.md, "The backend protocol".
 

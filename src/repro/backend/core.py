@@ -64,11 +64,7 @@ class BackendSpec:
     ``None`` when any accumulator dtype works.
 
     ``retains_state`` marks backends whose ``execute_with_carries`` returns
-    a typed :class:`~repro.backend.carries.CarrySet`.  ``algorithm_agnostic``
-    marks backends that compute the same SAT regardless of ``algorithm=``
-    (the banded parallel scan): their plans record ``algorithm=None``, and
-    the differential layer compares them against the plain reference
-    instead of a per-algorithm oracle.
+    a typed :class:`~repro.backend.carries.CarrySet`.
     """
 
     name: str
@@ -85,8 +81,6 @@ class BackendSpec:
     kind: str = "host"
     #: ``execute_with_carries`` returns a typed CarrySet.
     retains_state: bool = False
-    #: Computes the same SAT whatever ``algorithm=`` says (plain scans).
-    algorithm_agnostic: bool = False
     #: Canonical algorithm substituted when the caller passes ``None``
     #: (``None`` here means: run the plain reference double scan).
     default_algorithm: str | None = None
@@ -108,7 +102,6 @@ class BackendSpec:
             "dtypes": list(self.dtypes) if self.dtypes is not None else None,
             "bit_identical": self.bit_identical,
             "retains_state": self.retains_state,
-            "algorithm_agnostic": self.algorithm_agnostic,
             "default_algorithm": self.default_algorithm,
         }
 
@@ -145,9 +138,7 @@ class Backend(ABC):
         setting — bad shape, non-numeric or unsupported dtype, unknown or
         unsupported algorithm, non-positive tile width / worker count, a
         worker count for a backend without a worker pool — before any input
-        data is touched (SWAMP-style fail-fast).  An ``algorithm_agnostic``
-        backend validates the name but plans ``algorithm=None``: its result
-        names the reference scan that ran.
+        data is touched (SWAMP-style fail-fast).
         """
         spec = self.spec
         rows, cols = self._check_shape(shape)
@@ -177,10 +168,6 @@ class Backend(ABC):
                 raise ConfigurationError(
                     f"the {spec.name} backend does not support algorithm "
                     f"'{name}'; supported: {', '.join(supported)}")
-        if spec.algorithm_agnostic:
-            # The name is valid but does not choose the dataflow: record
-            # what runs (the plain reference scan), not what was asked for.
-            name, tile_based = None, False
         grid = TileGrid(rows=rows, cols=cols, W=tile_width) \
             if tile_based else None
         plan = ExecutionPlan(backend=spec.name, algorithm=name, rows=rows,
@@ -208,13 +195,13 @@ class Backend(ABC):
         return rows, cols
 
     def _check_workers(self, workers: int | None) -> int | None:
-        """Hook: only backends with a worker pool (wavefront, parallel,
-        distributed) accept ``workers``."""
+        """Hook: only backends with a worker pool (wavefront, distributed)
+        accept ``workers``."""
         if workers is not None:
             raise ConfigurationError(
                 f"workers is not meaningful for the {self.spec.name} "
-                "backend, which has no worker pool (use wavefront, parallel "
-                "or distributed)")
+                "backend, which has no worker pool (use wavefront or "
+                "distributed)")
         return None
 
     def _check_band_rows(self, band_rows: int | None, rows: int,

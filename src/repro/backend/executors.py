@@ -1,12 +1,11 @@
-"""The five registered backends: every executor in the repo, one protocol.
+"""The four registered backends: every executor in the repo, one protocol.
 
 Each class here is a thin adapter from the :class:`~repro.backend.Backend`
 plan/execute/carry contract onto an existing executor — the algorithms' own
-serial host loops, the wavefront engine, the fork/join banded scan, the
-functional GPU simulator and the sharded distributed executor.  The
-adapters contain *no* tile-layout or dtype glue of their own: all of that
-lives in the shared plan layer (:mod:`repro.backend.plan`) and in the
-engines themselves.
+serial host loops, the wavefront engine, the functional GPU simulator and
+the sharded distributed executor.  The adapters contain *no* tile-layout or
+dtype glue of their own: all of that lives in the shared plan layer
+(:mod:`repro.backend.plan`) and in the engines themselves.
 
 This module is imported lazily by the registry (``get_backend``), so the
 CLI and other registry consumers never pay for engine imports they don't
@@ -110,22 +109,6 @@ class WavefrontBackend(_PooledBackend):
         return sat, carry
 
 
-class ParallelBackend(_PooledBackend):
-    """Fork/join banded 2R2W scan — computes the same SAT whatever the
-    ``algorithm=`` says (``spec.algorithm_agnostic``), so its plans and
-    results name no algorithm."""
-
-    def __init__(self) -> None:
-        from repro.backend.registry import get_spec
-        self.spec = get_spec("parallel")
-
-    def _execute(self, plan: ExecutionPlan, a: np.ndarray,
-                 out: np.ndarray | None) -> np.ndarray:
-        from repro.sat.parallel_host import parallel_sat
-        return parallel_sat(a, workers=plan.workers,
-                            dtype_policy=plan.acc_dtype)
-
-
 class GpusimBackend(Backend):
     """The functional GPU simulator: device kernels behind the same seams.
 
@@ -219,7 +202,6 @@ class DistributedBackend(_PooledBackend):
 BACKEND_CLASSES: dict[str, type[Backend]] = {
     "serial": SerialBackend,
     "wavefront": WavefrontBackend,
-    "parallel": ParallelBackend,
     "gpusim": GpusimBackend,
     "distributed": DistributedBackend,
 }

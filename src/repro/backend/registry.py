@@ -1,9 +1,9 @@
 """The unified backend registry: one table every consumer derives from.
 
 Every executor in the repo registers exactly one :class:`BackendSpec` here —
-the host engines (serial / wavefront / parallel), the functional GPU
-simulator and the sharded distributed executor (the one streaming backend;
-with one shard it is the out-of-core band loop).  The CLI ``--engine``
+the host engines (serial / wavefront), the functional GPU simulator and the
+sharded distributed executor (the one streaming backend; with one shard it
+is the out-of-core band loop).  The CLI ``--engine``
 choices, ``repro list`` (text and ``--json``), the fuzzer's engine pool,
 the one entry point (:func:`repro.sat.registry.compute_sat`) and every
 "unknown backend" error message all read from this one table, so none of
@@ -45,11 +45,6 @@ def _make_specs() -> dict[str, BackendSpec]:
             algorithms=tile, dtypes=None, bit_identical=True,
             kind="host", retains_state=True,
             default_algorithm="1R1W-SKSS-LB"),
-        "parallel": BackendSpec(
-            name="parallel",
-            summary="fork/join banded 2R2W scan (plain cumsums)",
-            algorithms=None, dtypes=None, bit_identical=False,
-            kind="host", algorithm_agnostic=True),
         "gpusim": BackendSpec(
             name="gpusim",
             summary="functional GPU simulator (device kernels, measured "

@@ -63,13 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           "by --policy/--seed/--consistency/"
                           "--detect-uninitialized, reports its traffic), "
                           "the serial tile loop, the multi-core wavefront "
-                          "tile engine, the fork/join banded 2R2W scan, or "
-                          "the sharded distributed executor (band shards on "
-                          "a worker pool with persisted carries)")
+                          "tile engine, or the sharded distributed executor "
+                          "(band shards on a worker pool with persisted "
+                          "carries)")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker threads for the wavefront/parallel "
-                          "engines (default: REPRO_WORKERS or 1); "
-                          "for the distributed engine, >1 uses real worker "
+                     help="worker threads for the wavefront engine "
+                          "(default: REPRO_WORKERS or 1); for the "
+                          "distributed engine, >1 uses real worker "
                           "processes; rejected by serial and gpusim")
     run.add_argument("--shards", type=int, default=None,
                      help="band-shard count for --engine distributed "

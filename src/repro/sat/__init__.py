@@ -15,7 +15,6 @@ from repro.sat.nehab_2r1w import Nehab2R1W
 from repro.sat.integral import (exclusive_sat, integral_image, rect_sum_ii,
                                 tilted_integral)
 from repro.sat.outofcore import OutOfCoreSAT, out_of_core_sat
-from repro.sat.parallel_host import parallel_sat
 from repro.sat.optimal_2r2w import Optimal2R2W
 from repro.sat.reference import (rect_sum, rect_sums, sat_reference,
                                  sat_sequential)
@@ -32,7 +31,6 @@ __all__ = [
     "ALGORITHMS", "compute_sat", "get_algorithm",
     "OutOfCoreSAT", "out_of_core_sat",
     "integral_image", "exclusive_sat", "rect_sum_ii", "tilted_integral",
-    "parallel_sat",
     "tile_serial_number", "serial_to_tile",
     "DTypePolicy", "EXACT", "WIDEN_FLOAT", "LEGACY_FLOAT64", "POLICIES",
     "fixed_policy", "resolve_policy", "accumulator_dtype",

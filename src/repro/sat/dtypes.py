@@ -101,8 +101,12 @@ POLICIES: dict[str, DTypePolicy] = {
 
 
 def fixed_policy(dtype) -> DTypePolicy:
-    """A policy that accumulates in one fixed dtype regardless of the input."""
+    """A policy that accumulates in one fixed dtype regardless of the input
+    (not ``bool``: its sums are ORs, which no rectangle query can invert)."""
     acc = _check_numeric(np.dtype(dtype))
+    if acc == np.bool_:
+        raise ConfigurationError("a bool accumulator cannot hold a SAT: its "
+                                 "sums are logical ORs; use an integer dtype")
     return DTypePolicy(f"fixed:{acc.name}", lambda _d, _acc=acc: _acc)
 
 
@@ -111,7 +115,7 @@ def resolve_policy(policy=None) -> DTypePolicy:
 
     Accepts ``None`` (→ :data:`EXACT`), a policy instance, a policy name
     (``"exact"``, ``"widen-float"``, ``"float64"``), or a dtype-like
-    (→ :func:`fixed_policy`).
+    (→ :func:`fixed_policy`, whose refusal of ``bool`` passes through).
     """
     if policy is None:
         return EXACT
@@ -120,11 +124,12 @@ def resolve_policy(policy=None) -> DTypePolicy:
     if isinstance(policy, str) and policy in POLICIES:
         return POLICIES[policy]
     try:
-        return fixed_policy(policy)
+        acc = _check_numeric(np.dtype(policy))
     except (TypeError, ConfigurationError):
         raise ConfigurationError(
             f"unknown dtype policy {policy!r}; expected one of "
             f"{sorted(POLICIES)}, a DTypePolicy, or a NumPy dtype") from None
+    return fixed_policy(acc)
 
 
 def accumulator_dtype(input_dtype, policy=None) -> np.dtype:

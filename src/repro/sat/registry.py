@@ -87,10 +87,8 @@ def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
     algorithm:
         Paper name or alias; defaults to the paper's 1R1W-SKSS-LB.  ``None``
         means the executor's default: the backend's ``default_algorithm``,
-        or the plain double scan when it has none (the serial and parallel
-        engines).  The ``parallel`` engine always runs its banded plain
-        scan: it validates the name, and its result's ``algorithm`` is
-        ``None`` (``summary()`` reads "reference").
+        or the plain double scan when it has none (the serial and
+        distributed engines).
     engine:
         The executor: a name from
         :func:`~repro.backend.registry.known_backends` (default ``"gpusim"``,
@@ -100,8 +98,8 @@ def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
         simulator :class:`~repro.gpusim.kernel.GPU` (device, scheduling
         policy, seed, consistency mode).
     workers:
-        Worker count for the ``wavefront``/``parallel``/``distributed``
-        engines (for ``distributed``, ``workers > 1`` switches from the
+        Worker count for the ``wavefront`` and ``distributed`` engines
+        (for ``distributed``, ``workers > 1`` switches from the
         in-process transport to real worker processes); the engines with
         no worker pool (``serial``, ``gpusim``) reject it.  With a
         :class:`~repro.hostexec.WavefrontEngine` instance it must be

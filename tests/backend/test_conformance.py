@@ -43,10 +43,7 @@ def test_matches_serial_oracle(backend, spec, W, shape, make_matrix,
         pytest.skip(f"{spec.name} does not execute {algorithm}")
     a = make_matrix(shape, dtype)
     got = backend.compute(a, algorithm=algorithm, tile_width=W)
-    if spec.algorithm_agnostic:
-        want = a.astype(got.dtype, copy=False).cumsum(axis=0).cumsum(axis=1)
-    else:
-        want = get_algorithm(algorithm, tile_width=W).run_host(a)
+    want = get_algorithm(algorithm, tile_width=W).run_host(a)
     assert_matches(spec, got, want)
 
 
@@ -157,6 +154,20 @@ def test_input_layouts_give_the_exact_int64_table(backend, W, make_matrix,
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got,
                                   a.astype(np.int64).cumsum(0).cumsum(1))
+
+
+@pytest.mark.parametrize("policy, acc", [("widen-float", np.int64),
+                                         ("float64", np.float64)])
+def test_bool_input_under_named_policies(backend, W, make_matrix, policy,
+                                         acc):
+    """A ``bool`` *input* is fine under the other named policies too (the
+    ``exact`` case is a layout above; only a bool accumulator is refused):
+    counts in int64, or in float64 under the legacy policy, exact at this
+    size whatever the summation order."""
+    a = make_matrix((70, 45), "int32") % 3 == 0
+    got = backend.compute(a, tile_width=W, dtype_policy=policy)
+    assert got.dtype == acc
+    np.testing.assert_array_equal(got, a.astype(acc).cumsum(0).cumsum(1))
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

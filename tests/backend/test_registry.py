@@ -9,6 +9,8 @@ and ``engine=`` / ``--engine`` accept every one of them.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ from repro.backend.registry import (backend_specs, backend_table,
                                     resolve_backend, unknown_backend_error)
 from repro.errors import ConfigurationError
 
+REPO = Path(__file__).resolve().parents[2]
+
 
 def test_known_backends_exactly():
-    assert known_backends() == ("serial", "wavefront", "parallel",
-                                "gpusim", "distributed")
+    assert known_backends() == ("serial", "wavefront", "gpusim",
+                                "distributed")
 
 
 def test_every_executor_class_is_registered():
@@ -40,7 +44,7 @@ def test_specs_are_self_named():
 
 
 def test_all_four_engines_registered():
-    engines = ("serial", "wavefront", "parallel", "distributed")
+    engines = ("serial", "wavefront", "gpusim", "distributed")
     for name in engines:
         assert resolve_backend(name) is get_backend(name)
 
@@ -61,7 +65,7 @@ def test_cli_choices_match_registry():
     parser = _build_parser()
     for name in known_backends():
         assert parser.parse_args(["run", "--engine", name]).engine == name
-    for name in ("compiled", "outofcore"):
+    for name in ("compiled", "outofcore", "parallel"):
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--engine", name])
 
@@ -90,6 +94,9 @@ def test_routing_uses_the_registry_message():
     with pytest.raises(ConfigurationError) as exc:
         compute_sat(np.zeros((4, 4)), algorithm="1R1W", engine="turbo")
     assert str(exc.value) == str(unknown_backend_error("turbo"))
+    with pytest.raises(ConfigurationError) as exc:
+        compute_sat(np.zeros((4, 4)), engine="parallel")
+    assert str(exc.value) == str(unknown_backend_error("parallel"))
 
 
 def test_unknown_engine_is_configuration_error():
@@ -99,8 +106,8 @@ def test_unknown_engine_is_configuration_error():
     from repro import compute_sat
     with pytest.raises(ConfigurationError) as exc:
         compute_sat(np.zeros((4, 4)), engine="compiled")
-    assert "known backends: serial, wavefront, parallel, gpusim, " \
-        "distributed" in str(exc.value)
+    assert "known backends: serial, wavefront, gpusim, distributed" \
+        in str(exc.value)
 
 
 def test_unknown_backend_error_lists_the_registry():
@@ -150,8 +157,7 @@ def test_backend_table_is_stable_json():
     rows = backend_table()
     assert [r["name"] for r in rows] == list(known_backends())
     keys = {"name", "kind", "summary", "algorithms", "dtypes",
-            "bit_identical", "retains_state", "algorithm_agnostic",
-            "default_algorithm"}
+            "bit_identical", "retains_state", "default_algorithm"}
     for row in rows:
         assert set(row) == keys
     json.dumps(rows)   # must be JSON-able as-is
@@ -160,19 +166,17 @@ def test_backend_table_is_stable_json():
 def test_capability_flags_pinned():
     specs = backend_specs()
     assert [s.kind for s in specs.values()] \
-        == ["host", "host", "host", "device", "streaming"]
+        == ["host", "host", "device", "streaming"]
     assert {n for n, s in specs.items() if s.bit_identical} \
         == {"serial", "wavefront"}
     assert {n for n, s in specs.items() if s.retains_state} \
         == {"wavefront", "distributed"}
-    assert {n for n, s in specs.items() if s.algorithm_agnostic} \
-        == {"parallel"}
 
 
 def test_bit_identity_flags():
     assert get_spec("serial").bit_identical
     assert get_spec("wavefront").bit_identical
-    assert not get_spec("parallel").bit_identical
+    assert not get_spec("gpusim").bit_identical  # float64 device sums
     assert not get_spec("distributed").bit_identical  # band float reorder
 
 
@@ -186,7 +190,7 @@ def test_wavefront_runs_only_tile_algorithms():
 
 def test_universal_engines_support_everything():
     from repro import ALGORITHMS
-    for name in ("serial", "parallel", "distributed"):
+    for name in ("serial", "gpusim", "distributed"):
         for alg in ALGORITHMS:
             assert get_spec(name).supports_algorithm(alg)
 
@@ -203,3 +207,22 @@ def test_dtypes_none_means_any():
         assert spec.dtypes is None
         assert spec.supports_dtype(np.float32)
         assert spec.supports_dtype("int64")
+
+
+def test_docs_name_exactly_the_registered_backends():
+    """Drift pin for the prose: README's ``--engine {...}`` list and the
+    backend column of ARCHITECTURE.md's table of registered backends name
+    exactly ``known_backends()``, in order."""
+    readme = (REPO / "README.md").read_text()
+    lists = re.findall(r"--engine \{([^}]*)\}", readme)
+    assert lists
+    for names in lists:
+        assert tuple(names.split(",")) == known_backends()
+    arch = (REPO / "docs" / "ARCHITECTURE.md").read_text().splitlines()
+    head = arch.index("| backend | kind | what runs | scope |")
+    rows = []
+    for line in arch[head + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.match(r"\| `([^`]+)`", line).group(1))
+    assert tuple(rows) == known_backends()

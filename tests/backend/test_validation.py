@@ -29,7 +29,7 @@ class TestPlanValidation:
     def test_workers_only_on_pooled_backends(self, backend, spec, W):
         """``workers=`` sizes a worker pool; a backend without one refuses
         it at planning time instead of ignoring it."""
-        if spec.name in ("wavefront", "parallel", "distributed"):
+        if spec.name in ("wavefront", "distributed"):
             assert backend.plan((32, 32), "float64", tile_width=W,
                                 workers=2).workers == 2
         else:
@@ -60,6 +60,16 @@ class TestPlanValidation:
     def test_invalid_dtype_rejected(self, backend, W):
         with pytest.raises(ConfigurationError, match="dtype"):
             backend.plan((32, 32), "no-such-dtype", tile_width=W)
+
+    @pytest.mark.parametrize("policy", [np.bool_, "bool"],
+                             ids=["np.bool_", "name"])
+    def test_bool_accumulator_rejected(self, backend, W, policy):
+        """A bool table's "sums" are logical ORs, which no four-corner
+        query can invert: every backend refuses the accumulator at
+        planning time."""
+        with pytest.raises(ConfigurationError, match="bool accumulator"):
+            backend.plan((64, 96), "bool", tile_width=W,
+                         dtype_policy=policy)
 
     def test_band_rows_only_on_streaming_backends(self, backend, spec, W):
         if spec.kind == "streaming":
@@ -150,6 +160,16 @@ def test_compute_sat_host_calls_are_planned(kwargs, monkeypatch):
     bad = next(key for key in kwargs if key != "engine")
     with pytest.raises(ConfigurationError, match=bad):
         compute_sat(a, **kwargs)
+
+
+def test_bool_accumulator_refused_before_the_serial_loop_runs():
+    """Serial 2R1W adds int64 carries into its tiles, which a bool table
+    cannot hold (NumPy's ``UFuncTypeError``); the plan refuses the
+    accumulator before that loop runs."""
+    from repro.sat.registry import compute_sat
+    a = np.random.default_rng(3).random((40, 70)) < 0.5
+    with pytest.raises(ConfigurationError, match="bool accumulator"):
+        compute_sat(a, engine=None, algorithm="2R1W", dtype_policy=np.bool_)
 
 
 def test_unsupported_dtype_rejected_by_the_protocol():

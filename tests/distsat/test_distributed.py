@@ -224,7 +224,7 @@ class TestValidation:
                 as exc:
             distributed_sat(matrix((8, 8)), inner_engine="distributed")
         # The alternatives come from the registry, the simulator included.
-        assert "serial, wavefront, parallel, gpusim" in str(exc.value)
+        assert "serial, wavefront, gpusim" in str(exc.value)
 
     @pytest.mark.parametrize("kind", ["WavefrontEngine", "GPU"])
     def test_engine_instances_refused_before_any_file(self, kind, tmp_path):

@@ -23,8 +23,7 @@ def matrix(n, seed=3):
 class TestHostSat:
     """Host routing through compute_sat (``engine=None`` is serial)."""
 
-    @pytest.mark.parametrize("engine", [None, "serial", "wavefront",
-                                        "parallel"])
+    @pytest.mark.parametrize("engine", [None, "serial", "wavefront"])
     def test_engines_agree(self, engine):
         a = matrix(96)
         sat = compute_sat(a, algorithm="skss-lb", engine=engine).sat
@@ -53,7 +52,7 @@ class TestHostSat:
 
 
 class TestComputeSat:
-    @pytest.mark.parametrize("engine", ["wavefront", "parallel"])
+    @pytest.mark.parametrize("engine", ["wavefront"])
     def test_engine_implies_host_path(self, engine):
         a = matrix(96)
         result = compute_sat(a, engine=engine)
@@ -83,16 +82,6 @@ class TestComputeSat:
         result = compute_sat(a, algorithm="hybrid", engine="wavefront")
         assert result.algorithm == "(1+r)R1W"
 
-    def test_parallel_result_names_the_scan_that_ran(self):
-        """The banded scan runs whatever ``algorithm=`` says, so its result
-        names the reference scan; the name is still validated."""
-        result = compute_sat(matrix(96), algorithm="skss-lb",
-                             engine="parallel")
-        assert result.algorithm is None
-        assert result.summary() == "reference: n=96 (host path)"
-        with pytest.raises(ConfigurationError, match="unknown SAT algorithm"):
-            compute_sat(matrix(96), algorithm="no-such", engine="parallel")
-
     def test_simulator_params_rejected_on_host_engines(self):
         """``compute_sat`` takes no algorithm parameters on any engine."""
         with pytest.raises(TypeError, match="'r'"):
@@ -121,24 +110,6 @@ class TestCLI:
         assert code == 0
         assert "correct vs reference: True" in out
 
-    def test_run_parallel_reports_the_reference_scan(self, capsys,
-                                                     monkeypatch):
-        """``run --engine parallel`` names the scan that ran and holds it to
-        the worst-case tolerance, not the default algorithm's."""
-        from repro.analysis import tolerances
-        asked = []
-        real = tolerances.derived_tolerance
-
-        def spy(algorithm, *args, **kwargs):
-            asked.append(algorithm)
-            return real(algorithm, *args, **kwargs)
-        monkeypatch.setattr(tolerances, "derived_tolerance", spy)
-        code, out = self.run_cli(capsys, "run", "-n", "64",
-                                 "--engine", "parallel")
-        assert code == 0
-        assert out.splitlines()[0] == "reference: n=64 (host path)"
-        assert asked == [None]
-
     @pytest.mark.parametrize("engine", ["serial", "gpusim"])
     def test_run_rejects_workers_without_a_pool(self, engine):
         with pytest.raises(ConfigurationError, match="no worker pool"):
@@ -155,7 +126,7 @@ class TestApps:
         img = matrix(64, seed=11)
         base = box_filter(img, 3)
         assert np.allclose(box_filter(img, 3, engine="wavefront"), base)
-        assert np.allclose(box_filter(img, 3, engine="parallel"), base)
+        assert np.allclose(box_filter(img, 3, engine="distributed"), base)
 
     @pytest.mark.parametrize("app", [box_filter, local_moments])
     def test_gpu_without_algorithm_runs_the_simulator(self, app):
@@ -194,5 +165,5 @@ class TestApps:
         base = ncc_match(img, tpl)
         assert np.allclose(ncc_match(img, tpl, engine="wavefront"), base)
         top, left = np.unravel_index(
-            np.argmax(ncc_match(img, tpl, engine="parallel")), base.shape)
+            np.argmax(ncc_match(img, tpl, engine="distributed")), base.shape)
         assert (top, left) == (20, 24)
