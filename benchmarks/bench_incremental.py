@@ -118,7 +118,6 @@ def run_full(args) -> int:
         "cpu_count": os.cpu_count(),
         "numpy": np.__version__,
         "python": platform.python_version(),
-        "repro_workers_env": os.environ.get("REPRO_WORKERS"),
         "repeats": args.repeats,
         "numpy_baseline": [],
         "edits": [],

@@ -4,7 +4,7 @@
 Prints a measured mini-Table I — kernel launches, peak threads, global
 reads/writes per element, spins, fences — plus the emergent simulator cycles,
 for a 256x256 matrix at W=32.  A second table times the host execution
-engines (serial tile loop, multi-core wavefront, sharded bands) on a larger
+engines (serial tile loop, row-run wavefront, sharded bands) on a larger
 matrix.
 """
 
@@ -69,8 +69,8 @@ def compare_engines(n: int = 1024) -> None:
         ok = "yes" if np.allclose(sat, ref) else "NO"
         print(f"{engine:<12} {ok:<3} {dt:>8.3f}")
     print("\n * serial runs the algorithm's own tile loop;")
-    print(" * wavefront dispatches tile-row runs to a pool, each row's")
-    print("   look-back a prefix scan (bit-identical to serial);")
+    print(" * wavefront runs each tile row as one run, its look-back a")
+    print("   prefix scan (bit-identical to serial);")
     print(" * distributed runs band shards with persisted column carries.")
 
 

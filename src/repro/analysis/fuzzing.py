@@ -31,7 +31,7 @@ The modes share one harness (``repro fuzz --mode``, :data:`FUZZ_MODES`):
 
 ``engine``
     Backend differential fuzzing: a random (algorithm, dtype, ragged
-    shape, workers) configuration runs through a randomly chosen non-serial
+    shape) configuration runs through a randomly chosen non-serial
     backend from the unified registry (:mod:`repro.backend.registry` —
     wavefront, plus the gpusim simulator at small warp-aligned shapes and
     the banded distributed streamer) and is compared against the serial
@@ -155,7 +155,7 @@ class FuzzConfig:
     rows: int | None = None
     cols: int | None = None
     edits: int = 0
-    workers: int = 1
+    workers: int = 1                # unused; kept for replay
     strategy: str = "auto"
     # Sanitize-mode fields (defaults keep pre-existing replay JSON valid).
     kernel: str | None = None       # bug-corpus entry instead of an algorithm
@@ -263,8 +263,7 @@ def sample_incremental_config(rng: np.random.Generator) -> FuzzConfig:
     """Draw one random edit-sequence configuration.
 
     Rectangular shapes (ragged tile edges with probability well above half),
-    all four input dtypes, both repair strategies where legal, and 1 or 4
-    workers for the initial build (repair itself is worker-independent).
+    all four input dtypes and both repair strategies where legal.
     """
     tile_width = int(rng.choice([16, 32]))
     rows = int(rng.integers(1, 5)) * tile_width + int(rng.integers(0, tile_width))
@@ -288,7 +287,6 @@ def sample_incremental_config(rng: np.random.Generator) -> FuzzConfig:
         rows=rows,
         cols=cols,
         edits=int(rng.integers(2, 7)),
-        workers=int(rng.choice([1, 4])),
         strategy=str(rng.choice(strategies)),
     )
 
@@ -296,9 +294,9 @@ def sample_incremental_config(rng: np.random.Generator) -> FuzzConfig:
 def sample_engine_config(rng: np.random.Generator) -> FuzzConfig:
     """Draw one random backend differential configuration.
 
-    Ragged rectangular shapes, all four differential dtypes, 1 or 4 workers,
-    and a backend drawn from the unified registry (everything but the serial
-    oracle).  Each backend's algorithm pool comes from its spec — wavefront
+    Ragged rectangular shapes, all four differential dtypes and a backend
+    drawn from the unified registry (everything but the serial oracle).
+    Each backend's algorithm pool comes from its spec — wavefront
     only executes the five tile algorithms; gpusim and distributed cover
     all seven.  The gpusim backend gets small warp-aligned shapes (its
     collectives need ``tile_width`` to be a whole number of 32-lane warps,
@@ -313,14 +311,12 @@ def sample_engine_config(rng: np.random.Generator) -> FuzzConfig:
         tile_width = 32             # warp-width multiple; see GpusimBackend
         rows = tile_width + int(rng.integers(0, tile_width + 1))
         cols = tile_width + int(rng.integers(0, tile_width + 1))
-        workers = 1                 # the simulator has no host worker pool
     else:
         tile_width = int(rng.choice([16, 32]))
         rows = int(rng.integers(1, 5)) * tile_width \
             + int(rng.integers(0, tile_width))
         cols = int(rng.integers(1, 5)) * tile_width \
             + int(rng.integers(0, tile_width))
-        workers = int(rng.choice([1, 4]))
     pool = spec.algorithms if spec.algorithms is not None else FUZZ_ALGORITHMS
     band_rows = int(rng.integers(1, rows + 1)) \
         if spec.kind == "streaming" else None
@@ -338,7 +334,6 @@ def sample_engine_config(rng: np.random.Generator) -> FuzzConfig:
         dtype=str(rng.choice(INCREMENTAL_DTYPES)),
         rows=rows,
         cols=cols,
-        workers=workers,
         engine=engine,
         band_rows=band_rows,
     )
@@ -488,8 +483,6 @@ def _run_engine(config: FuzzConfig) -> str | None:
     a = config.build_matrix()
     kwargs: dict = {"algorithm": config.algorithm,
                     "tile_width": config.tile_width}
-    if spec.kind == "host":
-        kwargs["workers"] = config.workers
     if spec.kind == "streaming":
         kwargs["band_rows"] = config.band_rows
     got = backend.compute(a, **kwargs)
@@ -554,8 +547,7 @@ def _run_incremental(config: FuzzConfig) -> str | None:
                            **kwargs)
     with IncrementalSAT(a, algorithm=config.algorithm,
                         tile_width=config.tile_width,
-                        strategy=config.strategy,
-                        workers=config.workers) as inc:
+                        strategy=config.strategy) as inc:
         current = a.astype(inc.dtype)
         for e in range(config.edits):
             kind = rng.choice(["rect", "rect", "tiles", "delta", "advance"])

@@ -42,9 +42,9 @@ def local_moments(image: np.ndarray, radius: int, *,
     Both SATs are built exactly as in
     :func:`~repro.apps.box_filter.box_filter`: one
     :func:`~repro.sat.registry.compute_sat` call each, on ``engine``
-    (serial by default).  With ``engine="wavefront"`` and no ``workers`` the
-    two builds share the process-wide pooled engine, so the second SAT
-    reuses the tile plan of the first.
+    (serial by default).  With ``engine="wavefront"`` the two builds share
+    the process-wide engine, so the second SAT reuses the tile plan of the
+    first.
 
     Integer images are supported directly: both SATs accumulate exactly
     (``x²`` is widened via :func:`squared_image` before summing) and only the

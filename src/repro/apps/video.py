@@ -141,7 +141,6 @@ class VideoSAT:
 def process_stream(frames: Iterable[np.ndarray], *,
                    rois: Sequence[tuple[int, int, int, int]] = (),
                    algorithm: str = "1R1W-SKSS-LB", tile_width: int = 32,
-                   workers: int | None = None,
                    strategy: str = "auto") -> list[FrameStats]:
     """Run a whole frame stream through :class:`VideoSAT`; returns the
     per-frame statistics (first frame reports a full build)."""
@@ -151,8 +150,7 @@ def process_stream(frames: Iterable[np.ndarray], *,
     except StopIteration:
         return []
     with VideoSAT(first, rois=rois, algorithm=algorithm,
-                  tile_width=tile_width, workers=workers,
-                  strategy=strategy) as video:
+                  tile_width=tile_width, strategy=strategy) as video:
         out = [video.process(first)]
         for frame in it:
             out.append(video.process(frame))

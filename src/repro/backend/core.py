@@ -195,13 +195,13 @@ class Backend(ABC):
         return rows, cols
 
     def _check_workers(self, workers: int | None) -> int | None:
-        """Hook: only backends with a worker pool (wavefront, distributed)
-        accept ``workers``."""
+        """Hook: only the distributed backend, which has a worker pool,
+        accepts ``workers``."""
         if workers is not None:
             raise ConfigurationError(
                 f"workers is not meaningful for the {self.spec.name} "
-                "backend, which has no worker pool (use wavefront or "
-                "distributed)")
+                "backend, which has no worker pool (use the distributed "
+                "backend)")
         return None
 
     def _check_band_rows(self, band_rows: int | None, rows: int,

@@ -46,46 +46,21 @@ class SerialBackend(Backend):
         return alg.run_host(a, dtype_policy=plan.acc_dtype)
 
 
-class _PooledBackend(Backend):
-    """A backend that runs on a worker pool sized by ``workers=``."""
-
-    def _check_workers(self, workers: int | None) -> int | None:
-        return None if workers is None else positive_int(workers, "workers")
-
-
-class WavefrontBackend(_PooledBackend):
-    """Dependency-driven tile chunks on a thread pool (bit-identical)."""
+class WavefrontBackend(Backend):
+    """Each tile row as one run on the caller's thread (bit-identical)."""
 
     def __init__(self, engine=None) -> None:
         from repro.backend.registry import get_spec
         self.spec = get_spec("wavefront")
         self._engine = engine
 
-    def _validate_plan(self, plan: ExecutionPlan) -> None:
-        # A caller-managed engine owns its pool; a different worker count
-        # would be silently ignored.
-        eng = self._engine
-        if eng is not None and plan.workers is not None \
-                and plan.workers != eng.workers:
-            raise ConfigurationError(
-                f"workers={plan.workers} conflicts with the caller's "
-                f"engine, which runs {eng.workers} workers")
-
-    def _engine_compute(self, eng, plan: ExecutionPlan, a: np.ndarray,
-                        out: np.ndarray | None) -> np.ndarray:
+    def _execute(self, plan: ExecutionPlan, a: np.ndarray,
+                 out: np.ndarray | None) -> np.ndarray:
+        from repro.hostexec.engine import shared_engine
+        eng = self._engine if self._engine is not None else shared_engine()
         return eng.compute(a, algorithm=plan.algorithm,
                            tile_width=plan.tile_width,
                            dtype_policy=plan.acc_dtype, out=out)
-
-    def _execute(self, plan: ExecutionPlan, a: np.ndarray,
-                 out: np.ndarray | None) -> np.ndarray:
-        from repro.hostexec.engine import WavefrontEngine, shared_engine
-        if self._engine is not None:
-            return self._engine_compute(self._engine, plan, a, out)
-        if plan.workers is not None:
-            with WavefrontEngine(workers=plan.workers) as eng:
-                return self._engine_compute(eng, plan, a, out)
-        return self._engine_compute(shared_engine(), plan, a, out)
 
     def _execute_with_carries(self, plan: ExecutionPlan,
                               a: np.ndarray) -> tuple[np.ndarray, CarrySet]:
@@ -93,7 +68,7 @@ class WavefrontBackend(_PooledBackend):
         eng = self._engine
         owned = eng is None
         if owned:
-            eng = WavefrontEngine(workers=plan.workers)
+            eng = WavefrontEngine()
         try:
             sat = eng.compute(a, algorithm=plan.algorithm,
                               tile_width=plan.tile_width,
@@ -148,7 +123,7 @@ class GpusimBackend(Backend):
         return self.run(plan, a).sat
 
 
-class DistributedBackend(_PooledBackend):
+class DistributedBackend(Backend):
     """Sharded band workers behind the work-queue protocol.
 
     The image is split into ``shards`` contiguous band shards, fanned out
@@ -165,6 +140,9 @@ class DistributedBackend(_PooledBackend):
     def __init__(self) -> None:
         from repro.backend.registry import get_spec
         self.spec = get_spec("distributed")
+
+    def _check_workers(self, workers: int | None) -> int | None:
+        return None if workers is None else positive_int(workers, "workers")
 
     def _check_band_rows(self, band_rows: int | None, rows: int,
                          tile_width: int) -> int | None:
@@ -209,7 +187,7 @@ BACKEND_CLASSES: dict[str, type[Backend]] = {
 
 def backend_for_instance(engine) -> Backend:
     """Wrap a caller-managed executor in its backend adapter: a
-    :class:`WavefrontEngine` (its pool and plan cache) or a simulator
+    :class:`WavefrontEngine` (its plan and carry caches) or a simulator
     :class:`GPU`; anything else raises the canonical unknown-backend error.
     """
     from repro.backend.registry import unknown_backend_error

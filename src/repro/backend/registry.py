@@ -41,7 +41,7 @@ def _make_specs() -> dict[str, BackendSpec]:
             kind="host"),
         "wavefront": BackendSpec(
             name="wavefront",
-            summary="dependency-driven tile chunks on a thread pool",
+            summary="each tile row as one run on the caller's thread",
             algorithms=tile, dtypes=None, bit_identical=True,
             kind="host", retains_state=True,
             default_algorithm="1R1W-SKSS-LB"),
@@ -122,7 +122,7 @@ def resolve_backend(engine=None) -> Backend:
     by name (:func:`get_backend`); a caller-managed
     :class:`~repro.hostexec.WavefrontEngine` or simulator
     :class:`~repro.gpusim.kernel.GPU` is wrapped in its backend's adapter
-    (keeping the caller's pool and caches, or device configuration).
+    (keeping the caller's plan and carry caches, or device configuration).
     """
     if engine is None:
         return get_backend("serial")

@@ -62,15 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="executor: the GPU simulator (default; configured "
                           "by --policy/--seed/--consistency/"
                           "--detect-uninitialized, reports its traffic), "
-                          "the serial tile loop, the multi-core wavefront "
+                          "the serial tile loop, the row-run wavefront "
                           "tile engine, or the sharded distributed executor "
                           "(band shards on a worker pool with persisted "
                           "carries)")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker threads for the wavefront engine "
-                          "(default: REPRO_WORKERS or 1); for the "
-                          "distributed engine, >1 uses real worker "
-                          "processes; rejected by serial and gpusim")
+                     help="worker processes for --engine distributed (>1 "
+                          "uses real worker processes); rejected by every "
+                          "other engine")
     run.add_argument("--shards", type=int, default=None,
                      help="band-shard count for --engine distributed "
                           "(default 2; rejected by other engines)")
@@ -286,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          "path; floats the recompute path)")
     ib.add_argument("--strategy", default="auto",
                     choices=["auto", "delta", "recompute"])
-    ib.add_argument("--workers", type=int, default=None)
     ib.add_argument("--seed", type=int, default=0)
     ib.add_argument("--json", metavar="PATH", default=None,
                     help="also write the result record as JSON")
@@ -623,8 +621,7 @@ def _cmd_incremental_bench(args) -> int:
     result = repair_benchmark(
         args.size, dirty_frac=args.dirty_frac, edits=args.edits,
         tile_width=args.tile_width, algorithm=args.algorithm,
-        dtype=args.dtype, strategy=args.strategy, workers=args.workers,
-        seed=args.seed)
+        dtype=args.dtype, strategy=args.strategy, seed=args.seed)
     print(f"n={result['n']} W={result['tile_width']} "
           f"{result['algorithm']} {result['dtype']} "
           f"(strategy={result['strategy']}, "

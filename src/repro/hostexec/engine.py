@@ -1,32 +1,27 @@
-"""The wavefront host engine: dependency-driven tiled SAT execution on a
-persistent thread pool.
+"""The wavefront host engine: tiled SAT execution, one tile row at a time.
 
 This is the CPU realization of the paper's look-back structure.  The GPU
 algorithm lets CUDA blocks acquire tiles in diagonal-major serial order and
 spin on per-tile status bytes; that order exists so that blocks never wait
 on a tile no resident block will produce.  A CPU has no residency limit to
 respect, and along a tile row the look-back is just a prefix scan, so the
-host engine dispatches *row runs* (consecutive tiles of one tile row, see
-:mod:`repro.hostexec.plan`) to pool workers the moment the runs holding
-their left/up/up-left producer tiles retire.  Per-run dependency counters
-replace a full row barrier, so once rows are split, run ``(I+1, p)``
-overlaps the still-running remainder of row ``I``.  NumPy releases the GIL
-inside the row-run kernels, so runs can overlap on multi-core hosts; on any
-host the batching itself (one NumPy call sequence per run instead of per
-tile) is a large constant-factor win over the serial ``_run_host`` loops.
+host engine runs each tile row as one *row run* (see
+:mod:`repro.hostexec.plan`), top to bottom, on the caller's thread.  The
+batching (one NumPy call sequence per row instead of per tile) is a large
+constant-factor win over the serial ``_run_host`` loops.
 
-A :class:`WavefrontEngine` is persistent: its pool, row-run plans and
-carry planes are built once and reused, which makes repeated same-shape
-SATs (video-style streams) cheap.  Callers reach it through
+A :class:`WavefrontEngine` is persistent: its row-run plans and carry
+planes are built once and reused, which makes repeated same-shape SATs
+(video-style streams) cheap.  Callers reach it through
 ``compute_sat(..., engine="wavefront")`` (the process-wide
-:func:`shared_engine`) or ``compute_sat(..., engine=WavefrontEngine(...))``
-for a caller-managed pool.
+:func:`shared_engine`) or ``compute_sat(..., engine=WavefrontEngine())``
+for a caller-managed one.
 
 Results are bit-identical to each algorithm's serial host path (in the same
-accumulator dtype) and independent of the worker count and of scheduling
-order: row-run kernels only read carries (and, for integer accumulators,
-SAT entries) of tiles whose status word is DONE or that precede them in
-their own run, and each tile's algebra is a pure function of those values.
+accumulator dtype): a row run reads only carries (and, for integer
+accumulators, SAT entries) of the rows above it and of tiles that precede
+it in its own row, and each tile's algebra is a pure function of those
+values.
 
 Rectangular inputs follow the virtual zero-padding convention of
 :mod:`repro.sat.base`: the matrix is padded to tile multiples with zeros
@@ -38,9 +33,7 @@ into the result.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +42,7 @@ from repro.backend.core import positive_int
 from repro.backend.plan import check_out, finalize_output, prepare_input
 from repro.errors import ConfigurationError
 from repro.hostexec.kernels import CarryPlanes, KernelSpec, kernel_for
-from repro.hostexec.plan import (DEPS_LEFT_UP, TILE_DONE, TILE_READY,
-                                 WavefrontPlan, build_plan)
+from repro.hostexec.plan import DEPS_LEFT_UP, WavefrontPlan, build_plan
 from repro.primitives.tile import TileGrid
 from repro.sat.dtypes import resolve_policy
 
@@ -103,43 +95,24 @@ class RetainedState:
         return planes
 
 
-def default_workers() -> int:
-    """Worker count: the ``REPRO_WORKERS`` env var, else one.
-
-    One worker until a pool is measured to pay: on the two-core machine
-    ``BENCH_host_engine.json`` was recorded on, two workers are slower than
-    one at every size (the row-run kernels hand the GIL back and forth
-    between short NumPy calls).  An explicit ``workers=`` still builds a
-    pool of that size.
-    """
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"REPRO_WORKERS must be an integer, got {env!r}") from exc
-        if value <= 0:
-            raise ConfigurationError("REPRO_WORKERS must be positive")
-        return value
-    return 1
-
-
 class WavefrontEngine:
-    """Persistent wavefront executor for tile-based SAT dataflows.
+    """Persistent row-run executor for tile-based SAT dataflows.
+
+    Each compute runs every tile row as one run, top to bottom, on the
+    caller's thread; one compute runs at a time per engine.
 
     Parameters
     ----------
     workers:
-        Pool size (defaults to :func:`default_workers`).  ``workers=1``
-        degenerates to a serial sweep of whole tile rows with no pool
-        overhead — still much faster than the per-tile serial loops.
+        ``None`` or ``1``, the engine's one worker; any other count raises
+        :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, *, workers: int | None = None) -> None:
-        self.workers = default_workers() if workers is None \
-            else positive_int(workers, "workers")
-        self._pool: ThreadPoolExecutor | None = None
+        if workers is not None and positive_int(workers, "workers") != 1:
+            raise ConfigurationError(
+                f"the wavefront engine runs on the caller's thread; workers "
+                f"must be None or 1, got {workers!r}")
         self._plans: dict[tuple, WavefrontPlan] = {}
         self._carries: dict[tuple, CarryPlanes] = {}
         self._lock = threading.Lock()   # one compute at a time per engine
@@ -148,22 +121,12 @@ class WavefrontEngine:
 
     # -- resource management ---------------------------------------------------
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._closed:
-            raise ConfigurationError("engine is closed")
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-wavefront")
-        return self._pool
-
-    def plan(self, grid: TileGrid,
-             deps: tuple[tuple[int, int], ...]) -> WavefrontPlan:
-        """The cached row-run wavefront plan for one grid geometry."""
-        key = (grid.tile_rows, grid.tile_cols, grid.W, deps, self.workers)
+    def plan(self, grid: TileGrid) -> WavefrontPlan:
+        """The cached row-run plan for one grid geometry."""
+        key = (grid.tile_rows, grid.tile_cols, grid.W)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = build_plan(grid, deps, self.workers)
+            plan = self._plans[key] = build_plan(grid)
         return plan
 
     def _carry(self, grid: TileGrid, dtype: np.dtype) -> CarryPlanes:
@@ -175,14 +138,13 @@ class WavefrontEngine:
         return carry
 
     def close(self) -> None:
-        """Shut the pool down; cached plans/carries are released."""
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._plans.clear()
-        self._carries.clear()
-        self._retained = None
+        """Release the cached plans, carry planes and retained state; every
+        later compute raises :class:`~repro.errors.ConfigurationError`."""
+        with self._lock:
+            self._closed = True
+            self._plans.clear()
+            self._carries.clear()
+            self._retained = None
 
     def __enter__(self) -> "WavefrontEngine":
         return self
@@ -195,7 +157,7 @@ class WavefrontEngine:
     def compute(self, a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
                 tile_width: int = 32, out: np.ndarray | None = None,
                 dtype_policy=None, retain_state: bool = False) -> np.ndarray:
-        """Compute one SAT through the wavefront schedule.
+        """Compute one SAT, each tile row as one run, top to bottom.
 
         ``a`` may be any 2-D ``rows x cols`` matrix; ragged edges are padded
         with zeros to tile multiples internally and cropped on output.
@@ -213,48 +175,48 @@ class WavefrontEngine:
         repair (:class:`~repro.hostexec.incremental.IncrementalSAT`).  For an
         aligned input the returned array aliases the retained SAT.
         """
-        spec = kernel_for(algorithm)
-        a = np.asarray(a)
-        if a.ndim != 2:
-            raise ConfigurationError(
-                f"wavefront engine expects a 2-D matrix, got shape {a.shape}")
-        if retain_state and out is not None:
-            raise ConfigurationError(
-                "retain_state=True owns its output buffer; out= is not "
-                "supported")
-        rows, cols = a.shape
-        acc = resolve_policy(dtype_policy).accumulator(a.dtype)
-        grid = TileGrid(rows=rows, cols=cols, W=tile_width)
-        tr, tc, W = grid.tile_rows, grid.tile_cols, grid.W
-        if grid.aligned and a.flags.c_contiguous and not retain_state:
-            # The kernels cast each run as they copy it into the result.
-            work = a
-        else:
-            # Padding needs a zero-filled buffer; the retained state owns
-            # (and later edits) a private working matrix.
-            work, _ = prepare_input(a, acc_dtype=acc, grid=grid,
-                                    force_copy=retain_state)
-        check_out(out, rows, cols, acc)
-        # The kernels run over the padded geometry; reuse ``out`` directly
-        # when no padding is involved, otherwise crop afterwards.
-        res = out if (out is not None and grid.aligned) \
-            else np.empty(work.shape, dtype=acc)
         with self._lock:
-            plan = self.plan(grid, spec.deps)
+            if self._closed:
+                raise ConfigurationError("engine is closed")
+            spec = kernel_for(algorithm)
+            a = np.asarray(a)
+            if a.ndim != 2:
+                raise ConfigurationError(
+                    f"wavefront engine expects a 2-D matrix, got shape "
+                    f"{a.shape}")
+            if retain_state and out is not None:
+                raise ConfigurationError(
+                    "retain_state=True owns its output buffer; out= is not "
+                    "supported")
+            rows, cols = a.shape
+            acc = resolve_policy(dtype_policy).accumulator(a.dtype)
+            grid = TileGrid(rows=rows, cols=cols, W=tile_width)
+            tr, tc, W = grid.tile_rows, grid.tile_cols, grid.W
+            if grid.aligned and a.flags.c_contiguous and not retain_state:
+                # The kernels cast each run as they copy it into the result.
+                work = a
+            else:
+                # Padding needs a zero-filled buffer; the retained state owns
+                # (and later edits) a private working matrix.
+                work, _ = prepare_input(a, acc_dtype=acc, grid=grid,
+                                        force_copy=retain_state)
+            check_out(out, rows, cols, acc)
+            # The kernels run over the padded geometry; reuse ``out``
+            # directly when no padding is involved, otherwise crop
+            # afterwards.
+            res = out if (out is not None and grid.aligned) \
+                else np.empty(work.shape, dtype=acc)
             carry = CarryPlanes(tr=tr, tc=tc, W=W, dtype=acc) \
                 if retain_state else self._carry(grid, acc)
             a4 = work.reshape(tr, W, tc, W)
             out4 = res.reshape(tr, W, tc, W)
-            if self.workers == 1 or plan.num_chunks == 1:
-                for chunk in plan.chunks:   # row-major order is topological
-                    spec.run(a4, out4, carry, chunk, W)
-            else:
-                self._run_parallel(plan, spec, a4, out4, carry, W)
+            for chunk in self.plan(grid).chunks:  # row-major is topological
+                spec.run(a4, out4, carry, chunk, W)
             if retain_state:
                 self._retained = RetainedState(spec=spec, grid=grid,
                                                work=work, out=res,
                                                carry=carry)
-        return finalize_output(res, rows, cols, out)
+            return finalize_output(res, rows, cols, out)
 
     def retained_state(self) -> RetainedState | None:
         """The state kept by the most recent ``retain_state=True`` compute.
@@ -265,66 +227,6 @@ class WavefrontEngine:
         :class:`~repro.hostexec.incremental.IncrementalSAT` does).
         """
         return self._retained
-
-    def _run_parallel(self, plan: WavefrontPlan, spec: KernelSpec,
-                      a4: np.ndarray, out4: np.ndarray, carry: CarryPlanes,
-                      W: int) -> None:
-        """Dependency-driven dispatch over the persistent pool."""
-        pool = self._ensure_pool()
-        pending = [c.num_predecessors for c in plan.chunks]
-        status = plan.initial_status()
-        state_lock = threading.Lock()
-        all_done = threading.Event()
-        errors: list[BaseException] = []
-        remaining = plan.num_chunks
-
-        def retire(chunk) -> int | None:
-            """Mark ``chunk`` done; hand one unblocked chunk back to the
-            retiring worker (continuation chaining — no pool round-trip for
-            the common single-successor case) and submit any others.
-
-            Readiness is tracked on the plan's chunk-level DAG (plain integer
-            counters — cheap under the lock); the per-tile status words are
-            advanced alongside as the observable protocol state.
-            """
-            nonlocal remaining
-            newly_ready: list[int] = []
-            with state_lock:
-                status[chunk.row, chunk.J0:chunk.J1] = TILE_DONE
-                for sid in chunk.successors:
-                    pending[sid] -= 1
-                    if pending[sid] == 0:
-                        newly_ready.append(sid)
-                remaining -= 1
-                if remaining == 0:
-                    all_done.set()
-                for sid in newly_ready:
-                    ready = plan.chunks[sid]
-                    status[ready.row, ready.J0:ready.J1] = TILE_READY
-            cont = newly_ready.pop() if newly_ready else None
-            for cid in newly_ready:
-                pool.submit(run, cid)
-            return cont
-
-        def run(cid: int | None) -> None:
-            while cid is not None:
-                chunk = plan.chunks[cid]
-                if not errors:
-                    try:
-                        spec.run(a4, out4, carry, chunk, W)
-                    except BaseException as exc:  # propagate to the caller
-                        with state_lock:
-                            errors.append(exc)
-                cid = retire(chunk)
-
-        roots = plan.roots()
-        if not roots:
-            raise ConfigurationError("wavefront plan has no dispatchable root")
-        for cid in roots:
-            pool.submit(run, cid)
-        all_done.wait()
-        if errors:
-            raise errors[0]
 
 
 #: Lazily-created process-wide engine used by ``engine="wavefront"`` call

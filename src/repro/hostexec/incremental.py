@@ -36,8 +36,7 @@ rectangle writes (:meth:`IncrementalSAT.update`), tile writes
     I₀ ≤ I, J₀ ≤ J}`` — one run per tile row, top to bottom: row ``I`` of
     ``Q`` is the suffix ``[J₀(I), tc)``.  Every recomputed tile reads
     either retained (still valid) or freshly recomputed producer values, so
-    the repaired table is bit-identical to a full recompute for every dtype,
-    and trivially independent of the worker count.
+    the repaired table is bit-identical to a full recompute for every dtype.
 
 Both strategies maintain the invariant checked by :func:`verify_state`: after
 every edit the resident carry planes equal the Table II oracles of the
@@ -111,9 +110,9 @@ class IncrementalSAT:
     tile_width, dtype_policy:
         As in :func:`~repro.sat.registry.compute_sat`.
     workers:
-        Pool size of the private engine that runs full computations (closed
-        with :meth:`close`); repairs are batched serial NumPy and
-        worker-independent by construction.
+        ``None`` or ``1``: the private engine that runs full computations
+        (closed with :meth:`close`) has one worker; any other count raises
+        :class:`~repro.errors.ConfigurationError`.
     strategy:
         ``"auto"`` (default) picks exact ``delta`` repair for integer
         accumulator dtypes and bit-faithful ``recompute`` for floats;
@@ -545,9 +544,8 @@ class IncrementalSAT:
         rows = np.flatnonzero(closure[:, -1])
         starts = closure.argmax(axis=1)
         a4, out4, grid = state.a4, state.out4, state.grid
-        for k, I in enumerate(rows):
-            chunk = Chunk(index=k, row=int(I), J0=int(starts[I]),
-                          J1=grid.tile_cols)
+        for I in rows:
+            chunk = Chunk(row=int(I), J0=int(starts[I]), J1=grid.tile_cols)
             self._spec.run(a4, out4, state.carry, chunk, grid.W)
         self._record(int(dirty_mask.sum()), int(closure.sum()), "recompute")
 
@@ -616,7 +614,7 @@ def verify_state(inc: IncrementalSAT, *, check_sat: bool = True) -> list[str]:
                     findings.append(
                         f"carry-plane {name} stale at tile ({I}, {J})")
     if check_sat:
-        with WavefrontEngine(workers=1) as eng:
+        with WavefrontEngine() as eng:
             fresh = eng.compute(work, algorithm=inc.algorithm,
                                 tile_width=inc.tile_width,
                                 dtype_policy=work.dtype)
@@ -638,7 +636,7 @@ def sanitize_incremental(*, n: int = 96, tile_width: int = 32,
     base = rng.integers(0, 100, size=(n, n - tile_width // 2)).astype(np.int64)
     for algorithm in ("1R1W-SKSS-LB", "1R1W-SKSS"):
         for strategy in ("delta", "recompute"):
-            with IncrementalSAT(base, algorithm=algorithm, workers=1,
+            with IncrementalSAT(base, algorithm=algorithm,
                                 tile_width=tile_width,
                                 strategy=strategy) as inc:
                 for e in range(edits):
@@ -666,8 +664,7 @@ def median_iqr(times: Sequence[float]) -> dict:
 def repair_benchmark(n: int = 1024, *, dirty_frac: float = 0.1,
                      edits: int = 8, tile_width: int = 32,
                      algorithm: str = "1R1W-SKSS-LB", dtype: str = "int32",
-                     strategy: str = "auto", workers: int | None = None,
-                     seed: int = 0, repeats: int = 3,
+                     strategy: str = "auto", seed: int = 0, repeats: int = 3,
                      positions: Sequence[tuple[float, float]] | None = None,
                      ) -> dict:
     """Time incremental repair against full wavefront recompute.
@@ -701,8 +698,8 @@ def repair_benchmark(n: int = 1024, *, dirty_frac: float = 0.1,
                         .astype(a.dtype)))
 
     inc = IncrementalSAT(a, algorithm=algorithm, tile_width=tile_width,
-                         strategy=strategy, workers=workers)
-    # Warm full-recompute baseline on the same engine (plan + pool are hot).
+                         strategy=strategy)
+    # Warm full-recompute baseline on the same engine (its plan is cached).
     acc = inc.dtype
     t_full = []
     for _ in range(repeats):

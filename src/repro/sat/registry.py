@@ -98,12 +98,10 @@ def compute_sat(a: np.ndarray, *, algorithm: str | None = "1R1W-SKSS-LB",
         simulator :class:`~repro.gpusim.kernel.GPU` (device, scheduling
         policy, seed, consistency mode).
     workers:
-        Worker count for the ``wavefront`` and ``distributed`` engines
-        (for ``distributed``, ``workers > 1`` switches from the
-        in-process transport to real worker processes); the engines with
-        no worker pool (``serial``, ``gpusim``) reject it.  With a
-        :class:`~repro.hostexec.WavefrontEngine` instance it must be
-        ``None`` or that engine's own worker count.
+        Worker count for the ``distributed`` engine (``workers > 1``
+        switches from the in-process transport to real worker processes);
+        every other engine has no worker pool and rejects it at planning
+        time.
     shards:
         Band-shard count for the ``distributed`` engine; rejected by every
         other engine.

@@ -75,6 +75,7 @@ class TestIncrementalMode:
             assert cfg.dtype in INCREMENTAL_DTYPES
             assert cfg.rows >= cfg.tile_width and cfg.cols >= cfg.tile_width
             assert cfg.edits >= 1
+            assert cfg.workers == 1     # not drawn; kept for replay
             if np.issubdtype(np.dtype(cfg.dtype), np.integer):
                 saw_int = True
             else:
@@ -105,6 +106,33 @@ class TestIncrementalMode:
         loaded = FuzzConfig.from_json(json.dumps(legacy))
         assert loaded.mode == "simulate"
         assert loaded == cfg
+
+    @pytest.mark.parametrize("text", [
+        # A wavefront engine-mode config and an incremental-mode config as
+        # the sampler wrote them while it still drew a worker count.
+        '{"acquisition": "diagonal", "algorithm": "1R1W", "band_rows": null,'
+        ' "cols": 33, "consistency": "strong", "data_seed": 1067107044,'
+        ' "dtype": "float32", "edits": 0, "engine": "wavefront",'
+        ' "fault": null, "kernel": null, "mode": "engine", "n": 49,'
+        ' "policy": "round_robin", "r": 0.25, "residency": null,'
+        ' "rows": 49, "shards": null, "sim_seed": 1562367687,'
+        ' "spin_bound": null, "strategy": "auto", "tile_width": 32,'
+        ' "tiny_device": false, "workers": 4}',
+        '{"acquisition": "diagonal", "algorithm": "2R1W", "band_rows": null,'
+        ' "cols": 44, "consistency": "strong", "data_seed": 874206857,'
+        ' "dtype": "float32", "edits": 4, "engine": "wavefront",'
+        ' "fault": null, "kernel": null, "mode": "incremental", "n": 44,'
+        ' "policy": "round_robin", "r": 0.25, "residency": null,'
+        ' "rows": 44, "shards": null, "sim_seed": 1087485219,'
+        ' "spin_bound": null, "strategy": "recompute", "tile_width": 16,'
+        ' "tiny_device": false, "workers": 4}',
+    ], ids=["engine", "incremental"])
+    def test_replay_with_a_worker_count_still_runs(self, text):
+        """``workers`` is kept for replay: old files load, and the one
+        worker the wavefront engine has replays them without a finding."""
+        cfg = FuzzConfig.from_json(text)
+        assert cfg.workers == 4
+        assert run_one(cfg) is None
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -281,6 +309,7 @@ class TestEngineMode:
             assert cfg.mode == "engine"
             assert cfg.engine in known_backends() and cfg.engine != "serial"
             assert cfg.dtype in INCREMENTAL_DTYPES
+            assert cfg.workers == 1     # not drawn; kept for replay
             assert cfg.rows >= cfg.tile_width and cfg.cols >= cfg.tile_width
             spec = get_spec(cfg.engine)
             if spec.algorithms is not None:

@@ -180,6 +180,12 @@ def test_bit_identity_flags():
     assert not get_spec("distributed").bit_identical  # band float reorder
 
 
+def test_wavefront_summary_pinned():
+    """``repro list`` says how the wavefront runs: no pool behind it."""
+    assert get_spec("wavefront").summary \
+        == "each tile row as one run on the caller's thread"
+
+
 def test_wavefront_runs_only_tile_algorithms():
     from repro.hostexec.kernels import KERNELS
     spec = get_spec("wavefront")

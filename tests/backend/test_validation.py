@@ -27,9 +27,10 @@ class TestPlanValidation:
             backend.plan((32, 32), "float64", tile_width=W, workers=bad)
 
     def test_workers_only_on_pooled_backends(self, backend, spec, W):
-        """``workers=`` sizes a worker pool; a backend without one refuses
-        it at planning time instead of ignoring it."""
-        if spec.name in ("wavefront", "distributed"):
+        """``workers=`` sizes a worker pool (distributed's processes); a
+        backend without one refuses it at planning time instead of
+        ignoring it."""
+        if spec.name == "distributed":
             assert backend.plan((32, 32), "float64", tile_width=W,
                                 workers=2).workers == 2
         else:
@@ -105,19 +106,18 @@ def test_shards_only_as_a_positive_integer():
             backend.plan((40, 24), "int32", shards=bad)
 
 
-def test_workers_must_match_a_caller_managed_engine():
-    """A wrapped engine keeps its own pool, so a different ``workers=``
+def test_caller_managed_engine_refuses_workers():
+    """A wrapped engine runs on the caller's thread, so any ``workers=``
     would be silently ignored: planning rejects it instead."""
     from repro.hostexec import WavefrontEngine
     from repro.sat.registry import compute_sat
     a = np.arange(64, dtype=np.int32).reshape(8, 8)
     want = a.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-    with WavefrontEngine(workers=1) as eng:
-        with pytest.raises(ConfigurationError, match="workers"):
-            compute_sat(a, engine=eng, workers=4)
-        for workers in (None, 1):
-            result = compute_sat(a, engine=eng, workers=workers)
-            np.testing.assert_array_equal(result.sat, want)
+    with WavefrontEngine() as eng:
+        for workers in (4, 1):
+            with pytest.raises(ConfigurationError, match="workers"):
+                compute_sat(a, engine=eng, workers=workers)
+        np.testing.assert_array_equal(compute_sat(a, engine=eng).sat, want)
 
 
 def _simulator_cases():
@@ -143,6 +143,10 @@ def _simulator_cases():
     pytest.param({"engine": "serial", "workers": "x"},
                  id="serial-workers-str"),
     pytest.param({"engine": "serial", "workers": 4}, id="serial-workers-4"),
+    pytest.param({"engine": "wavefront", "workers": 1},
+                 id="wavefront-workers-1"),
+    pytest.param({"engine": "wavefront", "workers": 2},
+                 id="wavefront-workers-2"),
     *_simulator_cases()])
 def test_compute_sat_host_calls_are_planned(kwargs, monkeypatch):
     """Every call of ``compute_sat`` (the serial and simulator routes

@@ -6,23 +6,28 @@ The central claims under test (see ``docs/ARCHITECTURE.md``):
 * every tile-based algorithm's wavefront execution equals the NumPy
   reference SAT (exact, on integer-valued inputs);
 * wavefront results are **bit-identical** to the algorithm's own serial
-  ``run_host`` loop, for any worker count — running a tile row's tiles as
-  one in-place batch, with its look-back as a scan, does not change a
-  single bit, whether or not the row is split into several runs;
-* two runs of the same engine are bit-identical (scheduling order does not
-  leak into results).
+  ``run_host`` loop — running a tile row's tiles as one in-place batch,
+  with its look-back as a scan, does not change a single bit, whether the
+  row runs as one run (the engine) or as several runs, the later ones
+  starting at ``J0 > 0`` (as incremental repair's runs do);
+* two runs of the same engine are bit-identical.
 """
 
 import numpy as np
 import pytest
 
+from repro.backend.plan import prepare_input
 from repro.backend.registry import get_backend, resolve_backend
 from repro.errors import ConfigurationError
-from repro.hostexec import (WavefrontEngine, default_workers, kernel_for,
-                            shared_engine)
+from repro.hostexec import WavefrontEngine, kernel_for, shared_engine
+from repro.hostexec.engine import RetainedState
+from repro.hostexec.incremental import IncrementalSAT
+from repro.hostexec.kernels import CarryPlanes
+from repro.hostexec.plan import Chunk
 from repro.primitives.tile import (TileGrid, global_col_prefixes,
                                    global_col_sums, global_row_sums,
                                    global_sum)
+from repro.sat.dtypes import resolve_policy
 from repro.sat.reference import sat_reference
 from repro.sat.registry import compute_sat, get_algorithm
 
@@ -36,24 +41,64 @@ def matrix(n, seed=7, integer=True):
     return rng.standard_normal((n, n))
 
 
+def run_in_runs(a, algorithm, tile_width=32, runs=1) -> RetainedState:
+    """``a``'s SAT and carry planes with each tile row executed as ``runs``
+    runs, in row-major order.
+
+    One run per row is the engine's own path (``retain_state=True``).  More
+    runs drive the algorithm's row-run kernel directly, so every run after
+    a row's first starts at ``J0 > 0``, as
+    ``IncrementalSAT._repair_recompute``'s runs do.
+    """
+    if runs == 1:
+        with WavefrontEngine() as eng:
+            eng.compute(a, algorithm=algorithm, tile_width=tile_width,
+                        retain_state=True)
+            return eng.retained_state()
+    spec = kernel_for(algorithm)
+    acc = resolve_policy(None).accumulator(a.dtype)
+    grid = TileGrid(rows=a.shape[0], cols=a.shape[1], W=tile_width)
+    work, _ = prepare_input(a, acc_dtype=acc, grid=grid, force_copy=True)
+    state = RetainedState(spec=spec, grid=grid, work=work,
+                          out=np.empty_like(work),
+                          carry=CarryPlanes(tr=grid.tile_rows,
+                                            tc=grid.tile_cols, W=tile_width,
+                                            dtype=acc))
+    tc = grid.tile_cols
+    bounds = sorted({tc * k // runs for k in range(runs + 1)})
+    for I in range(grid.tile_rows):
+        for J0, J1 in zip(bounds, bounds[1:]):
+            spec.run(state.a4, state.out4, state.carry,
+                     Chunk(row=I, J0=J0, J1=J1), tile_width)
+    return state
+
+
+def sat_in_runs(a, algorithm, tile_width=32, runs=1) -> np.ndarray:
+    """``a``'s SAT with each tile row executed as ``runs`` runs; one run per
+    row is a plain engine compute (an aligned input is read in place)."""
+    if runs == 1:
+        with WavefrontEngine() as eng:
+            return eng.compute(a, algorithm=algorithm, tile_width=tile_width)
+    state = run_in_runs(a, algorithm, tile_width, runs)
+    return state.out[:a.shape[0], :a.shape[1]]
+
+
 @pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
 @pytest.mark.parametrize("tile_width", [8, 16, 32])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_matches_reference(algorithm, tile_width, workers):
+@pytest.mark.parametrize("runs", [1, 2, 4])
+def test_matches_reference(algorithm, tile_width, runs):
     a = matrix(96)
-    with WavefrontEngine(workers=workers) as eng:
-        sat = eng.compute(a, algorithm=algorithm, tile_width=tile_width)
+    sat = sat_in_runs(a, algorithm, tile_width, runs)
     assert np.array_equal(sat, sat_reference(a))
 
 
 @pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_bit_identical_to_serial_host(algorithm, workers):
+@pytest.mark.parametrize("runs", [1, 2, 4])
+def test_bit_identical_to_serial_host(algorithm, runs):
     # Float inputs: round-off patterns must match the serial loop exactly.
     a = matrix(128, integer=False)
     serial = get_algorithm(algorithm).run_host(a)
-    with WavefrontEngine(workers=workers) as eng:
-        assert np.array_equal(eng.compute(a, algorithm=algorithm), serial)
+    assert np.array_equal(sat_in_runs(a, algorithm, runs=runs), serial)
 
 
 def spread_matrix(shape, dtype, seed=11):
@@ -65,18 +110,13 @@ def spread_matrix(shape, dtype, seed=11):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
-@pytest.mark.parametrize("workers", [2, 4])
-def test_split_rows_bit_identical_to_serial_host(algorithm, workers, dtype):
-    # 150 x 530 at W=8 is a 19 x 67 tile grid whose rows split into
-    # min(workers, 67 // MIN_CHUNK_TILES) runs each.
+@pytest.mark.parametrize("runs", [2, 4])
+def test_split_rows_bit_identical_to_serial_host(algorithm, runs, dtype):
+    # 150 x 530 at W=8 is a ragged 19 x 67 tile grid; each row runs as
+    # ``runs`` runs.
     a = spread_matrix((150, 530), dtype)
     serial = get_algorithm(algorithm, tile_width=8).run_host(a)
-    with WavefrontEngine(workers=workers) as eng:
-        sat = eng.compute(a, algorithm=algorithm, tile_width=8)
-        plan = eng.plan(TileGrid(rows=150, cols=530, W=8),
-                        kernel_for(algorithm).deps)
-    assert plan.num_chunks == 19 * workers
-    assert np.array_equal(sat, serial)
+    assert np.array_equal(sat_in_runs(a, algorithm, 8, runs), serial)
 
 
 def integer_matrix(shape, dtype, seed=13):
@@ -105,22 +145,16 @@ class TestExactIntegerKernel:
 
     @pytest.mark.parametrize("dtype", INTEGER_DTYPES)
     @pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("runs", [1, 4])
     @pytest.mark.parametrize("tile_width,shape", [(8, (150, 530)),
                                                   (32, (70, 1100))])
-    def test_bit_identical_to_serial_host(self, dtype, algorithm, workers,
+    def test_bit_identical_to_serial_host(self, dtype, algorithm, runs,
                                           tile_width, shape):
-        # Both shapes are ragged, and four workers split their tile rows
-        # (67 and 35 tile columns), so runs start at J0 > 0.
+        # Both shapes are ragged (67 and 35 tile columns); with four runs
+        # per row, runs start at J0 > 0 and take the kernel's seeded path.
         a = integer_matrix(shape, dtype)
         serial = get_algorithm(algorithm, tile_width=tile_width).run_host(a)
-        with WavefrontEngine(workers=workers) as eng:
-            sat = eng.compute(a, algorithm=algorithm, tile_width=tile_width)
-            plan = eng.plan(TileGrid(rows=shape[0], cols=shape[1],
-                                     W=tile_width),
-                            kernel_for(algorithm).deps)
-        split = plan.num_chunks > -(-shape[0] // tile_width)
-        assert split == (workers > 1)
+        sat = sat_in_runs(a, algorithm, tile_width, runs)
         assert sat.dtype == serial.dtype
         assert np.array_equal(sat, serial)
 
@@ -152,22 +186,18 @@ class TestExactIntegerKernel:
         assert np.array_equal(sat, sat_reference(a).astype(acc))
 
     @pytest.mark.parametrize("algorithm", TILE_ALGORITHMS)
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_uint64_carry_planes_equal_their_oracles(self, algorithm,
-                                                     workers):
+    @pytest.mark.parametrize("runs", [1, 4])
+    def test_uint64_carry_planes_equal_their_oracles(self, algorithm, runs):
         """Wrapped uint64 planes stay uint64 (a ``float64`` round trip, as
         ``np.diff(x, prepend=0)`` makes, would lose their low bits) and
-        equal their oracles, on split rows too (4 workers split the 33 tile
-        columns into two runs)."""
+        equal their oracles, on split rows too (the 33 tile columns as four
+        runs per row)."""
         a = integer_matrix((40, 262), np.uint64)
         oracles = {"GRS": global_row_sums, "GCS": global_col_sums,
                    "GS": global_sum, "GCP": global_col_prefixes,
                    "GS-col": lambda work, grid, I, J: global_col_sums(
                        work, grid, I, J).sum(dtype=work.dtype)}
-        with WavefrontEngine(workers=workers) as eng:
-            eng.compute(a, algorithm=algorithm, tile_width=8,
-                        retain_state=True)
-            state = eng.retained_state()
+        state = run_in_runs(a, algorithm, 8, runs)
         grid = state.grid
         for name, plane in state.planes().items():
             assert plane.dtype == np.uint64, name
@@ -180,7 +210,7 @@ class TestExactIntegerKernel:
 
 def test_two_runs_bit_identical():
     a = matrix(256, integer=False)
-    with WavefrontEngine(workers=4) as eng:
+    with WavefrontEngine() as eng:
         first = eng.compute(a)
         second = eng.compute(a)
     assert np.array_equal(first, second)
@@ -190,7 +220,7 @@ def test_run_host_engine_parameter():
     """A caller-managed engine through compute_sat equals the serial loop."""
     a = matrix(96)
     alg = get_algorithm("1R1W-SKSS-LB")
-    with WavefrontEngine(workers=2) as eng:
+    with WavefrontEngine() as eng:
         assert np.array_equal(
             compute_sat(a, algorithm=alg.name, engine=eng).sat,
             alg.run_host(a))
@@ -215,13 +245,13 @@ class TestBatchedAPI:
 
     def test_compute_many_mixed_algorithms_independent(self):
         a = matrix(96)
-        with WavefrontEngine(workers=2) as eng:
+        with WavefrontEngine() as eng:
             for algorithm in TILE_ALGORITHMS:
                 sat = eng.compute(a, algorithm=algorithm)
                 assert np.array_equal(sat, sat_reference(a))
 
     def test_plan_and_carry_caches_are_reused(self):
-        with WavefrontEngine(workers=2) as eng:
+        with WavefrontEngine() as eng:
             eng.compute(matrix(96))
             plans = {k: id(v) for k, v in eng._plans.items()}
             carries = {k: id(v) for k, v in eng._carries.items()}
@@ -259,7 +289,7 @@ class TestOutParameter:
     def test_input_not_modified(self):
         a = matrix(64)
         snapshot = a.copy()
-        with WavefrontEngine(workers=2) as eng:
+        with WavefrontEngine() as eng:
             sat = eng.compute(a)
         assert np.array_equal(a, snapshot)
         assert sat is not a
@@ -297,45 +327,34 @@ class TestValidation:
             WavefrontEngine(workers=0)
         with pytest.raises(ConfigurationError):
             WavefrontEngine(workers=-2)
+        # One worker is all the engine has, behind IncrementalSAT too.
+        with pytest.raises(ConfigurationError, match="workers"):
+            WavefrontEngine(workers=2)
+        with pytest.raises(ConfigurationError, match="workers"):
+            IncrementalSAT(matrix(32), workers=2)
 
     @pytest.mark.parametrize("workers", [0, -1, 2.5, True, "2"])
     def test_worker_count_must_be_a_positive_integer(self, workers):
         with pytest.raises(ConfigurationError, match="workers"):
             WavefrontEngine(workers=workers)
 
-    def test_closed_engine_refuses_parallel_compute(self):
-        eng = WavefrontEngine(workers=2)
+    def test_closed_engine_refuses_compute(self):
+        """A closed engine refuses every compute and keeps its caches
+        released, whatever the call's geometry; a closed IncrementalSAT
+        does not reopen on rebuild."""
+        eng = WavefrontEngine()
         eng.compute(matrix(128, seed=1), tile_width=8)  # warm
         eng.close()
+        for n, W in ((64, 64), (64, 8), (512, 16)):
+            with pytest.raises(ConfigurationError, match="closed"):
+                eng.compute(matrix(n), tile_width=W)
+        assert not eng._plans and not eng._carries
+        inc = IncrementalSAT(matrix(64))
+        inc.close()
         with pytest.raises(ConfigurationError, match="closed"):
-            # Large enough to need the pool (many chunks).
-            eng.compute(matrix(512), tile_width=16)
-
-
-class TestWorkers:
-    def test_default_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_workers() == 3
-
-    def test_default_workers_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ConfigurationError):
-            default_workers()
-
-    def test_default_workers_env_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ConfigurationError):
-            default_workers()
-
-    def test_default_workers_falls_back_to_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert default_workers() == 1
-        assert WavefrontEngine().workers == 1
-        assert WavefrontEngine(workers=2).workers == 2
-
-    def test_engine_uses_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert WavefrontEngine().workers == 2
+            inc.rebuild(matrix(64))
+        with pytest.raises(ConfigurationError, match="closed"):
+            inc.sat
 
 
 def _count_computes(monkeypatch, eng) -> list:

@@ -87,20 +87,6 @@ class TestDifferential:
         with IncrementalSAT(a) as inc:
             _random_edits(rng, inc, a.astype(inc.dtype), np.int32)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_worker_independence(self, rng, workers):
-        """The repaired table must not depend on the build's worker count."""
-        a = _data(rng, (128, 96), np.float32)
-        results = []
-        edits_rng_seed = 77
-        for _ in range(2):  # determinism across repeated runs too
-            edit_rng = np.random.default_rng(edits_rng_seed)
-            with IncrementalSAT(a, workers=workers) as inc:
-                cur = a.astype(inc.dtype)
-                _random_edits(edit_rng, inc, cur, np.float32)
-                results.append(inc.sat.copy())
-        assert np.array_equal(results[0], results[1])
-
     def test_strategies_agree_bitwise_for_ints(self, rng):
         """delta (modular arithmetic) and recompute (chunk kernels) must
         land on the same bits for integer accumulators."""

@@ -31,7 +31,7 @@ class TestHostSat:
 
     def test_engine_instance_accepted(self):
         a = matrix(96)
-        with WavefrontEngine(workers=2) as eng:
+        with WavefrontEngine() as eng:
             assert np.array_equal(compute_sat(a, engine=eng).sat,
                                   sat_reference(a))
 
@@ -44,11 +44,6 @@ class TestHostSat:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             compute_sat(matrix(96), engine="gpu")
-
-    def test_workers_forwarded_to_wavefront(self):
-        a = matrix(96)
-        sat = compute_sat(a, engine="wavefront", workers=2).sat
-        assert np.array_equal(sat, sat_reference(a))
 
 
 class TestComputeSat:
@@ -66,10 +61,19 @@ class TestComputeSat:
         plain = compute_sat(a, engine=None)
         assert np.array_equal(viaengine.sat, plain.sat)
 
-    def test_workers_forwarded(self):
+    def test_workers_forwarded(self, monkeypatch):
+        import repro.distsat as distsat
+        seen = []
+        real = distsat.distributed_sat
+
+        def recording(*args, **kwargs):
+            seen.append((kwargs["workers"], kwargs["transport"]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(distsat, "distributed_sat", recording)
         a = matrix(96)
-        result = compute_sat(a, engine="wavefront", workers=2)
+        result = compute_sat(a, engine="distributed", workers=2)
         assert np.array_equal(result.sat, sat_reference(a))
+        assert seen == [(2, "process")]
 
     def test_engine_instance_recorded_as_wavefront(self):
         a = matrix(96)
@@ -106,11 +110,11 @@ class TestCLI:
 
     def test_run_engine_with_workers(self, capsys):
         code, out = self.run_cli(capsys, "run", "-n", "64",
-                                 "--engine", "wavefront", "--workers", "2")
+                                 "--engine", "distributed", "--workers", "2")
         assert code == 0
         assert "correct vs reference: True" in out
 
-    @pytest.mark.parametrize("engine", ["serial", "gpusim"])
+    @pytest.mark.parametrize("engine", ["serial", "wavefront", "gpusim"])
     def test_run_rejects_workers_without_a_pool(self, engine):
         with pytest.raises(ConfigurationError, match="no worker pool"):
             cli_main(["run", "-n", "64", "--engine", engine,
@@ -149,7 +153,7 @@ class TestApps:
     def test_local_moments_engine(self):
         img = matrix(64, seed=12)
         mean, var = local_moments(img, 2)
-        mean_e, var_e = local_moments(img, 2, engine="wavefront", workers=2)
+        mean_e, var_e = local_moments(img, 2, engine="wavefront")
         assert np.allclose(mean, mean_e)
         assert np.allclose(var, var_e)
 

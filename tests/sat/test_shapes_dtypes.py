@@ -68,7 +68,7 @@ def test_wavefront_bit_identical_to_serial(shape, dtype):
     a = make_input(shape, dtype, seed=7)
     alg = get_algorithm("1R1W-SKSS-LB")
     serial = alg.run_host(a)
-    with WavefrontEngine(workers=4) as eng:
+    with WavefrontEngine() as eng:
         wf1 = compute_sat(a, algorithm=alg.name, engine=eng).sat
         wf2 = compute_sat(a, algorithm=alg.name, engine=eng).sat
     assert serial.dtype == wf1.dtype
