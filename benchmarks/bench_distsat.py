@@ -202,7 +202,7 @@ def run_gigapixel() -> dict:
 
     # The SAT total two ways: reduce-side carries vs apply-side edge row.
     total = int(result.rect_sum(0, 0, n - 1, n - 1))
-    assert total == int(result.carries.planes()["BCS"].sum(dtype=np.int64))
+    assert total == int(result.carries.column_sums.sum(dtype=np.int64))
 
     # Edge-aligned rectangles vs independently regenerated narrow strips.
     edges = sorted(result.edge_rows)

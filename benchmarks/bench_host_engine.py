@@ -4,13 +4,12 @@
 Times the serial per-algorithm tile loop against the wavefront tile engine
 (:mod:`repro.hostexec`, each tile row as one run on the caller's thread)
 over a size sweep, with the plain NumPy double cumsum as the baseline row
-of every size, and quantifies the batched-execution amortization (repeated
-``compute`` calls on a warm engine vs one-shot calls that pay plan and
-carry-plane construction every time).  The sweep runs once per ``--dtypes``
-entry: integer inputs take the engine's exact integer kernel, float inputs
-the per-algorithm float kernels.  Every time is reported as the median and
-interquartile range of ``--repeats`` runs, next to the machine that
-produced it (cpu count, NumPy and Python versions).
+of every size.  The engine keeps nothing between computes, so each timed
+call pays its own row runs, carry planes and result.  The sweep runs once
+per ``--dtypes`` entry: integer inputs take the engine's exact integer
+kernel, float inputs the per-algorithm float kernels.  Every time is
+reported as the median and interquartile range of ``--repeats`` runs, next
+to the machine that produced it (cpu count, NumPy and Python versions).
 
 Run modes:
 
@@ -48,8 +47,7 @@ if str(REPO / "src") not in sys.path:  # allow running without install
 from repro.backend.plan import prepare_input  # noqa: E402
 from repro.hostexec import WavefrontEngine, kernel_for  # noqa: E402
 from repro.hostexec.incremental import median_iqr  # noqa: E402
-from repro.hostexec.kernels import CarryPlanes  # noqa: E402
-from repro.hostexec.plan import Chunk  # noqa: E402
+from repro.hostexec.kernels import CarryPlanes, Chunk  # noqa: E402
 from repro.primitives.tile import TileGrid  # noqa: E402
 from repro.sat.dtypes import resolve_policy  # noqa: E402
 from repro.sat.registry import get_algorithm  # noqa: E402
@@ -75,8 +73,7 @@ def _timed(fn, repeats: int) -> dict:
 
 
 def bench_size(n: int, dtype: str, repeats: int) -> dict:
-    """NumPy vs serial vs wavefront (cold + warm) at one size and input
-    dtype."""
+    """NumPy vs serial vs wavefront at one size and input dtype."""
     a = _matrix(n, dtype=dtype)
     alg = get_algorithm(ALGORITHM, tile_width=TILE_WIDTH)
     serial_sat = alg.run_host(a)
@@ -84,46 +81,21 @@ def bench_size(n: int, dtype: str, repeats: int) -> dict:
     serial = _timed(lambda: alg.run_host(a), repeats)
 
     with WavefrontEngine() as eng:
-        wf_sat = eng.compute(a, algorithm=ALGORITHM,
-                             tile_width=TILE_WIDTH)  # warms the caches
+        wf_sat = eng.compute(a, algorithm=ALGORITHM, tile_width=TILE_WIDTH)
         if not np.array_equal(wf_sat, serial_sat):
             raise AssertionError(
                 f"wavefront not bit-identical at n={n}, {dtype}")
-        warm = _timed(lambda: eng.compute(a, algorithm=ALGORITHM,
-                                          tile_width=TILE_WIDTH), repeats)
-
-    def cold():
-        with WavefrontEngine() as fresh:
-            fresh.compute(a, algorithm=ALGORITHM, tile_width=TILE_WIDTH)
+        wavefront = _timed(lambda: eng.compute(a, algorithm=ALGORITHM,
+                                               tile_width=TILE_WIDTH),
+                           repeats)
     return {"n": n, "dtype": dtype, "accumulator": serial_sat.dtype.name,
             "tile_width": TILE_WIDTH, "algorithm": ALGORITHM,
             "numpy": numpy, "serial": serial,
             "wavefront": {
-                "warm": warm, "cold": _timed(cold, repeats),
-                "speedup_vs_serial": serial["median_s"] / warm["median_s"],
-                "ratio_vs_numpy": warm["median_s"] / numpy["median_s"]}}
-
-
-def bench_batched(n: int, batch: int, repeats: int) -> dict:
-    """Amortization of a warm engine's repeated computes over one-shot
-    per-call engines."""
-    arrays = [_matrix(n, seed=100 + i) for i in range(batch)]
-
-    with WavefrontEngine() as eng:
-        eng.compute(arrays[0], algorithm=ALGORITHM, tile_width=TILE_WIDTH)
-        batched = _timed(lambda: [
-            eng.compute(a, algorithm=ALGORITHM, tile_width=TILE_WIDTH)
-            for a in arrays], repeats)["median_s"]
-
-    def one_shot_all():
-        for a in arrays:  # pays plan + carry-plane construction per call
-            with WavefrontEngine() as fresh:
-                fresh.compute(a, algorithm=ALGORITHM, tile_width=TILE_WIDTH)
-    one_shot = _timed(one_shot_all, repeats)["median_s"]
-    return {"n": n, "batch": batch,
-            "batched_per_call_s": batched / batch,
-            "one_shot_per_call_s": one_shot / batch,
-            "amortization_speedup": one_shot / batched}
+                **wavefront,
+                "speedup_vs_serial":
+                    serial["median_s"] / wavefront["median_s"],
+                "ratio_vs_numpy": wavefront["median_s"] / numpy["median_s"]}}
 
 
 def run_full(args) -> int:
@@ -136,7 +108,6 @@ def run_full(args) -> int:
         "python": platform.python_version(),
         "repeats": args.repeats,
         "sizes": [],
-        "batched": None,
         "acceptance": None,
     }
     for n in args.sizes:
@@ -147,27 +118,18 @@ def run_full(args) -> int:
             wf = row["wavefront"]
             print(f"  numpy {row['numpy']['median_s']:.3f}s | serial "
                   f"{row['serial']['median_s']:.3f}s | wavefront "
-                  f"{wf['warm']['median_s']:.3f}s "
+                  f"{wf['median_s']:.3f}s "
                   f"({wf['speedup_vs_serial']:.2f}x serial, "
                   f"{wf['ratio_vs_numpy']:.2f}x numpy)")
 
-    print(f"batched n={args.batch_n} x{args.batch} ...", flush=True)
-    results["batched"] = bench_batched(args.batch_n, args.batch,
-                                       args.repeats)
-    b = results["batched"]
-    print(f"  per-call batched {b['batched_per_call_s']:.3f}s vs one-shot "
-          f"{b['one_shot_per_call_s']:.3f}s "
-          f"({b['amortization_speedup']:.2f}x)")
-
-    # Acceptance: the warm engine is >=2x faster than serial at n=2048,
-    # W=32, for every dtype.
+    # Acceptance: the engine is >=2x faster than serial at n=2048, W=32,
+    # for every dtype.
     gates = [row["wavefront"]["speedup_vs_serial"]
              for row in results["sizes"] if row["n"] == 2048]
     gate = min(gates) if gates else None
     results["acceptance"] = {
         "wavefront_2x_at_2048": None if gate is None else gate >= 2.0,
         "speedup_at_2048": gate,
-        "batched_amortization": b["amortization_speedup"],
     }
     out = Path(args.out)
     out.write_text(json.dumps(results, indent=2) + "\n")
@@ -206,13 +168,13 @@ def run_smoke(args) -> int:
     driven over two runs per tile row) for a float64 input (the float
     kernel), an int32 input and a uint64 input of values >= 2**60 whose
     sums wrap (the exact integer kernel, whose later runs take the seeded
-    path); the perf gate times the engine's warm whole-row runs, which must
+    path); the perf gate times the engine's whole-row runs, which must
     beat the serial per-tile loop.
     """
     n = 512
     a = _matrix(n)
     alg = get_algorithm(ALGORITHM, tile_width=TILE_WIDTH)
-    alg.run_host(a)  # warm-up, as the wavefront timing below is warm
+    alg.run_host(a)  # warm-up, as for the wavefront timing below
     serial = _timed(lambda: alg.run_host(a), 3)["median_s"]
 
     split_w = 8
@@ -229,19 +191,19 @@ def run_smoke(args) -> int:
     ok_bits = all(bits.values())
     with WavefrontEngine() as eng:
         eng.compute(a, algorithm=ALGORITHM, tile_width=TILE_WIDTH)
-        warm = _timed(lambda: eng.compute(a, algorithm=ALGORITHM,
-                                          tile_width=TILE_WIDTH), 3)["median_s"]
+        wavefront = _timed(lambda: eng.compute(
+            a, algorithm=ALGORITHM, tile_width=TILE_WIDTH), 3)["median_s"]
 
     print(f"smoke n={n}: serial {serial * 1e3:.1f}ms, "
-          f"wavefront(warm) {warm * 1e3:.1f}ms, "
+          f"wavefront {wavefront * 1e3:.1f}ms, "
           f"bit-identical(2 runs/row, W={split_w})={bits}")
     if not ok_bits:
         print("SMOKE FAIL: split-run result differs from serial host path "
               f"for {[k for k, ok in bits.items() if not ok]}",
               file=sys.stderr)
         return 1
-    if warm > serial * 1.5:
-        print(f"SMOKE FAIL: warm wavefront {warm:.3f}s > 1.5x serial "
+    if wavefront > serial * 1.5:
+        print(f"SMOKE FAIL: wavefront {wavefront:.3f}s > 1.5x serial "
               f"{serial:.3f}s", file=sys.stderr)
         return 1
     print("smoke ok")
@@ -258,11 +220,6 @@ def main(argv=None) -> int:
                     help="input dtypes of the sweep (one row per size and "
                          "dtype)")
     ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--batch", type=int, default=10,
-                    help="batch size for the warm-engine amortization run")
-    ap.add_argument("--batch-n", type=int, default=256,
-                    help="matrix size for the batched run (small enough that "
-                         "per-call plan/carry setup is visible)")
     ap.add_argument("--out", default=str(REPO / "BENCH_host_engine.json"))
     args = ap.parse_args(argv)
     return run_smoke(args) if args.smoke else run_full(args)

@@ -5,7 +5,7 @@ Times :class:`repro.hostexec.incremental.IncrementalSAT` edit repair
 (rectangle patches of a configurable dirty fraction, cycling
 corner/edge/centre placements so
 best and worst repair frontiers are both sampled) against recomputing the
-whole table on a warm :class:`~repro.hostexec.WavefrontEngine`, across dirty
+whole table on a :class:`~repro.hostexec.WavefrontEngine`, across dirty
 fractions and both repair strategies, plus a frame-stream scenario
 (:func:`repro.apps.video.synthetic_stream`, int32 frames taking the delta
 repair and float32 frames the recompute) where only a small block moves
@@ -47,6 +47,7 @@ if str(REPO / "src") not in sys.path:  # allow running without install
     sys.path.insert(0, str(REPO / "src"))
 
 from repro.apps.video import synthetic_stream  # noqa: E402
+from repro.hostexec import WavefrontEngine  # noqa: E402
 from repro.hostexec.incremental import (IncrementalSAT,  # noqa: E402
                                         median_iqr, repair_benchmark)
 from repro.sat.registry import get_algorithm  # noqa: E402
@@ -85,8 +86,9 @@ def bench_stream(n: int, frames: int, repeats: int, dtype: str) -> dict:
                          tile_width=TILE_WIDTH)
     acc = inc.dtype
 
-    # Full-recompute baseline on the warm resident engine.
-    full = _timed(lambda: inc._engine.compute(
+    # Full-recompute baseline on a wavefront engine.
+    engine = WavefrontEngine()
+    full = _timed(lambda: engine.compute(
         frame_list[0], algorithm=ALGORITHM, tile_width=TILE_WIDTH,
         dtype_policy=acc), repeats)
 

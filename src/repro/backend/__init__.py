@@ -2,15 +2,19 @@
 
 The paper's contribution is one algebra: per-tile local scans plus
 LRS/LCS/GLS carry propagation.  This package gives the repo one execution
-contract for it, with three explicit stages:
+contract for it, with two explicit stages:
 
 * ``plan(shape, dtype, algorithm=...) -> ExecutionPlan`` — all configuration
   validated up front, before any data is touched;
 * ``execute(plan, image, out=...) -> sat`` — data/plan agreement checked,
   uniform ``out=`` semantics (``run(plan, image)`` returns the same table as
-  a ``SATResult``, with the simulator's launch report);
-* ``execute_with_carries(plan, image) -> (sat, CarrySet)`` — the inter-unit
-  carry state, typed by its Table II role.
+  a ``SATResult``, with the simulator's launch report).
+
+Carries stay inside the executors that make them: the tile planes of a
+wavefront compute die with it (resident ones belong to
+:class:`~repro.hostexec.incremental.IncrementalSAT`), and a distributed run
+reports its band column sums on its own result
+(:class:`~repro.distsat.BandCarrySet`).
 
 All four executors (serial, wavefront, gpusim, distributed) register
 through :mod:`repro.backend.registry`, and the conformance suite
@@ -21,7 +25,6 @@ This package imports neither :mod:`repro.sat` nor :mod:`repro.hostexec` at
 module level; executor modules load lazily on first :func:`get_backend`.
 """
 
-from repro.backend.carries import BandCarrySet, CarrySet, TileCarrySet
 from repro.backend.core import Backend, BackendSpec
 from repro.backend.plan import (ExecutionPlan, check_out, finalize_output,
                                 prepare_input)
@@ -32,10 +35,7 @@ from repro.backend.registry import (backend_specs, backend_table,
 __all__ = [
     "Backend",
     "BackendSpec",
-    "BandCarrySet",
-    "CarrySet",
     "ExecutionPlan",
-    "TileCarrySet",
     "backend_specs",
     "backend_table",
     "check_out",

@@ -1,4 +1,4 @@
-"""The :class:`Backend` protocol: plan → execute → carries.
+"""The :class:`Backend` protocol: plan → execute.
 
 One algebra, many executors.  A backend is anything that can compute the
 paper's summed area table; this module fixes the contract every one of them
@@ -15,9 +15,6 @@ satisfies:
 * :meth:`Backend.run` — the same run as a
   :class:`~repro.sat.base.SATResult` (what ``compute_sat`` returns); the
   simulator's result carries its launch report.
-* :meth:`Backend.execute_with_carries` — for backends that retain state,
-  additionally return the typed :class:`~repro.backend.carries.CarrySet`
-  (the LRS/LCS/GLS algebra made inspectable).
 
 :class:`BackendSpec` is the capability declaration each backend registers:
 which algorithms and dtypes it supports, whether results are bit-identical
@@ -36,7 +33,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.backend.carries import CarrySet
 from repro.backend.plan import ExecutionPlan, check_out
 from repro.errors import ConfigurationError
 from repro.primitives.tile import TileGrid
@@ -62,9 +58,6 @@ class BackendSpec:
     ``algorithms`` is ``None`` when the backend runs every registered
     algorithm, else the tuple of canonical names it supports.  ``dtypes`` is
     ``None`` when any accumulator dtype works.
-
-    ``retains_state`` marks backends whose ``execute_with_carries`` returns
-    a typed :class:`~repro.backend.carries.CarrySet`.
     """
 
     name: str
@@ -79,8 +72,6 @@ class BackendSpec:
     bit_identical: bool
     #: Execution substrate: ``host``, ``device`` (simulator) or ``streaming``.
     kind: str = "host"
-    #: ``execute_with_carries`` returns a typed CarrySet.
-    retains_state: bool = False
     #: Canonical algorithm substituted when the caller passes ``None``
     #: (``None`` here means: run the plain reference double scan).
     default_algorithm: str | None = None
@@ -101,7 +92,6 @@ class BackendSpec:
             if self.algorithms is not None else None,
             "dtypes": list(self.dtypes) if self.dtypes is not None else None,
             "bit_identical": self.bit_identical,
-            "retains_state": self.retains_state,
             "default_algorithm": self.default_algorithm,
         }
 
@@ -115,10 +105,9 @@ def _canonical_algorithm(name: str) -> tuple[str, bool]:
 
 
 class Backend(ABC):
-    """One executor of the SAT algebra, behind the plan/execute/carry stages.
+    """One executor of the SAT algebra, behind the plan/execute stages.
 
-    Subclasses set :attr:`spec` and implement :meth:`_execute` (and
-    :meth:`_execute_with_carries` when ``spec.retains_state``); everything
+    Subclasses set :attr:`spec` and implement :meth:`_execute`; everything
     else — upfront validation, data/plan matching, uniform ``out=``
     fulfilment — is shared here.
     """
@@ -281,21 +270,6 @@ class Backend(ABC):
         plan = self.plan(a.shape, a.dtype, **plan_kwargs)
         return self.execute(plan, a, out=out)
 
-    # -- stage 3: carries ------------------------------------------------------
-
-    def execute_with_carries(self, plan: ExecutionPlan,
-                             a: np.ndarray) -> tuple[np.ndarray, CarrySet]:
-        """Run ``plan`` and return ``(sat, carries)``.
-
-        Only backends declaring ``spec.retains_state`` implement this; the
-        returned :class:`~repro.backend.carries.CarrySet` exposes the
-        inter-unit LRS/LCS/GLS state the run communicated through.
-        """
-        if not self.spec.retains_state:
-            raise ConfigurationError(
-                f"the {self.spec.name} backend does not retain carry state")
-        return self._execute_with_carries(plan, self._check_data(plan, a))
-
     # -- subclass hooks --------------------------------------------------------
 
     @abstractmethod
@@ -303,10 +277,6 @@ class Backend(ABC):
                  out: np.ndarray | None) -> np.ndarray:
         """Run the validated plan; may ignore ``out`` (the base class then
         copies into it) or fill it directly and return it."""
-
-    def _execute_with_carries(self, plan: ExecutionPlan,
-                              a: np.ndarray) -> tuple[np.ndarray, CarrySet]:
-        raise NotImplementedError  # pragma: no cover - guarded by the spec
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.spec.name!r}>"

@@ -1,7 +1,7 @@
 """The four registered backends: every executor in the repo, one protocol.
 
 Each class here is a thin adapter from the :class:`~repro.backend.Backend`
-plan/execute/carry contract onto an existing executor — the algorithms' own
+plan/execute contract onto an existing executor — the algorithms' own
 serial host loops, the wavefront engine, the functional GPU simulator and
 the sharded distributed executor.  The adapters contain *no* tile-layout or
 dtype glue of their own: all of that lives in the shared plan layer
@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backend.carries import CarrySet, TileCarrySet
 from repro.backend.core import Backend, positive_int
 from repro.backend.plan import ExecutionPlan
 from repro.errors import ConfigurationError
@@ -61,27 +60,6 @@ class WavefrontBackend(Backend):
         return eng.compute(a, algorithm=plan.algorithm,
                            tile_width=plan.tile_width,
                            dtype_policy=plan.acc_dtype, out=out)
-
-    def _execute_with_carries(self, plan: ExecutionPlan,
-                              a: np.ndarray) -> tuple[np.ndarray, CarrySet]:
-        from repro.hostexec.engine import WavefrontEngine
-        eng = self._engine
-        owned = eng is None
-        if owned:
-            eng = WavefrontEngine()
-        try:
-            sat = eng.compute(a, algorithm=plan.algorithm,
-                              tile_width=plan.tile_width,
-                              dtype_policy=plan.acc_dtype, retain_state=True)
-            state = eng.retained_state()
-            carry = TileCarrySet(tile_rows=state.grid.tile_rows,
-                                 tile_cols=state.grid.tile_cols,
-                                 tile_width=state.grid.W,
-                                 _planes=state.planes())
-        finally:
-            if owned:
-                eng.close()
-        return sat, carry
 
 
 class GpusimBackend(Backend):
@@ -129,7 +107,7 @@ class DistributedBackend(Backend):
     The image is split into ``shards`` contiguous band shards, fanned out
     to a pool (in-process by default; real worker processes when the plan
     asks for ``workers > 1``) and stitched with persisted
-    :class:`~repro.backend.carries.BandCarrySet` column sums — see
+    :class:`~repro.distsat.BandCarrySet` column sums — see
     :mod:`repro.distsat`.  ``band_rows`` bounds each worker's chunk size
     within its shard (default: one tile height, capped at the matrix
     height).  With one shard it runs the out-of-core band loop, and its
@@ -155,7 +133,8 @@ class DistributedBackend(Backend):
             return min(rows, 2)
         return positive_int(shards, "shards")
 
-    def _run(self, plan: ExecutionPlan, a: np.ndarray):
+    def _execute(self, plan: ExecutionPlan, a: np.ndarray,
+                 out: np.ndarray | None) -> np.ndarray:
         from repro.distsat import distributed_sat
         transport = "process" if plan.workers is not None \
             and plan.workers > 1 else "inline"
@@ -164,16 +143,8 @@ class DistributedBackend(Backend):
                                tile_width=plan.tile_width,
                                dtype_policy=plan.acc_dtype,
                                chunk_rows=plan.band_rows,
-                               transport=transport, workers=plan.workers)
-
-    def _execute(self, plan: ExecutionPlan, a: np.ndarray,
-                 out: np.ndarray | None) -> np.ndarray:
-        return self._run(plan, a).sat
-
-    def _execute_with_carries(self, plan: ExecutionPlan,
-                              a: np.ndarray) -> tuple[np.ndarray, CarrySet]:
-        result = self._run(plan, a)
-        return result.sat, result.carries
+                               transport=transport,
+                               workers=plan.workers).sat
 
 
 #: Concrete class behind each registered backend name.
@@ -187,8 +158,8 @@ BACKEND_CLASSES: dict[str, type[Backend]] = {
 
 def backend_for_instance(engine) -> Backend:
     """Wrap a caller-managed executor in its backend adapter: a
-    :class:`WavefrontEngine` (its plan and carry caches) or a simulator
-    :class:`GPU`; anything else raises the canonical unknown-backend error.
+    :class:`WavefrontEngine` or a simulator :class:`GPU` (its device
+    configuration); anything else raises the canonical unknown-backend error.
     """
     from repro.backend.registry import unknown_backend_error
     from repro.gpusim.kernel import GPU

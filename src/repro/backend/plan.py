@@ -118,7 +118,7 @@ def prepare_input(a: np.ndarray, *, acc_dtype: np.dtype,
     value in the valid region unchanged.  When ``a`` already matches the
     accumulator dtype, is C-contiguous and needs no padding, it is returned
     aliased (``copied=False``) unless ``force_copy`` demands a private buffer
-    (retained-state executions edit the working matrix in place).
+    (``IncrementalSAT`` edits its resident working matrix in place).
     """
     rows, cols = a.shape
     pad = grid is not None and not grid.aligned

@@ -43,8 +43,7 @@ def _make_specs() -> dict[str, BackendSpec]:
             name="wavefront",
             summary="each tile row as one run on the caller's thread",
             algorithms=tile, dtypes=None, bit_identical=True,
-            kind="host", retains_state=True,
-            default_algorithm="1R1W-SKSS-LB"),
+            kind="host", default_algorithm="1R1W-SKSS-LB"),
         "gpusim": BackendSpec(
             name="gpusim",
             summary="functional GPU simulator (device kernels, measured "
@@ -56,7 +55,7 @@ def _make_specs() -> dict[str, BackendSpec]:
             summary="sharded out-of-core bands on a worker pool (persisted "
                     "carries, fault-tolerant work-queue protocol)",
             algorithms=None, dtypes=None, bit_identical=False,
-            kind="streaming", retains_state=True),
+            kind="streaming"),
     }
 
 
@@ -122,7 +121,7 @@ def resolve_backend(engine=None) -> Backend:
     by name (:func:`get_backend`); a caller-managed
     :class:`~repro.hostexec.WavefrontEngine` or simulator
     :class:`~repro.gpusim.kernel.GPU` is wrapped in its backend's adapter
-    (keeping the caller's plan and carry caches, or device configuration).
+    (keeping the caller's device configuration).
     """
     if engine is None:
         return get_backend("serial")

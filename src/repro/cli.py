@@ -679,8 +679,6 @@ def _cmd_list(args) -> int:
         notes = [spec.kind]
         if spec.bit_identical:
             notes.append("bit-identical")
-        if spec.retains_state:
-            notes.append("carries")
         if spec.algorithms is not None:
             notes.append(f"{len(spec.algorithms)} tile algorithms")
         print(f"  {name:<10} {spec.summary} [{'; '.join(notes)}]")

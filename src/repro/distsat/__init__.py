@@ -2,10 +2,10 @@
 
 The SKSS look-back carries let tiles compose without a global barrier; the
 same algebra composes one level up, letting band shards on separate
-processes be stitched with the exact :class:`~repro.backend.carries
-.BandCarrySet` column sums ``OutOfCoreSAT`` threads between bands.  This
-package is that idea made operational: a coordinator
-(:func:`distributed_sat`), a byte-level work-queue protocol, pluggable
+processes be stitched with the exact :class:`BandCarrySet` column sums
+``OutOfCoreSAT`` threads between bands.  This package is that idea made
+operational: a coordinator (:func:`distributed_sat`, whose result reports
+its run's :class:`BandCarrySet`), a byte-level work-queue protocol, pluggable
 transports (deterministic in-process / real ``multiprocessing``),
 checkpointed carries, and a deterministic fault-injection seam
 (:class:`FaultPlan`) so recovery is testable rather than anecdotal.
@@ -15,13 +15,15 @@ diagram, the checkpoint format and the fault seam.
 """
 
 from repro.distsat.checkpoint import CheckpointStore
-from repro.distsat.coordinator import DistributedResult, distributed_sat
+from repro.distsat.coordinator import (BandCarrySet, DistributedResult,
+                                      distributed_sat)
 from repro.distsat.protocol import FaultAction, FaultPlan, checksum, \
     shard_bounds
 from repro.distsat.sources import BandSource, MatrixSource, SyntheticSource
 from repro.distsat.transport import InlineTransport, ProcessTransport
 
 __all__ = [
+    "BandCarrySet",
     "BandSource",
     "CheckpointStore",
     "DistributedResult",

@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend.carries import BandCarrySet
 from repro.backend.core import positive_int
 from repro.distsat.checkpoint import CheckpointStore
 from repro.distsat.protocol import FaultPlan, checksum, decode_message, \
@@ -68,6 +67,18 @@ from repro.sat.outofcore import rect_sum_from_rows
 
 
 @dataclass
+class BandCarrySet:
+    """Band-streaming carries: accumulated column sums above the read frontier.
+
+    After a full pass, :attr:`column_sums` equals the total per-column sum of
+    the matrix — the quantity whose prefix scan stitches each band's local
+    SAT into the global one (the GCP identity at band granularity).
+    """
+
+    column_sums: np.ndarray
+
+
+@dataclass
 class DistributedResult:
     """What one distributed run produced.
 
@@ -75,8 +86,8 @@ class DistributedResult:
     mode (the gigapixel path), where ``digests`` (per-shard CRC32 of the
     stitched rows) and ``edge_rows`` (the global SAT row at each shard's
     bottom edge) stand in for it.  ``carries`` is the run's total
-    :class:`~repro.backend.carries.BandCarrySet` — the column sums of the
-    whole image, exactly what ``OutOfCoreSAT`` would have accumulated.
+    :class:`BandCarrySet` — the column sums of the whole image, exactly what
+    ``OutOfCoreSAT`` would have accumulated.
     """
 
     sat: np.ndarray | None

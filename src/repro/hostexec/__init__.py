@@ -6,10 +6,12 @@ The tile-based SAT algorithms' host paths were serial Python loops over all
 published quantities, bit-identical float64 results — with each tile row
 processed as one run of consecutive tiles, in place, with its in-row
 look-back resolved as a prefix scan.  See :mod:`repro.hostexec.engine` for
-the execution model, :mod:`repro.hostexec.plan` for the row-run schedule,
-:mod:`repro.hostexec.kernels` for the row-run kernels (one exact kernel
-for integer accumulators, each algorithm's tile algebra for floats) and
-:mod:`repro.hostexec.incremental` for edit repair on a resident table.
+the execution model (nothing kept between computes),
+:mod:`repro.hostexec.kernels` for the row runs and their kernels (one exact
+kernel for integer accumulators, each algorithm's tile algebra for floats)
+and :mod:`repro.hostexec.incremental` for edit repair on a resident table,
+whose tile state :class:`~repro.hostexec.incremental.IncrementalSAT` alone
+owns.
 
 A SAT runs on the engine through :func:`repro.compute_sat`, with
 ``engine="wavefront"`` (the process-wide :func:`shared_engine`) or a

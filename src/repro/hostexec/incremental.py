@@ -9,10 +9,10 @@ valid, so a service handling video-style or interactive-edit traffic never
 needs to recompute the full table — it repairs the *dirty tiles plus the
 right/down carry frontier they invalidate*.
 
-:class:`IncrementalSAT` keeps one frame's tile-grid state resident between
-calls (via :meth:`WavefrontEngine.compute(..., retain_state=True)
-<repro.hostexec.engine.WavefrontEngine.compute>`): the padded working matrix,
-the committed SAT, and the kernel's carry planes.  Edits arrive as
+:class:`IncrementalSAT` builds one frame's tile-grid state and keeps it
+resident between calls (:class:`RetainedState`): the padded working matrix,
+the committed SAT, and the kernel's carry planes, all its own, filled by the
+same row-run kernels the wavefront engine runs.  Edits arrive as
 rectangle writes (:meth:`IncrementalSAT.update`), tile writes
 (:meth:`IncrementalSAT.update_tiles`), whole-frame additive deltas
 (:meth:`IncrementalSAT.delta`) or successive frames
@@ -47,19 +47,78 @@ computation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.backend.plan import prepare_input
 from repro.errors import ConfigurationError
-from repro.hostexec.engine import RetainedState, WavefrontEngine
-from repro.hostexec.kernels import kernel_for
-from repro.hostexec.plan import DEPS_LEFT_UP, Chunk
+from repro.hostexec.engine import WavefrontEngine, check_workers
+from repro.hostexec.kernels import (DEPS_LEFT_UP, CarryPlanes, Chunk,
+                                    KernelSpec, kernel_for)
+from repro.primitives.tile import TileGrid
 from repro.sat.dtypes import resolve_policy
 
 #: Repair strategies accepted by :class:`IncrementalSAT`.
 STRATEGIES = ("auto", "delta", "recompute")
+
+
+@dataclass
+class RetainedState:
+    """The resident tile-grid state of an :class:`IncrementalSAT`.
+
+    Everything it needs to *repair* a SAT instead of recomputing it: the
+    padded working matrix, the committed (padded) SAT, and the inter-tile
+    carry planes — all privately owned, so they stay valid between calls and
+    may be edited in place.
+    """
+
+    spec: KernelSpec
+    grid: TileGrid
+    #: Padded working matrix in the accumulator dtype (the current input).
+    work: np.ndarray
+    #: Padded committed SAT of :attr:`work`.
+    out: np.ndarray
+    #: Inter-tile carry planes (GRS/GCS/GS family or GRS/GCP).
+    carry: CarryPlanes
+
+    @property
+    def a4(self) -> np.ndarray:
+        """``(tr, W, tc, W)`` tile view of the working matrix."""
+        g = self.grid
+        return self.work.reshape(g.tile_rows, g.W, g.tile_cols, g.W)
+
+    @property
+    def out4(self) -> np.ndarray:
+        """``(tr, W, tc, W)`` tile view of the committed SAT."""
+        g = self.grid
+        return self.out.reshape(g.tile_rows, g.W, g.tile_cols, g.W)
+
+    def run_rows(self, starts: Iterable[tuple[int, int]]) -> None:
+        """Run the kernel over tile row ``I`` from tile column ``J0`` to the
+        row's end, for each ``(I, J0)`` of ``starts`` in order (rows top to
+        bottom)."""
+        a4, out4, grid = self.a4, self.out4, self.grid
+        for I, J0 in starts:
+            self.spec.run(a4, out4, self.carry,
+                          Chunk(row=int(I), J0=int(J0), J1=grid.tile_cols),
+                          grid.W)
+
+    def planes(self) -> dict[str, np.ndarray]:
+        """The carry planes keyed by their role for this kernel's dataflow.
+
+        The GRS/GCS/GS family publishes row sums, column sums and the corner
+        scalar; 1R1W-SKSS publishes row sums and the GCP bottom row instead
+        (``2R1W`` additionally carries its column-accumulated scalar chain).
+        """
+        if self.spec.deps == DEPS_LEFT_UP:
+            return {"GRS": self.carry.vec_row, "GCP": self.carry.vec_col}
+        planes = {"GRS": self.carry.vec_row, "GCS": self.carry.vec_col,
+                  "GS": self.carry.scal}
+        if self.spec.name == "2R1W":
+            planes["GS-col"] = self.carry.scal2
+        return planes
 
 
 @dataclass
@@ -110,9 +169,8 @@ class IncrementalSAT:
     tile_width, dtype_policy:
         As in :func:`~repro.sat.registry.compute_sat`.
     workers:
-        ``None`` or ``1``: the private engine that runs full computations
-        (closed with :meth:`close`) has one worker; any other count raises
-        :class:`~repro.errors.ConfigurationError`.
+        ``None`` or ``1``: repairs run on the caller's thread; any other
+        count raises :class:`~repro.errors.ConfigurationError`.
     strategy:
         ``"auto"`` (default) picks exact ``delta`` repair for integer
         accumulator dtypes and bit-faithful ``recompute`` for floats;
@@ -128,22 +186,21 @@ class IncrementalSAT:
         if strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown repair strategy {strategy!r}; known: {STRATEGIES}")
+        check_workers(workers)
         self._spec = kernel_for(algorithm)
         self.algorithm = self._spec.name
         self.tile_width = tile_width
         self._policy = resolve_policy(dtype_policy)
-        self._engine = WavefrontEngine(workers=workers)
         self._requested_strategy = strategy
         self._state: RetainedState | None = None
         self.stats = RepairStats()
-        self.rebuild(a)
+        self._build(a)
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the resident state and the private engine."""
+        """Release the resident state."""
         self._state = None
-        self._engine.close()
 
     def __enter__(self) -> "IncrementalSAT":
         return self
@@ -199,8 +256,12 @@ class IncrementalSAT:
     def rebuild(self, a: np.ndarray | None = None) -> np.ndarray:
         """Recompute everything from scratch (a new frame, or ``None`` to
         rebuild from the current input — useful to re-verify the state)."""
-        if a is None:
-            a = self._required_state().work[:self.rows, :self.cols]
+        resident = self._required_state().work[:self.rows, :self.cols]
+        return self._build(resident if a is None else a)
+
+    def _build(self, a) -> np.ndarray:
+        """Build the resident state of frame ``a``: its padded working
+        matrix, table and carry planes, each tile row as one run."""
         a = np.asarray(a)
         if a.ndim != 2:
             raise ConfigurationError(
@@ -217,14 +278,17 @@ class IncrementalSAT:
         if self._strategy == "auto":
             self._strategy = "delta" if np.issubdtype(acc, np.integer) \
                 else "recompute"
-        self._engine.compute(a, algorithm=self.algorithm,
-                             tile_width=self.tile_width, dtype_policy=acc,
-                             retain_state=True)
-        self._state = self._engine.retained_state()
+        grid = TileGrid(rows=self.rows, cols=self.cols, W=self.tile_width)
+        work, _ = prepare_input(a, acc_dtype=acc, grid=grid, force_copy=True)
+        state = RetainedState(
+            spec=self._spec, grid=grid, work=work, out=np.empty_like(work),
+            carry=CarryPlanes(tr=grid.tile_rows, tc=grid.tile_cols,
+                              W=grid.W, dtype=acc))
+        state.run_rows((I, 0) for I in range(grid.tile_rows))
+        self._state = state
         self.stats.full_rebuilds += 1
-        self.stats.total_tiles = self._state.grid.num_tiles
-        self._record(self._state.grid.num_tiles, self._state.grid.num_tiles,
-                     "rebuild")
+        self.stats.total_tiles = grid.num_tiles
+        self._record(grid.num_tiles, grid.num_tiles, "rebuild")
         return self.sat
 
     def _record(self, dirty: int, repaired: int, strategy: str) -> None:
@@ -538,15 +602,11 @@ class IncrementalSAT:
         out of the exact same floating-point operation sequence as a full
         recompute.
         """
-        state = self._required_state()
         closure = np.logical_or.accumulate(
             np.logical_or.accumulate(dirty_mask, axis=0), axis=1)
-        rows = np.flatnonzero(closure[:, -1])
         starts = closure.argmax(axis=1)
-        a4, out4, grid = state.a4, state.out4, state.grid
-        for I in rows:
-            chunk = Chunk(row=int(I), J0=int(starts[I]), J1=grid.tile_cols)
-            self._spec.run(a4, out4, state.carry, chunk, grid.W)
+        self._required_state().run_rows(
+            (I, starts[I]) for I in np.flatnonzero(closure[:, -1]))
         self._record(int(dirty_mask.sum()), int(closure.sum()), "recompute")
 
 
@@ -614,10 +674,9 @@ def verify_state(inc: IncrementalSAT, *, check_sat: bool = True) -> list[str]:
                     findings.append(
                         f"carry-plane {name} stale at tile ({I}, {J})")
     if check_sat:
-        with WavefrontEngine() as eng:
-            fresh = eng.compute(work, algorithm=inc.algorithm,
-                                tile_width=inc.tile_width,
-                                dtype_policy=work.dtype)
+        fresh = WavefrontEngine().compute(work, algorithm=inc.algorithm,
+                                          tile_width=inc.tile_width,
+                                          dtype_policy=work.dtype)
         if not np.array_equal(state.out, fresh):
             bad = int(np.argmax(state.out != fresh))
             findings.append(
@@ -675,7 +734,7 @@ def repair_benchmark(n: int = 1024, *, dirty_frac: float = 0.1,
     best and worst frontier placements).  Repairs are verified bit-identical
     to a serial from-scratch recompute on the final state.
 
-    ``full_recompute_s`` is the best of ``repeats`` warm recomputes and
+    ``full_recompute_s`` is the best of ``repeats`` full recomputes and
     ``speedup_mean`` divides it by the mean repair; ``full_recompute`` and
     ``repair`` give the median and interquartile range of the same samples
     (for ``repair`` the spread is over the edit placements).
@@ -699,13 +758,14 @@ def repair_benchmark(n: int = 1024, *, dirty_frac: float = 0.1,
 
     inc = IncrementalSAT(a, algorithm=algorithm, tile_width=tile_width,
                          strategy=strategy)
-    # Warm full-recompute baseline on the same engine (its plan is cached).
+    # Full-recompute baseline on a wavefront engine.
     acc = inc.dtype
+    engine = WavefrontEngine()
     t_full = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        inc._engine.compute(a, algorithm=inc.algorithm, tile_width=tile_width,
-                            dtype_policy=acc)
+        engine.compute(a, algorithm=inc.algorithm, tile_width=tile_width,
+                       dtype_policy=acc)
         t_full.append(time.perf_counter() - t0)
     full_s = min(t_full)
 

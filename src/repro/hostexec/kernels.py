@@ -1,11 +1,11 @@
 """Row-run kernels: the SAT of one tile-row run and the carries it publishes.
 
-Each kernel executes one :class:`~repro.hostexec.plan.Chunk` — consecutive
-tiles ``T(I, J0) .. T(I, J1-1)`` of one tile row — in a handful of NumPy
-calls over the whole run instead of ``J1 - J0`` trips through the
-interpreter.  That batching is where the engine's single-core speedup comes
-from; bit-identity with each algorithm's serial ``_run_host`` loop is what
-lets the wavefront engine replace the serial path under the tests.
+Each kernel executes one :class:`Chunk` — consecutive tiles
+``T(I, J0) .. T(I, J1-1)`` of one tile row — in a handful of NumPy calls
+over the whole run instead of ``J1 - J0`` trips through the interpreter.
+That batching is where the engine's single-core speedup comes from;
+bit-identity with each algorithm's serial ``_run_host`` loop is what lets
+the wavefront engine replace the serial path under the tests.
 
 A run is one contiguous ``W x (J1-J0)·W`` block of the matrix.  Each kernel
 copies it from the input view ``a4`` into the result view
@@ -65,20 +65,37 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hostexec.plan import DEPS_LEFT_UP, DEPS_LEFT_UP_CORNER, Chunk
+
+#: Producer offsets ``(dI, dJ)`` relative to the consuming tile.
+DEPS_LEFT_UP = ((0, -1), (-1, 0))                 # 1R1W-SKSS (GRS + GCP chain)
+DEPS_LEFT_UP_CORNER = ((0, -1), (-1, 0), (-1, -1))  # the GRS/GCS/GS family
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """A run of consecutive tiles ``T(row, J0) .. T(row, J1-1)`` of one tile
+    row (the unit a row-run kernel executes)."""
+
+    row: int
+    J0: int
+    J1: int
+
+    @property
+    def num_tiles(self) -> int:
+        return self.J1 - self.J0
 
 
 @dataclass
 class CarryPlanes:
-    """Preallocated inter-tile carry planes, reused across repeated calls.
+    """Inter-tile carry planes of one computation.
 
     ``vec_row``/``vec_col`` hold the GRS / GCS planes (``vec_col`` doubles as
     the GCP plane for 1R1W-SKSS); ``scal`` holds GS and ``scal2`` the 2R1W
     column-carry of the tile-sum SAT.  Planes are allocated in the run's
-    accumulator dtype so carries never round-trip through a wider type.
-    Planes are never cleared between calls: the wavefront order guarantees
-    every entry a kernel reads was written earlier in the *same* call, and
-    border tiles read synthesised zeros instead of the planes.
+    accumulator dtype so carries never round-trip through a wider type, and
+    left uninitialised: in row-major order every entry a kernel reads was
+    written before it, by a run of the rows above or of the tiles to its
+    left, and border tiles read synthesised zeros instead of the planes.
     """
 
     tr: int

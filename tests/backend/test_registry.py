@@ -157,7 +157,7 @@ def test_backend_table_is_stable_json():
     rows = backend_table()
     assert [r["name"] for r in rows] == list(known_backends())
     keys = {"name", "kind", "summary", "algorithms", "dtypes",
-            "bit_identical", "retains_state", "default_algorithm"}
+            "bit_identical", "default_algorithm"}
     for row in rows:
         assert set(row) == keys
     json.dumps(rows)   # must be JSON-able as-is
@@ -169,8 +169,9 @@ def test_capability_flags_pinned():
         == ["host", "host", "device", "streaming"]
     assert {n for n, s in specs.items() if s.bit_identical} \
         == {"serial", "wavefront"}
-    assert {n for n, s in specs.items() if s.retains_state} \
-        == {"wavefront", "distributed"}
+    assert {n: s.default_algorithm for n, s in specs.items()} \
+        == {"serial": None, "wavefront": "1R1W-SKSS-LB",
+            "gpusim": "1R1W-SKSS-LB", "distributed": None}
 
 
 def test_bit_identity_flags():

@@ -5,8 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.distsat import (MatrixSource, SyntheticSource, distributed_sat,
-                           shard_bounds)
+from repro.distsat import (BandCarrySet, MatrixSource, SyntheticSource,
+                           distributed_sat, shard_bounds)
 from repro.errors import ConfigurationError
 from repro.sat import get_algorithm, sat_reference
 
@@ -63,9 +63,28 @@ class TestResult:
     def test_carries_are_total_column_sums(self):
         a = matrix((31, 14), seed=11)
         result = distributed_sat(a, shards=4)
+        assert isinstance(result.carries, BandCarrySet)
         np.testing.assert_array_equal(
-            result.carries.planes()["BCS"],
+            result.carries.column_sums,
             a.sum(axis=0, dtype=result.sat.dtype))
+
+    @pytest.mark.parametrize("algorithm,shards,chunk_rows", [
+        pytest.param(None, 1, 7, id="one-shard"),
+        pytest.param("1R1W-SKSS", 1, 18, id="one-shard-skss"),
+        pytest.param("1R1W-SKSS-LB", 3, None, id="three-shards")])
+    def test_column_sums_after_a_full_pass(self, algorithm, shards,
+                                           chunk_rows):
+        """One shard streaming every band and several shards sharing them
+        speak the same band-carry algebra: after a full pass the column sums
+        are the matrix's, in the accumulator dtype."""
+        a = matrix((53, 38), seed=5)
+        result = distributed_sat(a, shards=shards, algorithm=algorithm,
+                                 tile_width=16, chunk_rows=chunk_rows)
+        np.testing.assert_array_equal(result.sat, sat_reference(a))
+        sums = result.carries.column_sums
+        assert sums.dtype == result.sat.dtype
+        np.testing.assert_array_equal(sums,
+                                      a.sum(axis=0, dtype=sums.dtype))
 
     def test_rect_sum_full_mode(self):
         a = matrix((24, 18), seed=13)

@@ -10,8 +10,12 @@ The central claims under test (see ``docs/ARCHITECTURE.md``):
   with its look-back as a scan, does not change a single bit, whether the
   row runs as one run (the engine) or as several runs, the later ones
   starting at ``J0 > 0`` (as incremental repair's runs do);
-* two runs of the same engine are bit-identical.
+* two runs of the same engine are bit-identical, and an engine keeps
+  nothing between computes, so threads may share it.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,10 +24,8 @@ from repro.backend.plan import prepare_input
 from repro.backend.registry import get_backend, resolve_backend
 from repro.errors import ConfigurationError
 from repro.hostexec import WavefrontEngine, kernel_for, shared_engine
-from repro.hostexec.engine import RetainedState
-from repro.hostexec.incremental import IncrementalSAT
-from repro.hostexec.kernels import CarryPlanes
-from repro.hostexec.plan import Chunk
+from repro.hostexec.incremental import IncrementalSAT, RetainedState
+from repro.hostexec.kernels import CarryPlanes, Chunk
 from repro.primitives.tile import (TileGrid, global_col_prefixes,
                                    global_col_sums, global_row_sums,
                                    global_sum)
@@ -43,18 +45,12 @@ def matrix(n, seed=7, integer=True):
 
 def run_in_runs(a, algorithm, tile_width=32, runs=1) -> RetainedState:
     """``a``'s SAT and carry planes with each tile row executed as ``runs``
-    runs, in row-major order.
+    runs of the algorithm's row-run kernel, in row-major order.
 
-    One run per row is the engine's own path (``retain_state=True``).  More
-    runs drive the algorithm's row-run kernel directly, so every run after
-    a row's first starts at ``J0 > 0``, as
+    One run per row is the engine's own schedule.  With more, every run
+    after a row's first starts at ``J0 > 0``, as
     ``IncrementalSAT._repair_recompute``'s runs do.
     """
-    if runs == 1:
-        with WavefrontEngine() as eng:
-            eng.compute(a, algorithm=algorithm, tile_width=tile_width,
-                        retain_state=True)
-            return eng.retained_state()
     spec = kernel_for(algorithm)
     acc = resolve_policy(None).accumulator(a.dtype)
     grid = TileGrid(rows=a.shape[0], cols=a.shape[1], W=tile_width)
@@ -241,7 +237,7 @@ def test_algorithm_aliases_resolve():
 
 
 class TestBatchedAPI:
-    """Repeated computes on one persistent engine."""
+    """Repeated and concurrent computes on one engine."""
 
     def test_compute_many_mixed_algorithms_independent(self):
         a = matrix(96)
@@ -250,14 +246,51 @@ class TestBatchedAPI:
                 sat = eng.compute(a, algorithm=algorithm)
                 assert np.array_equal(sat, sat_reference(a))
 
-    def test_plan_and_carry_caches_are_reused(self):
-        with WavefrontEngine() as eng:
-            eng.compute(matrix(96))
-            plans = {k: id(v) for k, v in eng._plans.items()}
-            carries = {k: id(v) for k, v in eng._carries.items()}
-            eng.compute(matrix(96, seed=9))
-            assert {k: id(v) for k, v in eng._plans.items()} == plans
-            assert {k: id(v) for k, v in eng._carries.items()} == carries
+    def test_threads_share_one_engine(self):
+        """The engine has no lock and keeps nothing between computes:
+        threads computing on it at once (more threads than cores, switching
+        often), over mixed dtypes, algorithms and shapes, each get the
+        serial oracle's table.  Inputs come in pairs of one geometry and
+        dtype with different values, which carry planes shared between
+        computes would mix."""
+        rng = np.random.default_rng(3)
+        cases = [((rng.random(shape) * 100).astype(dtype), algorithm)
+                 for shape, dtype, algorithm in (
+                     ((64, 96), np.float32, "2R1W"),
+                     ((64, 96), np.float32, "1R1W-SKSS-LB"),
+                     ((70, 45), np.float64, "1R1W-SKSS"),
+                     ((70, 45), np.float64, "(1+r)R1W"),
+                     ((70, 45), np.int32, "1R1W-SKSS-LB"),
+                     ((96, 64), np.uint8, "1R1W"))]
+        want = [get_algorithm(alg, tile_width=16).run_host(a)
+                for a, alg in cases]
+        eng = WavefrontEngine()
+        start = threading.Barrier(len(cases))
+        wrong: list = []
+
+        def worker(first):
+            start.wait(timeout=30)
+            for i in range(200):
+                k = (first + i) % len(cases)
+                a, alg = cases[k]
+                if not np.array_equal(
+                        eng.compute(a, algorithm=alg, tile_width=16),
+                        want[k]):
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestOutParameter:
@@ -279,6 +312,16 @@ class TestOutParameter:
             with pytest.raises(ConfigurationError, match="out"):
                 eng.compute(matrix(64),
                             out=np.empty((64, 64), dtype=np.float32))
+
+    def test_out_checked_before_the_input_is_prepared(self, monkeypatch):
+        """A bad ``out=`` raises before the input's cast and padded copy."""
+        def tripwire(*args, **kwargs):
+            raise AssertionError("prepare_input ran before out= was checked")
+        monkeypatch.setattr("repro.hostexec.engine.prepare_input", tripwire)
+        a = np.arange(70 * 45, dtype=np.int32).reshape(70, 45)
+        with pytest.raises(ConfigurationError, match="out"):
+            WavefrontEngine().compute(
+                a, tile_width=32, out=np.empty((70, 45), dtype=np.float32))
 
     def test_out_non_contiguous_rejected(self):
         backing = np.empty((64, 128))
@@ -339,16 +382,14 @@ class TestValidation:
             WavefrontEngine(workers=workers)
 
     def test_closed_engine_refuses_compute(self):
-        """A closed engine refuses every compute and keeps its caches
-        released, whatever the call's geometry; a closed IncrementalSAT
-        does not reopen on rebuild."""
+        """A closed engine refuses every compute, whatever the call's
+        geometry; a closed IncrementalSAT does not reopen on rebuild."""
         eng = WavefrontEngine()
-        eng.compute(matrix(128, seed=1), tile_width=8)  # warm
+        eng.compute(matrix(128, seed=1), tile_width=8)
         eng.close()
         for n, W in ((64, 64), (64, 8), (512, 16)):
             with pytest.raises(ConfigurationError, match="closed"):
                 eng.compute(matrix(n), tile_width=W)
-        assert not eng._plans and not eng._carries
         inc = IncrementalSAT(matrix(64))
         inc.close()
         with pytest.raises(ConfigurationError, match="closed"):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hostexec import WavefrontEngine
 from repro.hostexec.incremental import (IncrementalSAT, repair_benchmark,
                                         sanitize_incremental, verify_state)
 from repro.sat.registry import get_algorithm
@@ -384,11 +383,14 @@ class TestDetection:
 
 class TestStateAndAPI:
     def test_carry_planes_match_oracles_after_edits(self, rng):
-        for algorithm in ("1R1W-SKSS-LB", "2R1W"):
+        """Every algorithm's resident planes equal their Table II oracles
+        and its table a fresh compute, as built and after an edit."""
+        for algorithm in ALGORITHMS:
             a = _data(rng, (96, 70), np.int32)
             with IncrementalSAT(a, algorithm=algorithm) as inc:
+                assert verify_state(inc) == [], algorithm
                 inc.update(3, 9, _data(rng, (50, 40), np.int32))
-                assert verify_state(inc) == []
+                assert verify_state(inc) == [], algorithm
 
     def test_sat_view_is_readonly(self, rng):
         with IncrementalSAT(_data(rng, (64, 64), np.int32)) as inc:
@@ -425,15 +427,21 @@ class TestStateAndAPI:
             assert np.array_equal(got, _reference(inc, b.astype(inc.dtype)))
 
     def test_engine_retain_state_private_copies(self, rng):
-        """Retained state must survive caller mutation and later computes."""
-        a = _data(rng, (64, 64), np.float64)
-        with WavefrontEngine(workers=1) as eng:
-            sat = eng.compute(a, retain_state=True)
-            state = eng.retained_state()
-            a[:] = 0  # caller mutates the input afterwards
-            eng.compute(_data(rng, (64, 64), np.float64))  # unrelated call
-            assert np.array_equal(state.out, sat)
-            assert state.work[0, 0] != 0 or a is not state.work
+        """The incremental engine's resident state is its own: mutating the
+        caller's frame after construction or after ``advance`` leaves its
+        input and table unchanged (aligned float64 frames included, which
+        need no cast or padding)."""
+        for shape, dtype in (((64, 64), np.float64), ((70, 45), np.int32)):
+            first = _data(rng, shape, dtype)
+            with IncrementalSAT(first) as inc:
+                for frame in (first, _data(rng, shape, dtype)):
+                    if frame is not first:
+                        inc.advance(frame)
+                    assert np.array_equal(inc.input, frame.astype(inc.dtype))
+                    want = inc.input.copy(), inc.sat.copy()
+                    frame[:] = 0   # the caller reuses its buffer
+                    assert np.array_equal(inc.input, want[0])
+                    assert np.array_equal(inc.sat, want[1])
 
     def test_errors(self, rng):
         a = _data(rng, (64, 64), np.int32)
